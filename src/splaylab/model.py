@@ -11,14 +11,17 @@ the substitution of Q'_i for Q_i.  Cost is the sum of transition-tree sizes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .tree import (
     DisconnectedSubtreeError,
+    InvariantError,
     KeyAbsentError,
     Node,
     RotationAtRootError,
+    SymmetricOrderError,
     Tree,
     bst_from_sequence,
     contains,
@@ -26,6 +29,7 @@ from .tree import (
     parse_shape,
     path_encoding,
     path_nodes,
+    preorder,
     root_subtree,
     rotate,
     shape_print,
@@ -120,18 +124,18 @@ def validate(inst: Instance, e: Execution) -> ExecutionTrace:
                 i, f"transition-tree root {q_prime.key} is not the requested key {x}"
             )
         keys = tree_keys(q_prime)
-        if x not in keys:
-            raise InvalidExecutionError(i, f"requested key {x} missing from transition tree")
         try:
             q = root_subtree(t, keys)
+            after = substitute(t, q_prime)
         except DisconnectedSubtreeError as err:
             raise InvalidExecutionError(i, f"subtree not connected through root: {err}") from err
         except KeyAbsentError as err:
             raise InvalidExecutionError(i, f"key-set mismatch: {err}") from err
+        except SymmetricOrderError as err:
+            raise InvalidExecutionError(i, f"transition tree is not a search tree: {err}") from err
         encoding = path_encoding(t, x)
-        after = substitute(t, q_prime)
         steps.append(AccessStep(i, x, q, q_prime, after, encoding))
-        cost += size(q_prime)
+        cost += len(keys)
         t = after
     return ExecutionTrace(inst, tuple(steps), cost)
 
@@ -185,18 +189,29 @@ def elide(inst: Instance, e: Execution, deleted: Iterable[int]) -> Execution:
     return Execution(tuple(out))
 
 
-def _connect_keys(t: Node, keys: set[int]) -> frozenset[int]:
-    """Close a key set under access paths so it induces a root subtree."""
-    closed = set()
-    for k in keys:
-        for node in path_nodes(t, k):
-            closed.add(node.key)
+def _connect_keys(t: Node, keys: Iterable[int]) -> frozenset[int]:
+    """Close a key set under access paths so it induces a root subtree.
+    Visits only the closure, in O(|closure| log |keys|)."""
+    wanted = sorted(set(keys))
+    closed: list[int] = []
+    stack = [(t, 0, len(wanted))] if wanted else []  # subtree must hold wanted[i:j]
+    while stack:
+        node, i, j = stack.pop()
+        if node is None:
+            raise KeyAbsentError(wanted[i])
+        closed.append(node.key)
+        mid = bisect_left(wanted, node.key, i, j)
+        after = mid + 1 if mid < j and wanted[mid] == node.key else mid
+        if i < mid:
+            stack.append((node.left, i, mid))
+        if after < j:
+            stack.append((node.right, after, j))
     return frozenset(closed)
 
 
 def smallest_root_subtree(t: Node, keys: Iterable[int]) -> Node:
     """Smallest connected subtree of the root containing all given keys."""
-    return root_subtree(t, _connect_keys(t, set(keys)))
+    return root_subtree(t, _connect_keys(t, keys))
 
 
 def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
@@ -210,11 +225,13 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     steps = []
     cost = 0
     for i, x in enumerate(inst.requests, start=1):
-        path_keys = frozenset(node.key for node in path_nodes(t, x))
-        encoding = path_encoding(t, x)
-        q = root_subtree(t, path_keys)
+        path = path_nodes(t, x)
+        encoding = "".join("0" if c is p.left else "1" for p, c in zip(path, path[1:]))
+        q = Node(x)  # Q is the access path itself
+        for p in reversed(path[:-1]):
+            q = Node(p.key, q, None) if x < p.key else Node(p.key, None, q)
         after, record = fn(t, x)
-        q_prime = root_subtree(after, path_keys)
+        q_prime = root_subtree(after, [node.key for node in path])
         steps.append(AccessStep(i, x, q, q_prime, after, encoding))
         cost += record.cost
         t = after
@@ -381,32 +398,31 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
             nodes_touched.add(k)
             nodes_touched.add(p)
             work = rotate(work, k)
-        assert work.key == x, "kept rotations must finish with the key at the root"
+        if work.key != x:
+            raise InvariantError("kept rotations must finish with the key at the root")
         span = _closure_both(t, work, nodes_touched)
         q = root_subtree(t, span)
         q_prime = root_subtree(work, span)
-        if i != last:
-            assert size(q) <= 2 * len(kept_edges) + 1
+        if i != last and size(q) > 2 * len(kept_edges) + 1:
+            raise InvariantError(f"access {i}: |Q| exceeds twice the kept rotations plus one")
         transition_trees.append(q_prime)
         t = substitute(t, q_prime)
-        assert t == work
+        if t != work:
+            raise InvariantError(f"access {i}: substitution must reproduce the rotated tree")
         # The undo rotations belong to the next access (inverses run in
         # reverse of the lift); so do deferred ones.
         pending = deferred + undo[::-1]
     return Execution(tuple(transition_trees))
 
 
-def _closure_both(a: Node, b: Node, keys: set[int]) -> frozenset[int]:
-    """Close a key set under access paths in both trees."""
-    cur = set(keys)
+def _closure_both(a: Node, b: Node, keys: Iterable[int]) -> frozenset[int]:
+    """Close a key set under access paths in both trees: the smallest key set
+    holding ``keys`` that induces a root subtree of each."""
+    cur = frozenset(keys)
     while True:
-        grown = set(cur)
-        for t in (a, b):
-            for k in list(grown):
-                for node in path_nodes(t, k):
-                    grown.add(node.key)
+        grown = _connect_keys(b, _connect_keys(a, cur))
         if grown == cur:
-            return frozenset(cur)
+            return cur
         cur = grown
 
 
@@ -416,7 +432,8 @@ def _closure_both(a: Node, b: Node, keys: set[int]) -> frozenset[int]:
 
 def format_instance(inst: Instance, subsequence: Optional[tuple[int, ...]] = None) -> str:
     lines = [
-        "tree: " + " ".join(str(k) for k in _insertion_order(inst.initial)),
+        # The preorder is an insertion order that reproduces the tree.
+        "tree: " + " ".join(str(k) for k in preorder(inst.initial)),
         "requests: " + " ".join(str(x) for x in inst.requests),
     ]
     if subsequence is not None:
@@ -439,13 +456,6 @@ def parse_instance(text: str) -> tuple[Instance, Optional[tuple[int, ...]]]:
         raise ValueError("instance file needs 'tree:' and 'requests:' lines")
     initial = bst_from_sequence(int(k) for k in tree_line)
     return Instance(tuple(int(x) for x in requests_line), initial), subsequence
-
-
-def _insertion_order(t: Node) -> tuple[int, ...]:
-    # The preorder is an insertion order that reproduces the tree.
-    from .tree import preorder
-
-    return preorder(t)
 
 
 def format_execution(e: Execution) -> str:

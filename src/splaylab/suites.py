@@ -23,6 +23,7 @@ from .model import (
     elide,
     from_rotation_model,
     rotation_trace,
+    smallest_root_subtree,
     subsequence_instance,
     to_rotation_model,
     validate,
@@ -39,7 +40,6 @@ from .transforms import (
     shortest_path,
     simulation_embedding,
     simultaneous_transform4,
-    smallest_spanning_subtree,
     strongly_connected,
     topdown_embedding,
     transform_sequence,
@@ -51,6 +51,7 @@ from .tree import (
     bst_from_sequence,
     depth,
     left_spine_tree,
+    parent_key,
     parse_shape,
     path_nodes,
     shape_print,
@@ -493,19 +494,14 @@ def _window_run(t: Node, x: int, z_seq: tuple[int, ...]) -> tuple[bool, int, str
             if st.s_tree.key != st.t_tree.key:
                 return False, 0, f"roots differ at step {st.index}"
             for key in st.top_keys:
-                pa = _parent_key_of(st.s_tree, key)
-                pb = _parent_key_of(st.t_tree, key)
+                pa = parent_key(st.s_tree, key)
+                pb = parent_key(st.t_tree, key)
                 if pa != pb:
                     return False, 0, f"top-tree parent mismatch at step {st.index}"
     report = validate_level_formulas(steps, witnesses, x)
     if not report.ok:
         return False, report.checked, "; ".join(report.violations[:2])
     return True, report.checked, ""
-
-
-def _parent_key_of(t: Node, key: int):
-    path = path_nodes(t, key)
-    return path[-2].key if len(path) >= 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +726,7 @@ def suite_universal(seed: int = 0, **_: object) -> SuiteResult:
             cur = t
             for k in u:
                 cur, _ = splay(cur, k)
-            if smallest_spanning_subtree(cur, q_keys) != q:
+            if smallest_root_subtree(cur, q_keys) != q:
                 return _result(
                     "universal", start, False,
                     f"subtree not realized: |Q|={qsize} trial {trial}",

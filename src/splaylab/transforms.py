@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .algorithms import ALGORITHMS, move_to_root, splay, top_down_splay
-from .model import Execution, Instance, smallest_root_subtree, validate
+from .model import Execution, Instance, _closure_both, validate
 from .tree import (
     Node,
     Tree,
@@ -477,11 +477,6 @@ def universal_transform(q: Node) -> tuple[int, ...]:
     return reverse_access + tuple(cleanup) + to_shape
 
 
-def smallest_spanning_subtree(t: Node, keys: Iterable[int]) -> Node:
-    """Smallest connected subgraph of ``t`` containing the root and keys."""
-    return smallest_root_subtree(t, keys)
-
-
 # ---------------------------------------------------------------------------
 # Simultaneous transforms for four-node trees.
 
@@ -568,9 +563,6 @@ def _frame_tree(core: Tree, a: int, b: int, z: int) -> Node:
     return Node(z, Node(b, Node(a), core), None)
 
 
-_PATTERN_SHORT = ("P1", "P2")  # children of the framed subtree's root
-
-
 def _framed_rotation_keys(core: Node, rot_key: int, a: int, z: int) -> tuple[int, ...]:
     """Top-down-splay keys inducing one restricted rotation inside the
     framed subtree: root children use (key, a, z); grandchildren through the
@@ -621,7 +613,7 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         nonlocal t
         if core_now == core_target:
             return core_now
-        span = _span_both(core_now, core_target, touched)
+        span = _closure_both(core_now, core_target, touched)
         before = root_subtree(core_now, span)
         after = root_subtree(core_target, span)
         for rot in restricted_rotation_script(before, after):
@@ -648,15 +640,3 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         assert t == _frame_tree(core, a, b, z), "maneuver must preserve the frame"
     return tuple(out)
 
-
-def _span_both(before: Node, after: Node, keys: Iterable[int]) -> frozenset[int]:
-    cur = set(keys)
-    while True:
-        grown = set(cur)
-        for t in (before, after):
-            for k in list(grown):
-                for node in path_nodes(t, k):
-                    grown.add(node.key)
-        if grown == cur:
-            return frozenset(cur)
-        cur = grown

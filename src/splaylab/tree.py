@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 
 class KeyAbsentError(KeyError):
@@ -29,6 +29,14 @@ class RotationAtRootError(ValueError):
 
 class DisconnectedSubtreeError(ValueError):
     """A key set does not induce a connected subtree of the root."""
+
+
+class SymmetricOrderError(ValueError):
+    """A tree's keys are not in symmetric (search-tree) order."""
+
+
+class InvariantError(AssertionError):
+    """An internal invariant failed; checked explicitly, so also under -O."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,80 +269,85 @@ def parent_key(t: Tree, key: int) -> Optional[int]:
 
 def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
     """The induced subtree on ``keys``, which must form a connected subtree
-    containing the root."""
+    containing the root.  Visits only those nodes and their children."""
     want = frozenset(keys)
-    if t is None or not want:
-        raise DisconnectedSubtreeError("empty tree or key set")
-    if t.key not in want:
-        raise DisconnectedSubtreeError(f"root {t.key} not in key set")
-    missing = set(want) - tree_keys(t)
-    if missing:
-        raise KeyAbsentError(sorted(missing))
-
-    def build(node: Tree) -> Tree:
-        if node is None or node.key not in want:
-            return None
-        return Node(node.key, build(node.left), build(node.right))
-
-    # Recursion depth is bounded by |keys|, which callers keep moderate.
-    q = build(t)
-    if size(q) != len(want):
-        raise DisconnectedSubtreeError(
-            f"keys {sorted(want)} are not connected through the root"
-        )
-    return q
+    pre, _ = _root_walk(t, want)
+    # Reversed preorder finishes every subtree before its parent, so the
+    # stack holds the left child's copy on top of the right child's.
+    built: list[Node] = []
+    for node in reversed(pre):
+        left = built.pop() if node.left is not None and node.left.key in want else None
+        right = built.pop() if node.right is not None and node.right.key in want else None
+        built.append(Node(node.key, left, right))
+    return built[0]
 
 
 def hanging_subtrees(t: Tree, keys: frozenset[int]) -> list[Tree]:
-    """Subtrees of ``t`` hanging off the root subtree induced by ``keys``,
-    in symmetric (left-to-right) order."""
-    out: list[Tree] = []
-
-    def walk(node: Tree) -> None:
-        if node is None:
-            return
-        if node.key in keys:
-            walk(node.left)
-            walk(node.right)
-        else:
-            out.append(node)
-
-    walk(t)
-    return out
+    """Subtrees of ``t`` hanging off the root subtree induced by ``keys``
+    (which must be connected and hold the root), in symmetric order."""
+    return [sub for sub in _root_walk(t, keys)[1] if sub is not None]
 
 
 def substitute(t: Tree, q_prime: Tree) -> Node:
     """Replace the root subtree on ``q_prime``'s keys with ``q_prime``,
-    re-attaching hanging subtrees in the slots forced by symmetric order."""
-    keys = tree_keys(q_prime)
-    root_subtree(t, keys)  # validates connectivity
-    hangers = {}
-    for sub in hanging_subtrees(t, keys):
-        hangers[_slot_interval(keys, sub.key)] = sub
+    re-attaching hanging subtrees in the slots forced by symmetric order.
+    Costs O(|Q|); raises :class:`SymmetricOrderError` when ``q_prime`` is
+    not a search tree."""
+    pre: list[Node] = []  # Q' in preorder: the push order of its in-order walk
+    ordered: list[int] = []
+    stack: list[Node] = []
+    node = q_prime
+    while stack or node is not None:
+        while node is not None:
+            pre.append(node)
+            stack.append(node)
+            node = node.left
+        node = stack.pop()
+        if ordered and node.key <= ordered[-1]:
+            raise SymmetricOrderError(f"key {node.key} follows {ordered[-1]} in symmetric order")
+        ordered.append(node.key)
+        node = node.right
+    rank = {k: r for r, k in enumerate(ordered)}
+    _, slots = _root_walk(t, rank.keys())
+    # Q's |Q| + 1 boundary slots fill Q''s empty ones in symmetric order: the
+    # left slot of the key of rank r is slot r, its right slot is r + 1.
+    built: list[Node] = []
+    for node in reversed(pre):
+        r = rank[node.key]
+        left = built.pop() if node.left is not None else slots[r]
+        right = built.pop() if node.right is not None else slots[r + 1]
+        built.append(Node(node.key, left, right))
+    return built[0]
 
-    def rebuild(node: Tree, lo: float, hi: float) -> Tree:
-        if node is None:
-            return hangers.get((lo, hi))
-        return Node(
-            node.key,
-            rebuild(node.left, lo, node.key),
-            rebuild(node.right, node.key, hi),
-        )
 
-    out = rebuild(q_prime, float("-inf"), float("inf"))
-    assert out is not None
-    return out
-
-
-def _slot_interval(keys: frozenset[int], probe: int) -> tuple[float, float]:
-    lo: float = float("-inf")
-    hi: float = float("inf")
-    for k in keys:
-        if k < probe and k > lo:
-            lo = k
-        elif k > probe and k < hi:
-            hi = k
-    return (lo, hi)
+def _root_walk(t: Tree, want: AbstractSet[int]) -> tuple[list[Node], list[Tree]]:
+    """Symmetric-order walk of the root subtree of ``t`` on ``want``, which
+    must be connected and hold the root: its nodes in preorder, and its
+    |Q| + 1 boundary slots (each hanging subtree, or ``None``) in symmetric
+    order.  Visits nothing else."""
+    if t is None or not want:
+        raise DisconnectedSubtreeError("empty tree or key set")
+    if t.key not in want:
+        raise DisconnectedSubtreeError(f"root {t.key} not in key set")
+    pre: list[Node] = []
+    slots: list[Tree] = []
+    stack: list[Node] = []
+    node = t
+    while True:
+        while node is not None and node.key in want:
+            pre.append(node)
+            stack.append(node)
+            node = node.left
+        slots.append(node)
+        if not stack:
+            break
+        node = stack.pop().right
+    if len(pre) != len(want):
+        missing = sorted(k for k in want if not contains(t, k))
+        if missing:
+            raise KeyAbsentError(missing)
+        raise DisconnectedSubtreeError(f"keys {sorted(want)} are not connected through the root")
+    return pre, slots
 
 
 def catalan(n: int) -> int:

@@ -3,12 +3,16 @@ conversions, and the plain-text formats."""
 
 import pytest
 
+from splaylab.families import generate
 from splaylab.model import (
     Execution,
     Instance,
     InvalidExecutionError,
     RotationAccess,
     RotationExecution,
+    _closure_both,
+    _connect_keys,
+    algorithm_trace,
     elide,
     format_execution,
     format_instance,
@@ -16,15 +20,20 @@ from splaylab.model import (
     parse_execution,
     parse_instance,
     rotation_trace,
+    smallest_root_subtree,
     subsequence_instance,
     to_rotation_model,
     validate,
 )
 from splaylab.tree import (
+    KeyAbsentError,
     Node,
+    SymmetricOrderError,
     bst_from_sequence,
     left_spine_tree,
     parse_shape,
+    path_nodes,
+    root_subtree,
     shape_print,
     size,
     tree_keys,
@@ -78,6 +87,15 @@ class TestValidate:
         with pytest.raises(InvalidExecutionError):
             validate(Instance((1, 2), t), Execution((Node(1),)))
 
+    def test_out_of_order_transition_rejected(self):
+        # {2, 3} is a connected root subtree, but (3 . (2 . .)) puts 2 right
+        # of 3; substituting it would drop keys 1 and 4 from the tree.
+        t = bst_from_sequence([2, 1, 3, 4])
+        bad = Execution((Node(3, None, Node(2)),))
+        with pytest.raises(InvalidExecutionError) as err:
+            validate(Instance((3,), t), bad)
+        assert isinstance(err.value.__cause__, SymmetricOrderError)
+
     def test_cost_at_least_request_count(self, rng):
         for _ in range(50):
             inst = make_random_instance(rng, rng.randint(1, 6), rng.randint(1, 4))
@@ -118,6 +136,65 @@ class TestElide:
                 assert trace.cost < full
             else:
                 assert trace.cost == full
+
+
+def naive_connect_keys(t, keys):
+    return frozenset(node.key for k in keys for node in path_nodes(t, k))
+
+
+class TestClosures:
+    def test_connect_keys_matches_access_paths(self, rng):
+        for _ in range(300):
+            inst = make_random_instance(rng, rng.randint(1, 12), 1)
+            t = inst.initial
+            keys = set(rng.sample(range(1, size(t) + 1), rng.randint(0, size(t))))
+            assert _connect_keys(t, keys) == naive_connect_keys(t, keys)
+            if keys:
+                expected = root_subtree(t, naive_connect_keys(t, keys))
+                assert smallest_root_subtree(t, keys) == expected
+
+    def test_connect_keys_absent_key(self):
+        t = bst_from_sequence([4, 2, 6])
+        with pytest.raises(KeyAbsentError):
+            _connect_keys(t, {2, 5})
+        with pytest.raises(KeyAbsentError):
+            _connect_keys(None, {1})
+        assert _connect_keys(None, set()) == frozenset()
+
+    def test_closure_both_is_closed_in_both_trees(self, rng):
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            a = make_random_instance(rng, n, 1).initial
+            b = make_random_instance(rng, n, 1).initial
+            keys = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            span = _closure_both(a, b, keys)
+            assert keys <= span
+            assert naive_connect_keys(a, span) == span == naive_connect_keys(b, span)
+            # Smallest: every key of the closure is forced by the fixpoint.
+            cur = frozenset(keys)
+            while True:
+                grown = naive_connect_keys(b, naive_connect_keys(a, cur))
+                if grown == cur:
+                    break
+                cur = grown
+            assert span == cur
+
+
+class TestDeepSpine:
+    def test_trace_validate_elide_on_20000_key_spine(self):
+        # Sequential access of a 20000-key left spine: the first step's
+        # subtree holds every key, far past the recursion limit.
+        n = 20_000
+        inst = generate("sequential", n=n).instance
+        trace = algorithm_trace(inst, "splay")
+        assert trace.steps[0].encoding == "0" * (n - 1)
+        assert size(trace.steps[0].subtree) == n
+        e = Execution(tuple(step.transition for step in trace.steps))
+        assert e.cost == trace.cost
+        assert validate(inst, e).cost == trace.cost
+        deleted = range(2, n + 1, 4)
+        elided = elide(inst, e, deleted)
+        assert validate(subsequence_instance(inst, deleted), elided).cost < trace.cost
 
 
 class TestRotationModel:

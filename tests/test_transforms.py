@@ -4,7 +4,7 @@ transforms, embeddings, and the repetition construction."""
 import pytest
 
 from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
-from splaylab.model import Execution, Instance, validate
+from splaylab.model import Execution, Instance, smallest_root_subtree, validate
 from splaylab.transforms import (
     TransformUnreachableError,
     augmented_repeat,
@@ -18,7 +18,6 @@ from splaylab.transforms import (
     shortest_path,
     simulation_embedding,
     simultaneous_transform4,
-    smallest_spanning_subtree,
     strongly_connected,
     topdown_embedding,
     transform_sequence,
@@ -220,7 +219,7 @@ class TestUniversalTransform:
             t = q
             for k in universal_transform(q):
                 t, _ = splay(t, k)
-            assert smallest_spanning_subtree(t, keys) == q
+            assert smallest_root_subtree(t, keys) == q
 
     def test_cleanup_normalizes_despite_foreign_nodes(self, rng):
         # After a reverse sequential access leaves at most one foreign node

@@ -1,6 +1,9 @@
 """Tree primitives: construction, rotation, traversal, encodings,
 subtree extraction and substitution, shape enumeration."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,12 +14,14 @@ from splaylab.tree import (
     KeyAbsentError,
     Node,
     RotationAtRootError,
+    SymmetricOrderError,
     all_shapes,
     bst_from_sequence,
     canonical_relabel,
     catalan,
     child_pointer_diff,
     decode_path,
+    hanging_subtrees,
     insert_leaf,
     left_spine_tree,
     parse_shape,
@@ -156,6 +161,99 @@ class TestRootSubtree:
             root_subtree(t, {2, 1})
 
 
+def reference_root_subtree(t, keys):
+    """Whole-tree reference: check membership against every key of ``t``,
+    then copy the induced subtree recursively."""
+    want = frozenset(keys)
+    if t is None or not want:
+        raise DisconnectedSubtreeError("empty tree or key set")
+    if t.key not in want:
+        raise DisconnectedSubtreeError(f"root {t.key} not in key set")
+    missing = set(want) - tree_keys(t)
+    if missing:
+        raise KeyAbsentError(sorted(missing))
+
+    def build(node):
+        if node is None or node.key not in want:
+            return None
+        return Node(node.key, build(node.left), build(node.right))
+
+    q = build(t)
+    if size(q) != len(want):
+        raise DisconnectedSubtreeError("not connected through the root")
+    return q
+
+
+def reference_substitute(t, q_prime):
+    """Interval reference: each hanging subtree goes to the slot of Q' whose
+    open key interval, bounded by Q's keys, contains its keys."""
+    keys = tree_keys(q_prime)
+    reference_root_subtree(t, keys)
+    hangers = {}
+
+    def collect(node):
+        if node is None:
+            return
+        if node.key in keys:
+            collect(node.left)
+            collect(node.right)
+        else:
+            hangers[_slot_interval(keys, node.key)] = node
+
+    collect(t)
+
+    def rebuild(node, lo, hi):
+        if node is None:
+            return hangers.get((lo, hi))
+        return Node(node.key, rebuild(node.left, lo, node.key), rebuild(node.right, node.key, hi))
+
+    return rebuild(q_prime, float("-inf"), float("inf"))
+
+
+def _slot_interval(keys, probe):
+    lo, hi = float("-inf"), float("inf")
+    for k in keys:
+        if lo < k < probe:
+            lo = k
+        elif probe < k < hi:
+            hi = k
+    return (lo, hi)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeyAbsentError, DisconnectedSubtreeError) as err:
+        return type(err)
+
+
+class TestRootSubtreeAgainstReference:
+    def test_every_key_set_exhaustive(self):
+        # Every subset of 1..n+1 (n+1 is never present): equal subtrees on
+        # connected root sets, the same error type on all others.
+        for n in range(0, 6):
+            universe = range(1, n + 2)
+            for t in all_shapes(n):
+                for mask in range(1 << len(universe)):
+                    keys = [k for i, k in enumerate(universe) if mask >> i & 1]
+                    expected = _outcome(reference_root_subtree, t, keys)
+                    assert _outcome(root_subtree, t, keys) == expected
+
+    def test_absent_key_listed(self):
+        t = bst_from_sequence([2, 1, 3])
+        with pytest.raises(KeyAbsentError) as err:
+            root_subtree(t, {2, 9, 7})
+        assert err.value.args == ([7, 9],)
+
+    def test_deep_spine(self):
+        t = bst_from_sequence(range(20_000, 0, -1))  # left spine, root 20000
+        top = frozenset(range(10_001, 20_001))
+        assert root_subtree(t, range(1, 20_001)) == t
+        assert root_subtree(t, top) == left_spine_tree(top)
+        [hanging] = hanging_subtrees(t, top)
+        assert hanging.key == 10_000 and size(hanging) == 10_000
+
+
 def all_root_subtree_keysets(t):
     from splaylab.opt import _root_subtree_keysets
 
@@ -177,15 +275,42 @@ class TestSubstitute:
 
     def test_symmetric_order_exhaustive(self):
         # Every rearrangement of every root subtree reattaches hanging
-        # subtrees into the unique symmetric-order slots.
+        # subtrees into the unique symmetric-order slots, as the interval
+        # reference places them.
         for n in range(1, 7):
             for t in all_shapes(n):
                 for keyset in all_root_subtree_keysets(t):
                     for arrangement in shapes_on_keys(keyset):
                         out = substitute(t, arrangement)
+                        assert out == reference_substitute(t, arrangement)
                         assert tree_keys(out) == tree_keys(t)
                         assert sorted(preorder(out)) == list(range(1, n + 1))
                         _assert_search_order(out)
+
+    def test_same_errors_as_reference(self):
+        t = bst_from_sequence([3, 2, 1, 4])
+        for q_prime in (None, Node(9), Node(2, Node(1)), Node(3, Node(1)),
+                        Node(3, Node(2), Node(9))):
+            expected = _outcome(reference_substitute, t, q_prime)
+            assert isinstance(expected, type)
+            assert _outcome(substitute, t, q_prime) == expected
+
+    def test_out_of_order_transition_rejected(self):
+        # Keys {2, 3} are a connected root subtree, but 2 sits right of 3.
+        t = bst_from_sequence([2, 1, 3, 4])
+        with pytest.raises(SymmetricOrderError):
+            substitute(t, Node(3, None, Node(2)))
+        with pytest.raises(SymmetricOrderError):
+            substitute(t, Node(2, Node(2)))
+
+    def test_deep_spine_reversal(self):
+        # The top half of a 20000-key left spine becomes a right spine; the
+        # bottom half hangs left of its new root.
+        t = bst_from_sequence(range(20_000, 0, -1))
+        out = substitute(t, right_spine_tree(range(10_001, 20_001)))
+        assert preorder(out) == (
+            (10_001,) + tuple(range(10_000, 0, -1)) + tuple(range(10_002, 20_001))
+        )
 
 
 def _assert_search_order(t, lo=float("-inf"), hi=float("inf")):
@@ -234,3 +359,12 @@ class TestRelabel:
 def test_duplicate_insert_rejected():
     with pytest.raises(DuplicateKeyError):
         insert_leaf(bst_from_sequence([1]), 1)
+
+
+@pytest.mark.parametrize("module", ["tree.py", "model.py"])
+def test_no_bare_asserts(module):
+    # Invariants of these modules must hold under ``python -O`` too.
+    path = Path(__file__).resolve().parents[1] / "src" / "splaylab" / module
+    found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == [], f"assert statements in {module} at lines {found}"
