@@ -3,9 +3,14 @@ over tree shapes.
 
 State after i requests is the whole tree arrangement; each request expands
 every (connected root subtree containing the requested key, rearrangement
-with that key at the root) pair.  Guards keep the state space at desk scale;
-the environment variable SPLAYLAB_GUARD_OVERRIDE lifts them at the caller's
-risk.
+with that key at the root) pair.  Only those rearrangements are enumerated:
+for the requested key x and a root subtree on keys Q, they are (x L R) for
+every L on Q's keys below x and every R on those above, left-major, shared
+through :func:`splaylab.tree.rooted_shapes`.  No after-tree is built for a
+candidate: its state key, a preorder, is spliced from the preorders of L, R
+and Q's hanging subtrees (see :func:`_transitions`).  Guards keep the state
+space at desk scale; the environment variable SPLAYLAB_GUARD_OVERRIDE lifts
+them at the caller's risk.
 """
 
 from __future__ import annotations
@@ -16,14 +21,17 @@ from functools import lru_cache
 
 from .model import Execution, Instance, validate
 from .tree import (
+    InvariantError,
     Node,
-    Tree,
     all_shapes,
+    bst_from_sequence,
+    contains,
+    path_nodes,
+    rooted_shapes,
     shape_key,
     shape_print,
     shapes_on_keys,
     size,
-    substitute,
     tree_keys,
 )
 
@@ -40,6 +48,8 @@ class OptResult:
     cost: int
     execution: Execution
     states_expanded: int
+    # States expanded before each request; sums to ``states_expanded``.
+    states_per_layer: tuple[int, ...]
 
 
 def _guards_overridden() -> bool:
@@ -56,48 +66,153 @@ def check_guards(inst: Instance, guard_n: int = DEFAULT_GUARD_N, guard_m: int = 
 
 
 @lru_cache(maxsize=200_000)
-def _transitions(shape: tuple[int, ...], x: int) -> tuple[tuple[tuple[int, ...], Node, int], ...]:
-    """All (after-shape key, transition tree, cost) moves for one request.
+def _transitions(
+    shape: tuple[int, ...], x: int
+) -> tuple[tuple[tuple[int, ...], tuple[Node, str], int], ...]:
+    """All (after-shape key, (transition tree, its print), cost) moves for
+    one request; the pairs are those of :func:`_printed_rooted_shapes`, shared.
 
-    Enumerates every connected root subtree containing ``x`` and every
-    arrangement of its keys with ``x`` at the root; deduplicates to the
+    Enumerates every connected root subtree Q containing ``x`` and every
+    arrangement Q' of its keys with ``x`` at the root; deduplicates to the
     cheapest transition per resulting arrangement (ties to the smaller
     transition-tree print, so reconstructed executions are deterministic).
+    No after-tree is built: with Q' = (x L R), the after-shape's preorder is
+    ``x``, then L's preorder with its empty slots filled by the preorders of
+    Q's hanging subtrees, then R's likewise, since a preorder meets a tree's
+    empty slots in symmetric order.
     """
     t = _tree_from_shape(shape)
-    best: dict[tuple[int, ...], tuple[int, str, Node]] = {}
+    below, above = _child_preorders(t, shape)
+    position = {k: p for p, k in enumerate(shape)}
+    best: dict[tuple[int, ...], tuple[int, str, tuple[Node, str]]] = {}
     for q_keys in _root_subtree_keysets(t, x):
         cost = len(q_keys)
-        for q_prime in shapes_on_keys(q_keys):
-            if q_prime.key != x:
-                continue
-            after = substitute(t, q_prime)
-            k = shape_key(after)
-            entry = (cost, shape_print(q_prime), q_prime)
-            if k not in best or (best[k][0], best[k][1]) > (cost, entry[1]):
-                best[k] = entry
+        i = q_keys.index(x)
+        # Q's hanging subtrees in symmetric order.  Of two consecutive keys
+        # of Q one is the other's ancestor, so it comes first in preorder,
+        # and the gap between them holds the inner child of the other.
+        fill = [below[q_keys[0]]]
+        for lo, hi in zip(q_keys, q_keys[1:]):
+            fill.append(below[hi] if position[hi] > position[lo] else above[lo])
+        fill.append(above[q_keys[-1]])
+        heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
+        tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
+        rooted = iter(_printed_rooted_shapes(q_keys, x))
+        for head in heads:
+            for tail in tails:
+                rooted_pair = next(rooted)
+                q_print = rooted_pair[1]
+                k = head + tail
+                old = best.get(k)
+                if old is None or cost < old[0] or (cost == old[0] and q_print < old[1]):
+                    best[k] = (cost, q_print, rooted_pair)
     return tuple((k, v[2], v[0]) for k, v in best.items())
+
+
+@lru_cache(maxsize=None)
+def _printed_rooted_shapes(keys: tuple[int, ...], x: int) -> tuple[tuple[Node, str], ...]:
+    """:func:`rooted_shapes` paired with their prints, the DP's tie-break;
+    each print is composed from those of the two sides."""
+    i = keys.index(x)
+    lefts = [shape_print(s) for s in shapes_on_keys(keys[:i])]
+    rights = [shape_print(s) for s in shapes_on_keys(keys[i + 1:])]
+    prints = (f"({x} {left} {right})" for left in lefts for right in rights)
+    return tuple(zip(rooted_shapes(keys, x), prints))
+
+
+def _splice(runs: tuple[tuple[int, ...], ...], fill: list[tuple[int, ...]]) -> tuple[int, ...]:
+    out: tuple[int, ...] = ()
+    for run, sub in zip(runs, fill):
+        out += run + sub
+    return out
+
+
+@lru_cache(maxsize=None)
+def _slot_runs(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each arrangement of ``keys`` in :func:`shapes_on_keys` order, its
+    preorder cut at its |keys| + 1 empty slots: run j holds the keys met
+    after slot j - 1 and before slot j."""
+    out = []
+    for arrangement in shapes_on_keys(keys):
+        runs: list[tuple[int, ...]] = []
+        run: list[int] = []
+        stack = [arrangement]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                runs.append(tuple(run))
+                run = []
+            else:
+                run.append(node.key)
+                stack.append(node.right)
+                stack.append(node.left)
+        out.append(tuple(runs))
+    return tuple(out)
+
+
+def _child_preorders(
+    t: Node, shape: tuple[int, ...]
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """For each key of ``t``, whose preorder is ``shape``: the preorders of
+    its left and right subtrees, as slices of ``shape``."""
+    nodes = _preorder_nodes(t)
+    # A subtree's preorder ends where its right subtree's ends, or else its
+    # left subtree's; the right subtree starts where the left one ends.
+    ends: dict[int, int] = {}
+    below: dict[int, tuple[int, ...]] = {}
+    above: dict[int, tuple[int, ...]] = {}
+    for p in range(len(nodes) - 1, -1, -1):
+        node = nodes[p]
+        mid = ends[node.left.key] if node.left is not None else p + 1
+        end = ends[node.right.key] if node.right is not None else mid
+        ends[node.key] = end
+        below[node.key] = shape[p + 1:mid]
+        above[node.key] = shape[mid:end]
+    return below, above
+
+
+def _preorder_nodes(t: Node) -> list[Node]:
+    nodes: list[Node] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if node.right is not None:
+            stack.append(node.right)
+        if node.left is not None:
+            stack.append(node.left)
+    return nodes
 
 
 @lru_cache(maxsize=50_000)
 def _tree_from_shape(shape: tuple[int, ...]) -> Node:
-    from .tree import bst_from_sequence
-
     t = bst_from_sequence(shape)
-    assert t is not None
+    if t is None:
+        raise InvariantError("a state's shape holds no keys")
     return t
 
 
 def _root_subtree_keysets(t: Node, x: int) -> list[tuple[int, ...]]:
-    """Key sets of connected root subtrees of ``t`` containing ``x``."""
-
-    def kept_sets(node: Node) -> list[frozenset[int]]:
-        # Upward-closed key sets of the subtree at ``node`` that keep it.
-        lefts = [frozenset()] + (kept_sets(node.left) if node.left else [])
-        rights = [frozenset()] + (kept_sets(node.right) if node.right else [])
-        return [lo | ro | {node.key} for lo in lefts for ro in rights]
-
-    return sorted(tuple(sorted(s)) for s in kept_sets(t) if x in s)
+    """Key sets of connected root subtrees of ``t`` containing ``x``, each a
+    sorted tuple, in sorted order."""
+    if not contains(t, x):
+        return []
+    on_path = {node.key for node in path_nodes(t, x)}
+    # Children before parents: kept[k] lists the key sets of the subtree at
+    # k that hold k and, if k is on x's access path, x.  Left keys precede
+    # the node's key and right keys follow it, so each set comes out sorted.
+    kept: dict[int, list[tuple[int, ...]]] = {}
+    for node in reversed(_preorder_nodes(t)):
+        sides = []
+        for child in (node.left, node.right):
+            if child is None:
+                sides.append([()])
+            else:
+                sets = kept.pop(child.key)
+                sides.append(sets if child.key in on_path else [()] + sets)
+        mid = (node.key,)
+        kept[node.key] = [lo + mid + ro for lo in sides[0] for ro in sides[1]]
+    return sorted(kept[t.key])
 
 
 def opt_cost(
@@ -109,20 +224,22 @@ def opt_cost(
     check_guards(inst, guard_n, guard_m)
     start = shape_key(inst.initial)
     layer: dict[tuple[int, ...], int] = {start: 0}
-    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], Node, int]]] = []
-    expanded = 0
+    # back[after] = (shape, (transition tree, its print), cost so far)
+    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str], int]]] = []
+    per_layer: list[int] = []
     for x in inst.requests:
         nxt: dict[tuple[int, ...], int] = {}
-        back: dict[tuple[int, ...], tuple[tuple[int, ...], Node, int]] = {}
+        back: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str], int]] = {}
+        per_layer.append(len(layer))
         for shape, dist in layer.items():
-            expanded += 1
-            for after, q_prime, cost in _transitions(shape, x):
+            for after, rooted_pair, cost in _transitions(shape, x):
                 cand = dist + cost
-                if after not in nxt or cand < nxt[after] or (
-                    cand == nxt[after] and _tiebreak(back[after], shape, q_prime)
+                known = nxt.get(after)
+                if known is None or cand < known or (
+                    cand == known and rooted_pair[1] < back[after][1][1]
                 ):
                     nxt[after] = cand
-                    back[after] = (shape, q_prime, cand)
+                    back[after] = (shape, rooted_pair, cand)
         layer = nxt
         parents.append(back)
     best_shape = min(layer, key=lambda s: (layer[s], s))
@@ -131,18 +248,17 @@ def opt_cost(
     trees: list[Node] = []
     cur = best_shape
     for back in reversed(parents):
-        shape, q_prime, _ = back[cur]
+        shape, (q_prime, _), _ = back[cur]
         trees.append(q_prime)
         cur = shape
     trees.reverse()
     execution = Execution(tuple(trees))
     trace = validate(inst, execution)
-    assert trace.cost == total, "reconstructed execution must achieve the optimum"
-    return OptResult(total, execution, expanded)
-
-
-def _tiebreak(existing: tuple, shape: tuple[int, ...], q_prime: Node) -> bool:
-    return shape_print(q_prime) < shape_print(existing[1])
+    if trace.cost != total:
+        raise InvariantError(
+            f"reconstructed execution costs {trace.cost}, not the optimum {total}"
+        )
+    return OptResult(total, execution, sum(per_layer), tuple(per_layer))
 
 
 def opt_monotone_sweep(max_n: int, max_m: int) -> dict:
@@ -191,5 +307,6 @@ def initial_tree_shift(x_seq: tuple[int, ...], t: Node, t_prime: Node) -> int:
     a = opt_cost(Instance(x_seq, t)).cost
     b = opt_cost(Instance(x_seq, t_prime)).cost
     shift = a - b
-    assert abs(shift) <= size(t)
+    if abs(shift) > size(t):
+        raise InvariantError(f"initial-tree shift {shift} exceeds the tree size {size(t)}")
     return shift

@@ -28,7 +28,7 @@ from .model import (
     to_rotation_model,
     validate,
 )
-from .opt import opt_cost, opt_monotone_sweep
+from .opt import _root_subtree_keysets, opt_cost, opt_monotone_sweep
 from .probes import probe
 from .transforms import (
     TransformUnreachableError,
@@ -54,6 +54,7 @@ from .tree import (
     parent_key,
     parse_shape,
     path_nodes,
+    rooted_shapes,
     shape_print,
     shapes_on_keys,
     size,
@@ -117,20 +118,15 @@ def random_execution(rng: random.Random, inst: Instance) -> Execution:
             if not frontier or rng.random() < 0.45:
                 break
             keys.add(rng.choice(frontier))
-        options = [s for s in shapes_on_keys(tuple(sorted(keys))) if s.key == x]
-        q_prime = rng.choice(options)
+        q_prime = rng.choice(rooted_shapes(tuple(sorted(keys)), x))
         trees.append(q_prime)
         t = substitute(t, q_prime)
     return Execution(tuple(trees))
 
 
 def _all_transitions(t: Node, x: int):
-    from .opt import _root_subtree_keysets
-
     for q_keys in _root_subtree_keysets(t, x):
-        for q_prime in shapes_on_keys(q_keys):
-            if q_prime.key == x:
-                yield q_prime
+        yield from rooted_shapes(q_keys, x)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ class InvariantError(AssertionError):
     """An internal invariant failed; checked explicitly, so also under -O."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Node:
     """One node of an immutable binary search tree."""
 
@@ -387,6 +387,16 @@ def shapes_on_keys(keys: tuple[int, ...]) -> tuple[Tree, ...]:
             for right in shapes_on_keys(keys[i + 1:]):
                 out.append(Node(k, left, right))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def rooted_shapes(keys: tuple[int, ...], x: int) -> tuple[Node, ...]:
+    """Every arrangement of the sorted key tuple ``keys`` with ``x`` at the
+    root, in :func:`shapes_on_keys` order: left arrangements major, right
+    arrangements minor.  Cached, so callers share the nodes."""
+    i = keys.index(x)
+    rights = shapes_on_keys(keys[i + 1:])
+    return tuple(Node(x, left, right) for left in shapes_on_keys(keys[:i]) for right in rights)
 
 
 def left_spine_tree(keys: Iterable[int]) -> Tree:

@@ -1,17 +1,144 @@
 """Brute-force optimal execution oracle."""
 
 import itertools
-import os
+import random
 
 import pytest
 
 from splaylab.algorithms import access_cost
-from splaylab.model import Instance, elide, subsequence_instance, validate
-from splaylab.opt import GuardExceededError, initial_tree_shift, opt_cost
-from splaylab.tree import all_shapes, bst_from_sequence, left_spine_tree
+from splaylab.model import Execution, Instance, elide, subsequence_instance, validate
+from splaylab.opt import (
+    GuardExceededError,
+    _root_subtree_keysets,
+    _transitions,
+    _tree_from_shape,
+    initial_tree_shift,
+    opt_cost,
+)
+from splaylab.tree import (
+    all_shapes,
+    bst_from_sequence,
+    left_spine_tree,
+    rooted_shapes,
+    shape_key,
+    shape_print,
+    shapes_on_keys,
+    substitute,
+)
 from splaylab.model import smallest_root_subtree
 
-from conftest import make_random_instance
+from conftest import make_random_instance, make_random_tree
+
+
+def reference_keysets(t, x):
+    """Every upward-closed key set of ``t`` by recursion, filtered to those
+    holding ``x``."""
+
+    def kept_sets(node):
+        lefts = [frozenset()] + (kept_sets(node.left) if node.left else [])
+        rights = [frozenset()] + (kept_sets(node.right) if node.right else [])
+        return [lo | ro | {node.key} for lo in lefts for ro in rights]
+
+    return sorted(tuple(sorted(s)) for s in kept_sets(t) if x in s)
+
+
+def reference_transitions(shape, x):
+    """Every arrangement of every root subtree, filtered to those with ``x``
+    at the root, each substituted into a new tree: the slow, plain form of
+    the oracle's move enumeration."""
+    t = bst_from_sequence(shape)
+    best = {}
+    for q_keys in reference_keysets(t, x):
+        cost = len(q_keys)
+        for q_prime in shapes_on_keys(q_keys):
+            if q_prime.key != x:
+                continue
+            k = shape_key(substitute(t, q_prime))
+            entry = (cost, shape_print(q_prime), q_prime)
+            if k not in best or (best[k][0], best[k][1]) > (cost, entry[1]):
+                best[k] = entry
+    return tuple((k, v[2], v[0]) for k, v in best.items())
+
+
+def reference_opt_cost(inst):
+    """The layered DP over whole-tree states on the reference moves, with
+    ties to the smaller transition-tree print."""
+    layer = {shape_key(inst.initial): 0}
+    parents = []
+    expanded = 0
+    for x in inst.requests:
+        nxt, back = {}, {}
+        for shape, dist in layer.items():
+            expanded += 1
+            for after, q_prime, cost in reference_transitions(shape, x):
+                cand = dist + cost
+                if after not in nxt or cand < nxt[after] or (
+                    cand == nxt[after]
+                    and shape_print(q_prime) < shape_print(back[after][1])
+                ):
+                    nxt[after] = cand
+                    back[after] = (shape, q_prime)
+        layer = nxt
+        parents.append(back)
+    cur = min(layer, key=lambda s: (layer[s], s))
+    total = layer[cur]
+    trees = []
+    for back in reversed(parents):
+        cur, q_prime = back[cur]
+        trees.append(q_prime)
+    return total, Execution(tuple(reversed(trees))), expanded
+
+
+class TestTransitions:
+    def test_keysets_match_reference(self):
+        for n in range(1, 7):
+            for t in all_shapes(n):
+                for x in range(1, n + 2):
+                    assert _root_subtree_keysets(t, x) == reference_keysets(t, x)
+
+    def test_match_reference_exhaustive(self):
+        # Same moves in the same order, with the same chosen transition tree,
+        # cost and print, for every shape with n <= 6 and every request.
+        for n in range(1, 7):
+            for t in all_shapes(n):
+                shape = shape_key(t)
+                assert _tree_from_shape(shape) == t
+                for x in range(1, n + 1):
+                    moves = _transitions(shape, x)
+                    assert [(k, q, c) for k, (q, _), c in moves] == list(
+                        reference_transitions(shape, x)
+                    )
+                    assert all(q_print == shape_print(q) for _, (q, q_print), _ in moves)
+
+    def test_rooted_shapes_are_the_filtered_arrangements(self):
+        for n in range(1, 7):
+            keys = tuple(range(1, n + 1))
+            for x in keys:
+                assert list(rooted_shapes(keys, x)) == [
+                    s for s in shapes_on_keys(keys) if s.key == x
+                ]
+
+    def test_opt_cost_matches_reference_dp_n7(self):
+        rng = random.Random(7)
+        for _ in range(4):
+            inst = Instance(
+                tuple(rng.randint(1, 7) for _ in range(4)), make_random_tree(rng, 7)
+            )
+            result = opt_cost(inst)
+            cost, execution, expanded = reference_opt_cost(inst)
+            assert result.cost == cost
+            assert result.states_expanded == expanded
+            assert [shape_print(q) for q in result.execution.transition_trees] == [
+                shape_print(q) for q in execution.transition_trees
+            ]
+
+    def test_states_per_layer(self, rng):
+        for _ in range(20):
+            inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 4))
+            result = opt_cost(inst)
+            assert len(result.states_per_layer) == inst.m
+            assert sum(result.states_per_layer) == result.states_expanded
+            assert result.states_per_layer[:1] in ((), (1,))
 
 
 class TestOracleBasics:
