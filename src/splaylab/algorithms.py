@@ -17,14 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .tree import (
-    DuplicateKeyError,
     KeyAbsentError,
     Node,
     Tree,
     insert_leaf,
     path_nodes,
-    rotate,
-    size,
 )
 
 
@@ -70,101 +67,53 @@ def _record(key: int, encoding: str, steps: tuple[str, ...]) -> AccessRecord:
     return AccessRecord(key, encoding, steps, cost, crossing, cost - crossing)
 
 
-class _Mut:
-    """Mutable shadow of a path node used while splaying; children are either
-    other shadows or already-frozen immutable subtrees."""
+def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Node, str]:
+    """The path kernel shared by Splay, Move-to-Root and Top-Down Splay.
 
-    __slots__ = ("key", "left", "right", "parent")
-
-    def __init__(self, key: int, left, right):
-        self.key = key
-        self.left = left
-        self.right = right
-        self.parent: Optional[_Mut] = None
-
-
-def _freeze(node) -> Tree:
-    if node is None or isinstance(node, Node):
-        return node
-    # Iterative post-order freeze; path arrangements stay shallow after a
-    # splay but the pre-splay arms can be long.
-    done: dict[int, Tree] = {}
-    stack = [node]
-    while stack:
-        cur = stack[-1]
-        if isinstance(cur, Node) or cur is None:
-            stack.pop()
-            continue
-        left, right = cur.left, cur.right
-        pending = []
-        if isinstance(left, _Mut) and id(left) not in done:
-            pending.append(left)
-        if isinstance(right, _Mut) and id(right) not in done:
-            pending.append(right)
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        lf = done[id(left)] if isinstance(left, _Mut) else left
-        rf = done[id(right)] if isinstance(right, _Mut) else right
-        done[id(cur)] = Node(cur.key, lf, rf)
-    return done[id(node)]
-
-
-def _rotate_up(x: _Mut) -> None:
-    """Rotate the mutable shadow ``x`` above its parent."""
-    y = x.parent
-    g = y.parent
-    if y.left is x:
-        y.left = x.right
-        if isinstance(y.left, _Mut):
-            y.left.parent = y
-        x.right = y
-    else:
-        y.right = x.left
-        if isinstance(y.right, _Mut):
-            y.right.parent = y
-        x.left = y
-    y.parent = x
-    x.parent = g
-    if g is not None:
-        if g.left is y:
-            g.left = x
+    Walks the access path p[0] (root) .. p[d] = ``key`` once, bottom-up, and
+    unzips each node onto its side of ``key``: smaller nodes onto the right
+    spine of the new left subtree, larger ones onto the left spine of the new
+    right subtree, each keeping its hanging subtree on the outside.  The one
+    exception is a fold.  With s = ``pair_start(d)``, a pair (p[i], p[i+1])
+    with s <= i, i = s (mod 2) and i+1 < d is folded when both nodes lie on
+    one side: p[i+1] takes the pair's place on the spine, p[i] becomes its
+    outer child and keeps its hanging subtree outside, and p[i+1]'s hanging
+    subtree goes between them.  Returns the new tree, built from d+1 new
+    nodes, and the path encoding.
+    """
+    path = path_nodes(t, key)
+    encoding = "".join("1" if p.key < key else "0" for p in path[:-1])
+    d = len(path) - 1
+    if d == 0:
+        return path[0], encoding
+    s = pair_start(d)
+    left, right = path[-1].left, path[-1].right
+    i = d - 1
+    while i >= 0:
+        p = path[i]
+        if i > s and (i - 1 - s) % 2 == 0 and encoding[i - 1] == encoding[i]:
+            q = path[i - 1]
+            if encoding[i] == "1":
+                left = Node(p.key, Node(q.key, q.left, p.left), left)
+            else:
+                right = Node(p.key, right, Node(q.key, p.right, q.right))
+            i -= 2
         else:
-            g.right = x
+            if encoding[i] == "1":
+                left = Node(p.key, p.left, left)
+            else:
+                right = Node(p.key, right, p.right)
+            i -= 1
+    return Node(key, left, right), encoding
 
 
 def splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
-    """Bottom-up splay: zig-zag rotates twice at x, zig-zig rotates at the
-    parent first, a lone zig finishes the access."""
-    path = path_nodes(t, key)
-    encoding = "".join(
-        "0" if path[i + 1] is path[i].left else "1" for i in range(len(path) - 1)
-    )
-    if len(path) == 1:
-        return path[0], _record(key, "", ())
-
-    shadows = [_Mut(p.key, p.left, p.right) for p in path]
-    for i in range(len(shadows) - 1):
-        if encoding[i] == "0":
-            shadows[i].left = shadows[i + 1]
-        else:
-            shadows[i].right = shadows[i + 1]
-        shadows[i + 1].parent = shadows[i]
-
-    x = shadows[-1]
-    while x.parent is not None:
-        y = x.parent
-        g = y.parent
-        if g is None:
-            _rotate_up(x)  # zig
-        elif (g.left is y) == (y.left is x):
-            _rotate_up(y)  # zig-zig: parent first
-            _rotate_up(x)
-        else:
-            _rotate_up(x)  # zig-zag: twice at x
-            _rotate_up(x)
-    return _freeze(x), _record(key, encoding, classify_steps(encoding))
+    """Bottom-up splay: zig-zig and zig-zag steps pair the path from the
+    accessed node upward, and a lone zig finishes the access.  A zig-zig
+    step is a fold of the path kernel; a zig-zag step leaves both nodes
+    unzipped, as Move-to-Root does."""
+    out, encoding = _rearrange(t, key, lambda d: d % 2)
+    return out, _record(key, encoding, classify_steps(encoding))
 
 
 def move_to_root(t: Tree, key: int) -> tuple[Node, AccessRecord]:
@@ -175,36 +124,8 @@ def move_to_root(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     spine of its new right subtree in decreasing order; every path node keeps
     its off-path subtree on the outside.
     """
-    path = path_nodes(t, key)
-    encoding = "".join(
-        "0" if path[i + 1] is path[i].left else "1" for i in range(len(path) - 1)
-    )
-    x = path[-1]
-    left_arm: Tree = x.left
-    right_arm: Tree = x.right
-    for node in reversed(path[:-1]):
-        if node.key < key:
-            left_arm = Node(node.key, node.left, left_arm)
-        else:
-            right_arm = Node(node.key, right_arm, node.right)
-    return Node(key, left_arm, right_arm), _record(key, encoding, ())
-
-
-def splay_by_encoding(t: Tree, key: int) -> Node:
-    """Reference splay driven purely by the path encoding: first Move-to-Root,
-    then for original path positions v1,v2,... above the accessed node rotate
-    every same-side pair (v_{2i+1}, v_{2i+2}).  Used to cross-check the
-    rotation-level implementation.
-    """
-    path = path_nodes(t, key)
-    out, _ = move_to_root(t, key)
-    ascending = [p.key for p in reversed(path)]  # v0 = key, ..., root
-    pairs = [
-        (ascending[i], ascending[i + 1])
-        for i in range(1, len(ascending) - 1, 2)
-    ]
-    # The pair element nearer the accessed node absorbs the other.
-    return _arm_pair_rotations(out, key, pairs, rotate_first=True)
+    out, encoding = _rearrange(t, key, lambda d: d)  # no pair fits: nothing folds
+    return out, _record(key, encoding, ())
 
 
 def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
@@ -213,36 +134,8 @@ def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     bottom-up variant on access paths with an odd number of nodes, different
     on even paths longer than two.
     """
-    path = path_nodes(t, key)
-    encoding = "".join(
-        "0" if path[i + 1] is path[i].left else "1" for i in range(len(path) - 1)
-    )
-    out, _ = move_to_root(t, key)
-    descending = [p.key for p in path]  # p0 = root, ..., key
-    pairs = [
-        (descending[i], descending[i + 1])
-        for i in range(0, len(descending) - 1, 2)
-    ]
-    out = _arm_pair_rotations(out, key, pairs, rotate_first=False)
+    out, encoding = _rearrange(t, key, lambda d: 0)
     return out, _record(key, encoding, ())
-
-
-def _arm_pair_rotations(
-    t: Node, key: int, pairs: list[tuple[int, int]], rotate_first: bool
-) -> Node:
-    """Rotate each same-side path pair on the arms of a Move-to-Root result.
-
-    The rotated element (first or second of the pair, fixed by the caller)
-    sits below its partner on the arm; the rotation removes the partner from
-    the arm and makes it the rotated node's child.  Pairs touching the
-    accessed key are skipped.
-    """
-    for a, b in pairs:
-        if a == key or b == key:
-            continue
-        if (a < key) == (b < key):
-            t = rotate(t, a if rotate_first else b)
-    return t
 
 
 def insertion_splay(t: Tree, key: int) -> Node:
@@ -303,12 +196,12 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
     total = 0
     for op, arg in ops:
         if op in ("push", "inject"):
-            assert arg is not None
-            keys = sorted(k for k in _keys_iter(t))
-            if keys:
-                if op == "push" and arg >= keys[0]:
+            if arg is None:
+                raise ValueError(f"{op} needs a key")
+            if t is not None:
+                if op == "push" and arg >= _min_key(t):
                     raise ValueError(f"push key {arg} is not a new minimum")
-                if op == "inject" and arg <= keys[-1]:
+                if op == "inject" and arg <= _max_key(t):
                     raise ValueError(f"inject key {arg} is not a new maximum")
             grown = insert_leaf(t, arg)
             t, rec = splay(grown, arg)
@@ -316,7 +209,7 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
         elif op in ("pop", "eject"):
             if t is None:
                 raise EmptyDequeError(op)
-            if size(t) == 1:
+            if t.left is None and t.right is None:
                 total += 1  # splaying the extremum at the root
                 t = None
                 continue
@@ -335,16 +228,6 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
         else:
             raise ValueError(f"unknown deque op {op!r}")
     return t, total
-
-
-def _keys_iter(t: Tree):
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            yield node.key
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 def _min_key(t: Node) -> int:

@@ -22,12 +22,7 @@ from .probes import PROBE_NAMES, UnknownConjectureError, probe
 from .suites import run_suite
 from .transforms import build_digraph, diameter, eccentricities, strongly_connected
 from .tree import shape_print
-from .wilber import (
-    crossing_bound,
-    sequence_crossing_bound,
-    splay_bookkeeping_cost,
-    splay_crossing_cost,
-)
+from .wilber import crossing_bound, sequence_crossing_bound, splay_bookkeeping_cost
 
 REPORT_COLUMNS = ("cost", "lambda", "lambda2", "zeta", "opt")
 
@@ -102,23 +97,35 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     text = Path(args.instance).read_text()
     inst, _ = parse_instance(text)
-    final, records = run_accesses(inst.initial, inst.requests, args.algo)
-    values: dict[str, object] = {
-        "cost": sum(r.cost for r in records),
-        "lambda": crossing_bound(inst),
-        "lambda2": sequence_crossing_bound(inst.requests),
-        "zeta": splay_bookkeeping_cost(inst),
-    }
+    _, records = run_accesses(inst.initial, inst.requests, args.algo)
+    # Lambda is Move-to-Root's crossing cost and zeta Splay's bookkeeping
+    # cost, so the records already hold them when the algorithm matches.
+    values: dict[str, object] = {}
+    if "cost" in columns:
+        values["cost"] = sum(r.cost for r in records)
+    if "lambda" in columns:
+        values["lambda"] = (sum(r.crossing for r in records) if args.algo == "mtr"
+                            else crossing_bound(inst))
+    if "lambda2" in columns:
+        values["lambda2"] = sequence_crossing_bound(inst.requests)
+    if "zeta" in columns:
+        values["zeta"] = (sum(r.bookkeeping for r in records) if args.algo == "splay"
+                          else splay_bookkeeping_cost(inst))
     if "opt" in columns:
-        try:
-            values["opt"] = opt_cost(inst).cost
-        except GuardExceededError:
-            values["opt"] = ""
+        values["opt"] = _opt_text(inst)
     print("instance,m,n,algo," + ",".join(columns))
     row = [Path(args.instance).name, str(inst.m), str(inst.n), args.algo]
     row += [str(values[c]) for c in columns]
     print(",".join(row))
     return 0
+
+
+def _opt_text(inst) -> str:
+    """The oracle's cost, or an empty cell when the instance exceeds its guard."""
+    try:
+        return str(opt_cost(inst).cost)
+    except GuardExceededError:
+        return ""
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
@@ -170,14 +177,12 @@ def cmd_lambda_report(args: argparse.Namespace) -> int:
     print("instance,m,n,cost_splay,lambda,lambda_prime,zeta,opt")
     for path in args.instances:
         inst, _ = parse_instance(Path(path).read_text())
-        cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "splay")[1])
+        _, records = run_accesses(inst.initial, inst.requests, "splay")
+        cost = sum(r.cost for r in records)
+        lam_prime = sum(r.crossing for r in records)
+        zeta = sum(r.bookkeeping for r in records)
         lam = crossing_bound(inst)
-        lam_prime = splay_crossing_cost(inst)
-        zeta = splay_bookkeeping_cost(inst)
-        try:
-            opt = str(opt_cost(inst).cost)
-        except GuardExceededError:
-            opt = ""
+        opt = _opt_text(inst)
         print(f"{Path(path).name},{inst.m},{inst.n},{cost},{lam},{lam_prime},{zeta},{opt}")
     return 0
 
@@ -188,8 +193,9 @@ def cmd_opt_report(args: argparse.Namespace) -> int:
     for path in args.instances:
         inst, _ = parse_instance(Path(path).read_text())
         splay_cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "splay")[1])
-        mtr_cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "mtr")[1])
-        lam = crossing_bound(inst)
+        _, mtr_records = run_accesses(inst.initial, inst.requests, "mtr")
+        mtr_cost = sum(r.cost for r in mtr_records)
+        lam = sum(r.crossing for r in mtr_records)  # the crossing bound
         try:
             opt = opt_cost(inst).cost
             ratios = f"{splay_cost / opt:.4f},{lam / opt:.4f}"

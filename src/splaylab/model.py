@@ -231,7 +231,7 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
         for p in reversed(path[:-1]):
             q = Node(p.key, q, None) if x < p.key else Node(p.key, None, q)
         after, record = fn(t, x)
-        q_prime = root_subtree(after, [node.key for node in path])
+        q_prime, _ = fn(q, x)  # path-based: Q' is the rearranged bare path
         steps.append(AccessStep(i, x, q, q_prime, after, encoding))
         cost += record.cost
         t = after

@@ -14,15 +14,11 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .algorithms import access_cost, deque_run
+from .algorithms import access_cost, deque_run, run_accesses
 from .families import generate, random_tree
 from .model import Instance
 from .tree import preorder
-from .wilber import (
-    crossing_bound,
-    splay_bookkeeping_cost,
-    splay_crossing_cost,
-)
+from .wilber import crossing_bound, splay_crossing_cost
 
 
 class UnknownConjectureError(ValueError):
@@ -156,8 +152,9 @@ def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         inst = _random_instance(rng, n, m)
-        zeta = splay_bookkeeping_cost(inst)
-        lam_prime = splay_crossing_cost(inst)
+        _, records = run_accesses(inst.initial, inst.requests, "splay")
+        zeta = sum(r.bookkeeping for r in records)
+        lam_prime = sum(r.crossing for r in records)
         rows.append((trial, n, m, lam_prime, zeta, zeta / (lam_prime + n)))
     return ProbeReport(
         "splay-bookkeeping",

@@ -229,39 +229,10 @@ def _g4_paths() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
     return table
 
 
-def _window_keys(t: Node, key: int, target_size: int = 4) -> tuple[int, ...]:
-    """Topmost window of ``target_size`` nodes containing the rotation edge,
-    ties broken toward the root's left spine."""
-    selected = {n.key for n in path_nodes(t, key)}
-    left_spine = set()
-    node: Tree = t
-    while node is not None:
-        left_spine.add(node.key)
-        node = node.left
-    depths = {t.key: 0}
-    while len(selected) < min(target_size, size(t)):
-        candidates = []
-        stack = [(t, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.key in selected:
-                for child in (node.left, node.right):
-                    if child is not None:
-                        if child.key in selected:
-                            stack.append((child, d + 1))
-                        else:
-                            candidates.append(
-                                (d + 1, 0 if child.key in left_spine else 1, child.key)
-                            )
-        candidates.sort()
-        selected.add(candidates[0][2])
-    return tuple(sorted(selected))
-
-
 def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...], int]:
     """Splay keys inside a four-node top window to enact one restricted
     rotation; returns the new tree, the splayed keys, and the splay cost."""
-    window_keys = _window_keys(t, key)
+    window_keys = _grow_keys(t, frozenset(n.key for n in path_nodes(t, key)), 4)
     window = root_subtree(t, window_keys)
     target = rotate(window, key)
     canon_window, mapping = canonical_relabel(window)
@@ -394,13 +365,16 @@ def simulation_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
 
 
 def _grow_keys(t: Node, keys: frozenset[int], target_size: int) -> tuple[int, ...]:
+    """Grow a root-connected key set to the topmost window of
+    ``target_size`` nodes (or the whole tree), shallowest child first, ties
+    broken toward the root's left spine."""
     selected = set(keys)
     left_spine = set()
     node: Tree = t
     while node is not None:
         left_spine.add(node.key)
         node = node.left
-    while len(selected) < min(target_size, size(t)):
+    while len(selected) < target_size:
         candidates = []
         stack = [(t, 0)]
         while stack:
@@ -414,8 +388,9 @@ def _grow_keys(t: Node, keys: frozenset[int], target_size: int) -> tuple[int, ..
                             candidates.append(
                                 (d + 1, 0 if child.key in left_spine else 1, child.key)
                             )
-        candidates.sort()
-        selected.add(candidates[0][2])
+        if not candidates:
+            break
+        selected.add(min(candidates)[2])
     return tuple(sorted(selected))
 
 

@@ -1,6 +1,6 @@
-"""Self-adjusting algorithms: splay steps and costs, the path-encoding
-reference implementation, move-to-root vs the recency treap, top-down splay
-parity, insertion splaying, and deque operations."""
+"""Self-adjusting algorithms: splay steps and costs, rotation-level
+references for all three path algorithms, move-to-root vs the recency treap,
+top-down splay parity, insertion splaying, and deque operations."""
 
 import math
 import random
@@ -19,24 +19,93 @@ from splaylab.algorithms import (
     parse_deque_script,
     run_accesses,
     splay,
-    splay_by_encoding,
     top_down_splay,
 )
+from splaylab.families import generate
 from splaylab.model import Instance, algorithm_trace, splay_execute, validate
 from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
     canonical_relabel,
+    depth,
     left_spine_tree,
     path_encoding,
+    path_nodes,
     right_spine_tree,
+    root_subtree,
+    rotate,
     shape_print,
-    size,
     tree_keys,
 )
 from splaylab.wilber import recency_treap
 
 from conftest import make_random_instance, make_random_tree
+
+
+# ---------------------------------------------------------------------------
+# References built from single rotations of ``tree.rotate``; they share no
+# code with the path kernel in ``algorithms``.
+
+
+def move_to_root_by_rotations(t, key):
+    while t.key != key:
+        t = rotate(t, key)
+    return t
+
+
+def _arm_pair_rotations(t, key, pairs, rotate_first):
+    """Rotate each same-side path pair on the arms of a Move-to-Root result.
+
+    The rotated element (first or second of the pair, fixed by the caller)
+    sits below its partner on the arm; the rotation removes the partner from
+    the arm and makes it the rotated node's child.  Pairs touching the
+    accessed key are skipped.
+    """
+    for a, b in pairs:
+        if a == key or b == key:
+            continue
+        if (a < key) == (b < key):
+            t = rotate(t, a if rotate_first else b)
+    return t
+
+
+def splay_by_encoding(t, key):
+    """Splay driven purely by the path encoding: first Move-to-Root, then for
+    original path positions v1,v2,... above the accessed node rotate every
+    same-side pair (v_{2i+1}, v_{2i+2})."""
+    ascending = [p.key for p in reversed(path_nodes(t, key))]  # v0 = key, ..., root
+    pairs = [(ascending[i], ascending[i + 1]) for i in range(1, len(ascending) - 1, 2)]
+    # The pair element nearer the accessed node absorbs the other.
+    return _arm_pair_rotations(move_to_root_by_rotations(t, key), key, pairs, True)
+
+
+def top_down_splay_by_rotations(t, key):
+    """Top-Down Splay in the global view: Move-to-Root, then rotate adjacent
+    same-side path pairs taken from the root downward."""
+    descending = [p.key for p in path_nodes(t, key)]  # p0 = root, ..., key
+    pairs = [(descending[i], descending[i + 1]) for i in range(0, len(descending) - 1, 2)]
+    return _arm_pair_rotations(move_to_root_by_rotations(t, key), key, pairs, False)
+
+
+def _inorder(t):
+    out, stack = [], []
+    while stack or t is not None:
+        while t is not None:
+            stack.append(t)
+            t = t.left
+        t = stack.pop()
+        out.append(t.key)
+        t = t.right
+    return out
+
+
+def assert_matches_reference_exhaustive(fn, reference):
+    for n in range(1, 8):
+        for t in all_shapes(n):
+            for key in range(1, n + 1):
+                out, rec = fn(t, key)
+                assert out == reference(t, key)
+                assert rec.encoding == path_encoding(t, key)
 
 
 class TestSplay:
@@ -63,11 +132,7 @@ class TestSplay:
             splay(bst_from_sequence([2, 1, 3]), 4)
 
     def test_agrees_with_encoding_reference_exhaustive(self):
-        for n in range(1, 7):
-            for t in all_shapes(n):
-                for key in range(1, n + 1):
-                    direct, _ = splay(t, key)
-                    assert direct == splay_by_encoding(t, key)
+        assert_matches_reference_exhaustive(splay, splay_by_encoding)
 
     def test_step_arities_sum_to_depth(self):
         for encoding in ("", "0", "01", "001", "0110", "11111"):
@@ -85,6 +150,9 @@ class TestMoveToRoot:
     def test_left_spine(self):
         out, _ = move_to_root(bst_from_sequence([3, 2, 1]), 1)
         assert shape_print(out) == "(1 . (3 (2 . .) .))"
+
+    def test_agrees_with_rotation_reference_exhaustive(self):
+        assert_matches_reference_exhaustive(move_to_root, move_to_root_by_rotations)
 
     def test_treap_law_exhaustive(self):
         # After any prefix, the tree is the unique treap whose priorities
@@ -115,6 +183,23 @@ class TestTopDownSplay:
     def test_root_access_is_noop(self):
         t = bst_from_sequence([2, 1, 3])
         assert top_down_splay(t, 2)[0] == t
+
+    def test_agrees_with_rotation_reference_exhaustive(self):
+        assert_matches_reference_exhaustive(top_down_splay, top_down_splay_by_rotations)
+
+    def test_20000_key_spine(self):
+        # Sequential access of a left spine: the first access has depth
+        # 19999, so an access must cost O(depth), not O(depth^2).
+        n = 20_000
+        inst = generate("sequential", n=n).instance
+        final, records = run_accesses(inst.initial, inst.requests, "tds")
+        cur, expect = inst.initial, inst.m
+        for x in inst.requests:
+            expect += depth(cur, x)
+            cur, _ = top_down_splay(cur, x)
+        assert cur == final
+        assert _inorder(final) == list(range(1, n + 1))
+        assert sum(r.cost for r in records) == expect
 
     def test_depth_one_equals_splay(self):
         for n in range(2, 6):
@@ -219,6 +304,18 @@ class TestPathBasedProperty:
                     seen[(algo, enc)] = canon
 
 
+    def test_transition_is_root_subtree_of_after_tree_exhaustive(self):
+        # The trace takes Q' from the rearranged bare path; it must be the
+        # after-tree's root subtree on the path keys.
+        for algo in ("splay", "mtr", "tds"):
+            for n in range(1, 7):
+                for t in all_shapes(n):
+                    for x in range(1, n + 1):
+                        step = algorithm_trace(Instance((x,), t), algo).steps[0]
+                        keys = [p.key for p in path_nodes(t, x)]
+                        assert step.transition == root_subtree(step.after, keys)
+
+
 class TestCostRegression:
     def test_total_cost_within_log_bound(self, rng):
         # Regression guard on the amortized-logarithmic total: the constant
@@ -308,6 +405,13 @@ class TestDeque:
     def test_bad_push_key(self):
         with pytest.raises(ValueError):
             deque_run(bst_from_sequence([2]), [("push", 5)])
+        with pytest.raises(ValueError):
+            deque_run(bst_from_sequence([2]), [("inject", 1)])
+
+    @pytest.mark.parametrize("op", ["push", "inject"])
+    def test_missing_key_rejected(self, op):
+        with pytest.raises(ValueError, match="needs a key"):
+            deque_run(bst_from_sequence([2]), [(op, None)])
 
     def test_script_parse(self):
         ops = parse_deque_script("push 0\ninject 9\npop\neject\n")
