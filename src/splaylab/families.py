@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .model import Instance
-from .tree import Node, bst_from_sequence, left_spine_tree, preorder
+from .tree import InvariantError, Node, bst_from_sequence, left_spine_tree, preorder
 
 
 class UnknownFamilyError(ValueError):
@@ -33,7 +33,8 @@ def random_tree(n: int, rng: random.Random) -> Node:
     order = list(range(1, n + 1))
     rng.shuffle(order)
     t = bst_from_sequence(order)
-    assert t is not None
+    if t is None:
+        raise InvariantError("a random tree needs at least one key")
     return t
 
 

@@ -162,7 +162,13 @@ def elide(inst: Instance, e: Execution, deleted: Iterable[int]) -> Execution:
     bad = [i for i in gone if not 1 <= i <= inst.m]
     if bad:
         raise IndexError(f"deleted indices out of range: {sorted(bad)}")
-    trace = validate(inst, e)
+    return _elide_trace(validate(inst, e), gone)
+
+
+def _elide_trace(trace: ExecutionTrace, gone: set[int]) -> Execution:
+    """The merging behind :func:`elide`, on an already validated trace and a
+    set of in-range request indices; one trace serves every deletion set."""
+    inst = trace.instance
     out: list[Node] = []
     i = 1
     while i <= inst.m:

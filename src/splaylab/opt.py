@@ -23,7 +23,6 @@ from .model import Execution, Instance, validate
 from .tree import (
     InvariantError,
     Node,
-    all_shapes,
     bst_from_sequence,
     contains,
     path_nodes,
@@ -259,44 +258,6 @@ def opt_cost(
             f"reconstructed execution costs {trace.cost}, not the optimum {total}"
         )
     return OptResult(total, execution, sum(per_layer), tuple(per_layer))
-
-
-def opt_monotone_sweep(max_n: int, max_m: int) -> dict:
-    """Exhaustively confirm that dropping requests strictly lowers the
-    optimum.  Returns counts; raises nothing (violations are reported)."""
-    import itertools
-
-    violations = []
-    instances = 0
-    comparisons = 0
-    cache: dict[tuple, int] = {}
-
-    def opt_of(requests: tuple[int, ...], t: Node) -> int:
-        key = (shape_key(t), requests)
-        if key not in cache:
-            cache[key] = opt_cost(Instance(requests, t)).cost if requests else 0
-        return cache[key]
-
-    for n in range(1, max_n + 1):
-        for t in all_shapes(n):
-            for m in range(1, max_m + 1):
-                for x_seq in itertools.product(range(1, n + 1), repeat=m):
-                    instances += 1
-                    full = opt_of(x_seq, t)
-                    for mask in range(1, 2 ** m - 1):
-                        sub = tuple(
-                            x for j, x in enumerate(x_seq) if not (mask >> j) & 1
-                        )
-                        comparisons += 1
-                        if sub and opt_of(sub, t) >= full:
-                            violations.append((shape_print(t), x_seq, sub))
-                        elif not sub and full <= 0:
-                            violations.append((shape_print(t), x_seq, sub))
-    return {
-        "instances": instances,
-        "comparisons": comparisons,
-        "violations": violations,
-    }
 
 
 def initial_tree_shift(x_seq: tuple[int, ...], t: Node, t_prime: Node) -> int:

@@ -20,7 +20,7 @@ from .model import (
     Instance,
     RotationAccess,
     RotationExecution,
-    elide,
+    _elide_trace,
     from_rotation_model,
     rotation_trace,
     smallest_root_subtree,
@@ -28,7 +28,7 @@ from .model import (
     to_rotation_model,
     validate,
 )
-from .opt import _root_subtree_keysets, opt_cost, opt_monotone_sweep
+from .opt import _root_subtree_keysets, opt_cost
 from .probes import probe
 from .transforms import (
     TransformUnreachableError,
@@ -55,6 +55,7 @@ from .tree import (
     parse_shape,
     path_nodes,
     rooted_shapes,
+    shape_key,
     shape_print,
     shapes_on_keys,
     size,
@@ -63,6 +64,7 @@ from .tree import (
 )
 from .wilber import (
     crossing_bound,
+    crossing_bounds,
     level,
     remove_one_gap,
     sequence_crossing_bound,
@@ -258,38 +260,47 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
 
 def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> SuiteResult:
     start = time.time()
-    sweep = opt_monotone_sweep(max_n, max_m)
-    if sweep["violations"]:
-        return _result(
-            "opt-monotone", start, False, f"violations: {sweep['violations'][:3]}"
-        )
-    # Elision produces valid, strictly cheaper executions for subsequences.
-    elisions = 0
+    # One oracle call and one validated trace per (shape, sequence) serve the
+    # strict-monotonicity comparisons and every elision.
+    instances = comparisons = elisions = 0
     for n in range(1, max_n + 1):
         for t in all_shapes(n):
-            for m in range(1, max_m + 1):
-                for x_seq in itertools.product(range(1, n + 1), repeat=m):
-                    inst = Instance(x_seq, t)
-                    best = opt_cost(inst)
-                    for mask in range(1, 2 ** m):
-                        deleted = {i + 1 for i in range(m) if (mask >> i) & 1}
-                        sub_inst = subsequence_instance(inst, deleted)
-                        pruned = elide(inst, best.execution, deleted)
-                        sub_trace = validate(sub_inst, pruned)
-                        elisions += 1
-                        if sub_trace.cost >= best.cost:
+            insts = [
+                Instance(x_seq, t)
+                for m in range(1, max_m + 1)
+                for x_seq in itertools.product(range(1, n + 1), repeat=m)
+            ]
+            best = {inst.requests: opt_cost(inst) for inst in insts}
+            for inst in insts:
+                instances += 1
+                full = best[inst.requests]
+                trace = validate(inst, full.execution)
+                for mask in range(1, 2 ** inst.m):
+                    deleted = {i + 1 for i in range(inst.m) if (mask >> i) & 1}
+                    sub_inst = subsequence_instance(inst, deleted)
+                    sub = sub_inst.requests
+                    if sub:
+                        comparisons += 1
+                        if best[sub].cost >= full.cost:
                             return _result(
                                 "opt-monotone", start, False,
-                                f"elision not cheaper: {shape_print(t)} {x_seq} {deleted}",
+                                f"optimum not strictly lower: {shape_print(t)} {inst.requests} -> {sub}",
                             )
-                        if sub_inst.requests and sub_trace.cost < opt_cost(sub_inst).cost:
-                            return _result(
-                                "opt-monotone", start, False,
-                                f"elision beat the oracle: {shape_print(t)} {x_seq}",
-                            )
+                    sub_trace = validate(sub_inst, _elide_trace(trace, deleted))
+                    elisions += 1
+                    if sub_trace.cost >= full.cost:
+                        return _result(
+                            "opt-monotone", start, False,
+                            f"elision not cheaper: {shape_print(t)} {inst.requests} {deleted}",
+                        )
+                    if sub and sub_trace.cost < best[sub].cost:
+                        return _result(
+                            "opt-monotone", start, False,
+                            f"elision beat the oracle: {shape_print(t)} {inst.requests}",
+                        )
     return _result(
         "opt-monotone", start, True,
-        f"{sweep['instances']} instances, {sweep['comparisons']} subsequence comparisons,"
+        f"{instances} instances, {comparisons} subsequence comparisons,"
         f" {elisions} elisions: zero violations",
     )
 
@@ -377,17 +388,14 @@ def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
         )
     checked = 0
     for n in range(1, 6):
-        for t in all_shapes(n):
-            for x in range(1, n + 1):
-                lim = 4 * level(t, x)
-                for m in range(0, 5):
-                    for z_seq in itertools.product(range(1, n + 1), repeat=m):
-                        checked += 1
-                        if remove_one_gap(t, x, z_seq) > lim:
-                            return _result(
-                                "remove-one", start, False,
-                                f"{shape_print(t)} x={x} Z={z_seq}",
-                            )
+        for t, x, here, lifted in _lift_tables(n, 4):
+            lim = 4 * level(t, x)
+            for z_seq, cost in here.items():
+                checked += 1
+                if cost - lifted[z_seq] > lim:
+                    return _result(
+                        "remove-one", start, False, f"{shape_print(t)} x={x} Z={z_seq}"
+                    )
     for trial in range(10_000):
         rng = _trial_rng(seed, f"rmone:{trial}")
         n = rng.randint(1, 10)
@@ -403,6 +411,18 @@ def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
     )
 
 
+def _lift_tables(n: int, max_m: int):
+    """Each shape on keys 1..n and key x, with the crossing-bound tables of the
+    shape and of its lift ``move_to_root(shape, x)``, another shape on the
+    same keys: their difference at Z is ``remove_one_gap(shape, x, Z)``."""
+    keys = range(1, n + 1)
+    shapes = all_shapes(n)
+    tables = {shape_key(t): crossing_bounds(t, keys, max_m) for t in shapes}
+    for t in shapes:
+        for x in keys:
+            yield t, x, tables[shape_key(t)], tables[shape_key(move_to_root(t, x)[0])]
+
+
 # ---------------------------------------------------------------------------
 # Criterion 8.
 
@@ -412,21 +432,18 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> SuiteResult:
     checked = 0
     for n in range(1, 5):
         for t in all_shapes(n):
-            for m in range(1, 5):
-                for x_seq in itertools.product(range(1, n + 1), repeat=m):
-                    full = crossing_bound(Instance(x_seq, t))
-                    for mask in range(1, 2 ** m):
-                        sub = tuple(
-                            x for j, x in enumerate(x_seq) if not (mask >> j) & 1
+            bound = crossing_bounds(t, range(1, n + 1), 4)
+            for x_seq, full in bound.items():
+                for mask in range(1, 2 ** len(x_seq)):
+                    sub = tuple(x for j, x in enumerate(x_seq) if not (mask >> j) & 1)
+                    if not sub:
+                        continue
+                    checked += 1
+                    if bound[sub] > 4 * full:
+                        return _result(
+                            "wilber-monotone", start, False,
+                            f"{shape_print(t)} {x_seq} -> {sub}",
                         )
-                        if not sub:
-                            continue
-                        checked += 1
-                        if crossing_bound(Instance(sub, t)) > 4 * full:
-                            return _result(
-                                "wilber-monotone", start, False,
-                                f"{shape_print(t)} {x_seq} -> {sub}",
-                            )
     for trial in range(10_000):
         rng = _trial_rng(seed, f"wmono:{trial}")
         n = rng.randint(1, 8)

@@ -334,10 +334,9 @@ def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[int, ...]]:
             window_keys = _grow_keys(t, tree_keys(q), 4)
             window = root_subtree(t, window_keys)
             target = root_subtree(step.after, window_keys)
-            _, mapping = canonical_relabel(window)
+            canon_window, mapping = canonical_relabel(window)
             canon_target = relabel(target, mapping)
             inverse = {v: k for k, v in mapping.items()}
-            canon_window, _ = canonical_relabel(window)
             path = _g4_paths()[(shape_key(canon_window), shape_key(canon_target))]
             block = tuple(inverse[k] for k in path)
             landed = t

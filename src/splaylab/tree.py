@@ -414,14 +414,6 @@ def right_spine_tree(keys: Iterable[int]) -> Tree:
     return t
 
 
-def is_left_spine(t: Tree) -> bool:
-    while t is not None:
-        if t.right is not None:
-            return False
-        t = t.left
-    return True
-
-
 def is_right_spine(t: Tree) -> bool:
     while t is not None:
         if t.left is not None:

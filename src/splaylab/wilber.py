@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 from .algorithms import move_to_root, splay
 from .model import Instance
 from .tree import (
+    InvariantError,
     KeyAbsentError,
     Node,
     Tree,
@@ -91,6 +92,27 @@ def crossing_bound(inst: Instance) -> int:
         t, rec = move_to_root(t, x)
         total += rec.crossing
     return total
+
+
+def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int, ...], int]:
+    """Crossing bound from ``t`` of every request sequence over ``keys`` of
+    length at most ``max_m``, the empty one included.
+
+    Walks the trie of sequences depth-first, carrying Move-to-Root's tree and
+    the running crossing sum, so each sequence costs one access on top of its
+    prefix; exact because :func:`crossing_bound` is that sum.
+    """
+    out: dict[tuple[int, ...], int] = {(): 0}
+    stack: list[tuple[tuple[int, ...], Node, int]] = [((), t, 0)]
+    while stack:
+        seq, tree, total = stack.pop()
+        if len(seq) < max_m:
+            for x in keys:
+                after, rec = move_to_root(tree, x)
+                child, cost = seq + (x,), total + rec.crossing
+                out[child] = cost
+                stack.append((child, after, cost))
+    return out
 
 
 def splay_crossing_cost(inst: Instance) -> int:
@@ -198,7 +220,8 @@ def wilber_score(x_seq: Sequence[int], i: int) -> int:
             if c_next < b <= c:
                 if best is None or abs(k - x) < abs(best - x):
                     best = k
-        assert best is not None, "the crossing key itself is always eligible"
+        if best is None:
+            raise InvariantError("the crossing key itself is always eligible")
         v = best
         c, w = c_next, w_next
 
@@ -321,7 +344,8 @@ def window_decompose(
         else:
             zipped, s_parent = _window_subtree(s_tree, set(window))
             unzipped, t_parent = _window_subtree(t_tree, set(window))
-            assert s_parent == t_parent, "window attachment boundary must agree"
+            if s_parent != t_parent:
+                raise InvariantError("window attachment boundary must agree")
             zip_aug = augment_top(zipped, s_parent)
             unzip_aug = augment_top(unzipped, t_parent)
         delta = {k: level(s_tree, k) - level(t_tree, k) for k in keys}
@@ -361,10 +385,10 @@ def _window_subtree(t: Node, window: set[int]) -> tuple[Node, int]:
             stack.append((node.left, node))
         if node.right is not None:
             stack.append((node.right, node))
-    assert best is not None and parent is not None
-    assert size(best) == len(window) and tree_keys(best) == frozenset(window), (
-        "window keys must hang as one subtree"
-    )
+    if best is None or parent is None:
+        raise InvariantError("the window must hang below the root")
+    if size(best) != len(window) or tree_keys(best) != frozenset(window):
+        raise InvariantError("window keys must hang as one subtree")
     return best, parent.key
 
 

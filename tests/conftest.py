@@ -2,30 +2,19 @@ import random
 
 import pytest
 
+from splaylab.families import random_tree
 from splaylab.model import Execution, Instance
 from splaylab.suites import random_execution as _random_execution
-from splaylab.tree import bst_from_sequence
-
-
-def make_random_tree(rng: random.Random, n: int):
-    order = list(range(1, n + 1))
-    rng.shuffle(order)
-    return bst_from_sequence(order)
 
 
 def make_random_instance(rng: random.Random, n: int, m: int) -> Instance:
     return Instance(
-        tuple(rng.randint(1, n) for _ in range(m)), make_random_tree(rng, n)
+        tuple(rng.randint(1, n) for _ in range(m)), random_tree(n, rng)
     )
 
 
 def make_random_execution(rng: random.Random, inst: Instance) -> Execution:
     return _random_execution(rng, inst)
-
-
-def is_subsequence(xs, ys) -> bool:
-    it = iter(ys)
-    return all(any(x == y for y in it) for x in xs)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from splaylab.algorithms import (
     splay,
     top_down_splay,
 )
-from splaylab.families import generate
+from splaylab.families import generate, random_tree
 from splaylab.model import Instance, algorithm_trace, splay_execute, validate
 from splaylab.tree import (
     all_shapes,
@@ -39,7 +39,7 @@ from splaylab.tree import (
 )
 from splaylab.wilber import recency_treap
 
-from conftest import make_random_instance, make_random_tree
+from conftest import make_random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ class TestPathBasedProperty:
             seen.clear()
             for _ in range(300):
                 n = rng.randint(1, 8)
-                t = make_random_tree(rng, n)
+                t = random_tree(n, rng)
                 x = rng.randint(1, n)
                 enc = path_encoding(t, x)
                 trace = algorithm_trace(Instance((x,), t), algo)
@@ -384,7 +384,7 @@ class TestDeque:
 
     def test_mixed_ops_run(self, rng):
         n = 50
-        t = make_random_tree(rng, n)
+        t = random_tree(n, rng)
         lo, hi, count = 0, n + 1, n
         ops = []
         for _ in range(10 * n):

@@ -6,7 +6,15 @@ import random
 import pytest
 
 from splaylab.algorithms import access_cost
-from splaylab.model import Execution, Instance, elide, subsequence_instance, validate
+from splaylab.families import random_tree
+from splaylab.model import (
+    Execution,
+    Instance,
+    _elide_trace,
+    elide,
+    subsequence_instance,
+    validate,
+)
 from splaylab.opt import (
     GuardExceededError,
     _root_subtree_keysets,
@@ -27,7 +35,7 @@ from splaylab.tree import (
 )
 from splaylab.model import smallest_root_subtree
 
-from conftest import make_random_instance, make_random_tree
+from conftest import make_random_instance
 
 
 def reference_keysets(t, x):
@@ -122,7 +130,7 @@ class TestTransitions:
         rng = random.Random(7)
         for _ in range(4):
             inst = Instance(
-                tuple(rng.randint(1, 7) for _ in range(4)), make_random_tree(rng, 7)
+                tuple(rng.randint(1, 7) for _ in range(4)), random_tree(7, rng)
             )
             result = opt_cost(inst)
             cost, execution, expanded = reference_opt_cost(inst)
@@ -208,6 +216,20 @@ class TestEliedOptimal:
             assert cost < best.cost
             assert cost >= opt_cost(sub).cost
 
+    def test_one_trace_serves_every_mask_exhaustive(self):
+        # The opt-monotone suite validates each optimal execution once and
+        # elides every deletion set from that trace.
+        for n in range(1, 4):
+            for t in all_shapes(n):
+                for m in range(1, 4):
+                    for x_seq in itertools.product(range(1, n + 1), repeat=m):
+                        inst = Instance(x_seq, t)
+                        best = opt_cost(inst).execution
+                        trace = validate(inst, best)
+                        for mask in range(1, 2 ** m):
+                            deleted = {i + 1 for i in range(m) if (mask >> i) & 1}
+                            assert _elide_trace(trace, deleted) == elide(inst, best, deleted)
+
 
 class TestInitialTreeShift:
     def test_same_tree_is_zero(self):
@@ -224,11 +246,9 @@ class TestInitialTreeShift:
                         assert abs(shift) <= 4
 
     def test_bound_random_n5(self, rng):
-        from conftest import make_random_tree
-
         for _ in range(40):
-            t = make_random_tree(rng, 5)
-            t_prime = make_random_tree(rng, 5)
+            t = random_tree(5, rng)
+            t_prime = random_tree(5, rng)
             x_seq = tuple(rng.randint(1, 5) for _ in range(3))
             assert abs(initial_tree_shift(x_seq, t, t_prime)) <= 5
 

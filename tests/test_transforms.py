@@ -4,7 +4,9 @@ transforms, embeddings, and the repetition construction."""
 import pytest
 
 from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
+from splaylab.families import random_tree
 from splaylab.model import Execution, Instance, smallest_root_subtree, validate
+from splaylab.suites import _is_subsequence
 from splaylab.transforms import (
     TransformUnreachableError,
     augmented_repeat,
@@ -37,7 +39,7 @@ from splaylab.tree import (
     tree_keys,
 )
 
-from conftest import is_subsequence, make_random_execution, make_random_instance, make_random_tree
+from conftest import make_random_execution, make_random_instance
 
 
 class TestDigraphs:
@@ -85,7 +87,7 @@ class TestFlatten:
     def test_random_larger(self, rng):
         for n in (16, 64):
             for _ in range(10):
-                t = make_random_tree(rng, n)
+                t = random_tree(n, rng)
                 rots = flatten_restricted(t)
                 assert len(rots) <= 2 * n
                 cur = t
@@ -107,7 +109,7 @@ class TestRealizeRotation:
     def test_matches_direct_rotation(self, rng):
         for _ in range(150):
             n = rng.randint(4, 12)
-            t = make_random_tree(rng, n)
+            t = random_tree(n, rng)
             candidates = []
             if t.left is not None:
                 candidates.append(t.left.key)
@@ -181,7 +183,7 @@ class TestSimulationEmbedding:
             e = make_random_execution(rng, inst)
             trace = validate(inst, e)
             seq = simulation_embedding(inst, e)
-            assert is_subsequence(inst.requests, seq)
+            assert _is_subsequence(inst.requests, seq)
             costs = embedding_block_costs(inst, e)
             assert sum(c for c, _, _ in costs) <= 80 * trace.cost
             assert all(mp <= 4 for _, _, mp in costs)
@@ -226,7 +228,7 @@ class TestUniversalTransform:
         # between adjacent keys, splaying the triple pattern chains the
         # three keys at the top no matter which gaps were occupied.
         for _ in range(60):
-            t = make_random_tree(rng, 40)
+            t = random_tree(40, rng)
             q1, q2, q3 = sorted(rng.sample(range(1, 41), 3))
             for k in (q3, q2, q1):  # the reverse-access phase for a triple
                 t, _ = splay(t, k)
@@ -289,7 +291,7 @@ class TestTopDownEmbedding:
             e = make_random_execution(rng, inst)
             trace = validate(inst, e)
             seq = topdown_embedding(inst, e)
-            assert is_subsequence(inst.requests, seq)
+            assert _is_subsequence(inst.requests, seq)
             t = inst.initial
             for k in seq:
                 t, _ = top_down_splay(t, k)

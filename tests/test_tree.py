@@ -361,7 +361,9 @@ def test_duplicate_insert_rejected():
         insert_leaf(bst_from_sequence([1]), 1)
 
 
-@pytest.mark.parametrize("module", ["tree.py", "model.py", "opt.py", "algorithms.py"])
+@pytest.mark.parametrize(
+    "module", ["tree.py", "model.py", "opt.py", "algorithms.py", "wilber.py", "families.py"]
+)
 def test_no_bare_asserts(module):
     # Invariants of these modules must hold under ``python -O`` too.
     path = Path(__file__).resolve().parents[1] / "src" / "splaylab" / module

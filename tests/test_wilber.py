@@ -4,7 +4,10 @@ formulations, the splay cost decomposition, and the window decomposition."""
 import itertools
 
 import pytest
+from splaylab.algorithms import move_to_root
+from splaylab.families import random_tree
 from splaylab.model import Instance
+from splaylab.suites import _lift_tables
 from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
@@ -14,6 +17,7 @@ from splaylab.tree import (
 )
 from splaylab.wilber import (
     crossing_bound,
+    crossing_bounds,
     crossing_keys_graphical,
     crossing_keys_on_path,
     level,
@@ -27,7 +31,7 @@ from splaylab.wilber import (
     window_decompose,
 )
 
-from conftest import make_random_instance, make_random_tree
+from conftest import make_random_instance
 
 
 class TestLevel:
@@ -51,7 +55,7 @@ class TestLevel:
     def test_level_in_range(self, rng):
         for _ in range(100):
             n = rng.randint(1, 10)
-            t = make_random_tree(rng, n)
+            t = random_tree(n, rng)
             x = rng.randint(1, n)
             rep = level_report(t, x)
             d = len(path_nodes(t, x)) - 1
@@ -136,6 +140,20 @@ class TestBackwardScan:
                     )
 
 
+class TestCrossingBounds:
+    def test_equals_crossing_bound_exhaustive(self):
+        for n in range(1, 5):
+            for t in all_shapes(n):
+                table = crossing_bounds(t, range(1, n + 1), 4)
+                seqs = [s for m in range(5) for s in itertools.product(range(1, n + 1), repeat=m)]
+                assert sorted(table) == sorted(seqs)
+                for seq in seqs:
+                    assert table[seq] == crossing_bound(Instance(seq, t)), (shape_print(t), seq)
+
+    def test_zero_length(self):
+        assert crossing_bounds(bst_from_sequence([2, 1, 3]), (1, 2, 3), 0) == {(): 0}
+
+
 class TestRemoveOneGap:
     def test_empty_sequence_gap_zero(self):
         s = bst_from_sequence([2, 1, 3])
@@ -148,10 +166,21 @@ class TestRemoveOneGap:
         assert gap > 3
         assert gap <= 4 * level(s, 4)
 
+    def test_lift_tables_give_the_gap_exhaustive(self):
+        # The remove-one suite reads each gap off two crossing-bound tables.
+        for n in range(1, 5):
+            pairs = 0
+            for t, x, here, lifted in _lift_tables(n, 4):
+                assert lifted == crossing_bounds(move_to_root(t, x)[0], range(1, n + 1), 4)
+                for z_seq in here:
+                    assert here[z_seq] - lifted[z_seq] == remove_one_gap(t, x, z_seq)
+                pairs += 1
+            assert pairs == n * len(all_shapes(n))
+
     def test_factor_four_random(self, rng):
         for _ in range(300):
             n = rng.randint(1, 9)
-            s = make_random_tree(rng, n)
+            s = random_tree(n, rng)
             x = rng.randint(1, n)
             z = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
             assert remove_one_gap(s, x, z) <= 4 * level(s, x)
@@ -179,7 +208,7 @@ class TestWindowDecomposition:
     def test_delta_sum_matches_gap_random(self, rng):
         for _ in range(150):
             n = rng.randint(2, 8)
-            s = make_random_tree(rng, n)
+            s = random_tree(n, rng)
             x = rng.randint(1, n)
             z = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
             steps, wits = window_decompose(s, x, z)
@@ -188,7 +217,7 @@ class TestWindowDecomposition:
     def test_formula_validator_random(self, rng):
         for _ in range(150):
             n = rng.randint(2, 8)
-            s = make_random_tree(rng, n)
+            s = random_tree(n, rng)
             x = rng.randint(1, n)
             z = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
             steps, wits = window_decompose(s, x, z)
