@@ -162,8 +162,8 @@ def cmd_gn(args: argparse.Namespace) -> int:
         print(str(err), file=sys.stderr)
         return 2
     connected = strongly_connected(g)
-    diam = diameter(g) if connected else ""
     eccs = eccentricities(g)
+    diam = diameter(g, eccs) if connected else ""
     worst = max(range(len(eccs)), key=lambda i: eccs[i])
     print("n,algorithm,vertices,strongly_connected,diameter,max_eccentricity_vertex")
     print(
@@ -189,7 +189,6 @@ def cmd_lambda_report(args: argparse.Namespace) -> int:
 
 def cmd_opt_report(args: argparse.Namespace) -> int:
     print("instance,m,n,opt,splay_cost,mtr_cost,lambda,splay_over_opt,lambda_over_opt")
-    status = 0
     for path in args.instances:
         inst, _ = parse_instance(Path(path).read_text())
         splay_cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "splay")[1])
@@ -205,7 +204,7 @@ def cmd_opt_report(args: argparse.Namespace) -> int:
         print(
             f"{Path(path).name},{inst.m},{inst.n},{opt_text},{splay_cost},{mtr_cost},{lam},{ratios}"
         )
-    return status
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

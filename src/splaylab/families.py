@@ -23,10 +23,11 @@ class FamilyInstance:
     subsequence: Optional[tuple[int, ...]]  # paired Y, when the family has one
 
 
-def _rng(seed: int, salt: str) -> random.Random:
-    # String seeding hashes with SHA-512, so results are stable across runs
-    # and Python versions.
-    return random.Random(f"{salt}:{seed}")
+def trial_rng(*parts: object) -> random.Random:
+    """Generator seeded with the parts joined by colons.  String seeding
+    hashes with SHA-512, so results are stable across runs and Python
+    versions."""
+    return random.Random(":".join(map(str, parts)))
 
 
 def random_tree(n: int, rng: random.Random) -> Node:
@@ -69,7 +70,7 @@ def generate(family: str, n: int = 0, k: int = 0, m: int = 0, seed: int = 0) -> 
     if family == "traversal":
         if n < 1:
             raise ValueError("traversal needs n >= 1")
-        rng = _rng(seed, f"traversal:{n}")
+        rng = trial_rng("traversal", n, seed)
         t1 = random_tree(n, rng)
         t2 = random_tree(n, rng)
         return FamilyInstance(
@@ -78,7 +79,7 @@ def generate(family: str, n: int = 0, k: int = 0, m: int = 0, seed: int = 0) -> 
     if family == "random":
         if n < 1 or m < 0:
             raise ValueError("random needs n >= 1, m >= 0")
-        rng = _rng(seed, f"random:{n}:{m}")
+        rng = trial_rng("random", n, m, seed)
         t = random_tree(n, rng)
         x = tuple(rng.randint(1, n) for _ in range(m))
         return FamilyInstance(family, {"n": n, "m": m, "seed": seed}, Instance(x, t), None)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algorithms import access_cost, deque_run, run_accesses
-from .families import generate, random_tree
+from .families import generate, random_tree, trial_rng
 from .model import Instance
-from .tree import preorder
+from .tree import bst_from_sequence, preorder, relabel
 from .wilber import crossing_bound, splay_crossing_cost
 
 
@@ -67,10 +67,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _trial_rng(seed: int, trial: int) -> random.Random:
-    return random.Random(f"probe:{seed}:{trial}")
-
-
 def _random_instance(rng: random.Random, n: int, m: int) -> Instance:
     t = random_tree(n, rng)
     return Instance(tuple(rng.randint(1, n) for _ in range(m)), t)
@@ -110,14 +106,12 @@ PROBE_NAMES = (
 def _probe_splay_mr(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     # Fixed witness where Splay's crossing cost dips below the lower bound.
-    from .tree import bst_from_sequence
-
     witness = Instance((3, 1, 4, 2), bst_from_sequence([3, 1, 2, 4]))
     lam = crossing_bound(witness)
     lam_prime = splay_crossing_cost(witness)
     rows.append(("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n)))
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = trial_rng("probe", seed, trial)
         inst = _random_instance(rng, n, m)
         lam = crossing_bound(inst)
         lam_prime = splay_crossing_cost(inst)
@@ -133,7 +127,7 @@ def _probe_splay_mr(trials: int, n: int, m: int, seed: int) -> ProbeReport:
 def _probe_monotone_crossings(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = trial_rng("probe", seed, trial)
         inst = _random_instance(rng, n, m)
         y = _random_subsequence(rng, inst.requests)
         full = splay_crossing_cost(inst)
@@ -150,7 +144,7 @@ def _probe_monotone_crossings(trials: int, n: int, m: int, seed: int) -> ProbeRe
 def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = trial_rng("probe", seed, trial)
         inst = _random_instance(rng, n, m)
         _, records = run_accesses(inst.initial, inst.requests, "splay")
         zeta = sum(r.bookkeeping for r in records)
@@ -167,18 +161,11 @@ def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
 def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = trial_rng("probe", seed, trial)
         # Seat the initial keys mid-range so pushed minima stay positive.
         base = random_tree(n, rng)
         offset = m + 1
-        from .tree import Node
-
-        def shift(node):
-            if node is None:
-                return None
-            return Node(node.key + offset, shift(node.left), shift(node.right))
-
-        t = shift(base)
+        t = relabel(base, {k: k + offset for k in range(1, n + 1)})
         lo, hi = offset, offset + n + 1
         count = n
         ops = []
@@ -209,7 +196,7 @@ def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
 def _probe_traversal(trials: int, n: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
+        rng = trial_rng("probe", seed, trial)
         t1 = random_tree(n, rng)
         t2 = random_tree(n, rng)
         self_cost = access_cost(t1, preorder(t1), "splay")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .algorithms import access_cost, move_to_root, splay, top_down_splay
-from .families import generate, random_tree
+from .families import generate, random_tree, trial_rng
 from .model import (
     Execution,
     Instance,
@@ -32,13 +32,13 @@ from .opt import _root_subtree_keysets, opt_cost
 from .probes import probe
 from .transforms import (
     TransformUnreachableError,
+    _strip_frame,
+    augmented_repeat,
     build_digraph,
     diameter,
-    embedding_block_costs,
     embedding_blocks,
     replay,
     shortest_path,
-    simulation_embedding,
     simultaneous_transform4,
     strongly_connected,
     topdown_embedding,
@@ -52,9 +52,11 @@ from .tree import (
     depth,
     left_spine_tree,
     parent_key,
+    frontier,
     parse_shape,
     path_nodes,
     rooted_shapes,
+    rotate,
     shape_key,
     shape_print,
     shapes_on_keys,
@@ -89,10 +91,6 @@ def _result(name: str, start: float, passed: bool, detail: str) -> SuiteResult:
     return SuiteResult(name, passed, detail, time.time() - start)
 
 
-def _trial_rng(seed: int, trial) -> random.Random:
-    return random.Random(f"suite:{seed}:{trial}")
-
-
 def _is_subsequence(xs: Iterable[int], ys: Iterable[int]) -> bool:
     it = iter(ys)
     return all(any(x == y for y in it) for x in xs)
@@ -106,20 +104,10 @@ def random_execution(rng: random.Random, inst: Instance) -> Execution:
     for x in inst.requests:
         keys = {node.key for node in path_nodes(t, x)}
         while True:
-            frontier = []
-            stack = [t]
-            while stack:
-                node = stack.pop()
-                if node.key in keys:
-                    for child in (node.left, node.right):
-                        if child is not None:
-                            if child.key in keys:
-                                stack.append(child)
-                            else:
-                                frontier.append(child.key)
-            if not frontier or rng.random() < 0.45:
+            hanging = [k for _, k in frontier(t, keys)]
+            if not hanging or rng.random() < 0.45:
                 break
-            keys.add(rng.choice(frontier))
+            keys.add(rng.choice(hanging))
         q_prime = rng.choice(rooted_shapes(tuple(sorted(keys)), x))
         trees.append(q_prime)
         t = substitute(t, q_prime)
@@ -169,7 +157,7 @@ def suite_transform(seed: int = 0, **_: object) -> SuiteResult:
             worst = max(worst, plan.cost / 4)
     for n in (8, 16, 32, 64):
         for trial in range(100):
-            rng = _trial_rng(seed, f"transform:{n}:{trial}")
+            rng = trial_rng("suite", seed, "transform", n, trial)
             s = random_tree(n, rng)
             t = random_tree(n, rng)
             plan = transform_sequence(s, t)
@@ -210,11 +198,9 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
                             for q_prime in _all_transitions(t, x):
                                 key = (t, x, q_prime)
                                 if key not in block_ok:
-                                    inst1 = Instance((x,), t)
-                                    e1 = Execution((q_prime,))
-                                    costs = embedding_block_costs(inst1, e1)
-                                    blocks = embedding_blocks(inst1, e1)
-                                    (cost, qsize, maxpath), block = costs[0], blocks[0]
+                                    [(block, cost, qsize, maxpath)] = embedding_blocks(
+                                        Instance((x,), t), Execution((q_prime,))
+                                    )
                                     block_ok[key] = (
                                         cost <= 80 * qsize
                                         and maxpath <= 4
@@ -232,7 +218,7 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
                     executions_covered += sum(counts.values())
     # Random part: full end-to-end checks.
     for trial in range(1000):
-        rng = _trial_rng(seed, f"embed:{trial}")
+        rng = trial_rng("suite", seed, "embed", trial)
         n = rng.randint(1, 6)
         m = rng.randint(1, 5)
         inst = Instance(
@@ -240,12 +226,12 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
         )
         e = random_execution(rng, inst)
         trace = validate(inst, e)
-        seq = simulation_embedding(inst, e)
+        blocks = embedding_blocks(inst, e)
+        seq = [k for block, _, _, _ in blocks for k in block]
         if not _is_subsequence(inst.requests, seq):
             return _result("embedding", start, False, f"subsequence violated on trial {trial}")
-        costs = embedding_block_costs(inst, e)
-        total = sum(c for c, _, _ in costs)
-        if total > 80 * trace.cost or any(mp > 4 for _, _, mp in costs):
+        total = sum(cost for _, cost, _, _ in blocks)
+        if total > 80 * trace.cost or any(maxpath > 4 for _, _, _, maxpath in blocks):
             return _result("embedding", start, False, f"cost/path violated on trial {trial}")
     return _result(
         "embedding", start, True,
@@ -324,7 +310,7 @@ def suite_wilber_equivalence(seed: int = 0, **_: object) -> SuiteResult:
                         "wilber-equivalence", start, False, f"mismatch on {x_seq}"
                     )
     for trial in range(10_000):
-        rng = _trial_rng(seed, f"weq:{trial}")
+        rng = trial_rng("suite", seed, "weq", trial)
         m = rng.randint(1, 12)
         keys = rng.randint(1, 8)
         x_seq = tuple(rng.randint(1, keys) for _ in range(m))
@@ -359,7 +345,7 @@ def suite_lambda_opt(seed: int = 0, **_: object) -> SuiteResult:
                         )
                     worst = max(worst, lam / best)
     for trial in range(200):
-        rng = _trial_rng(seed, f"lamopt:{trial}")
+        rng = trial_rng("suite", seed, "lamopt", trial)
         inst = Instance(
             tuple(rng.randint(1, 5) for _ in range(4)), random_tree(5, rng)
         )
@@ -397,7 +383,7 @@ def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
                         "remove-one", start, False, f"{shape_print(t)} x={x} Z={z_seq}"
                     )
     for trial in range(10_000):
-        rng = _trial_rng(seed, f"rmone:{trial}")
+        rng = trial_rng("suite", seed, "rmone", trial)
         n = rng.randint(1, 10)
         t = random_tree(n, rng)
         x = rng.randint(1, n)
@@ -445,7 +431,7 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> SuiteResult:
                             f"{shape_print(t)} {x_seq} -> {sub}",
                         )
     for trial in range(10_000):
-        rng = _trial_rng(seed, f"wmono:{trial}")
+        rng = trial_rng("suite", seed, "wmono", trial)
         n = rng.randint(1, 8)
         t = random_tree(n, rng)
         m = rng.randint(1, 6)
@@ -481,7 +467,7 @@ def suite_window(seed: int = 0, **_: object) -> SuiteResult:
                         if not ok:
                             return _result("window", start, False, msg)
     for trial in range(1000):
-        rng = _trial_rng(seed, f"window:{trial}")
+        rng = trial_rng("suite", seed, "window", trial)
         n = rng.randint(2, 8)
         t = random_tree(n, rng)
         x = rng.randint(1, n)
@@ -523,10 +509,8 @@ def _window_run(t: Node, x: int, z_seq: tuple[int, ...]) -> tuple[bool, int, str
 
 def suite_repetition(seed: int = 0, **_: object) -> SuiteResult:
     start = time.time()
-    from .transforms import augmented_repeat
-
     for trial in range(100):
-        rng = _trial_rng(seed, f"rep:{trial}")
+        rng = trial_rng("suite", seed, "rep", trial)
         n = rng.randint(4, 32)
         m = rng.randint(1, 16)
         k = rng.randint(1, 5)
@@ -545,7 +529,7 @@ def suite_repetition(seed: int = 0, **_: object) -> SuiteResult:
         if unit_cost < access_cost(inst.initial, inst.requests, "splay"):
             return _result("repetition", start, False, f"trial {trial}: unit below base")
     # Oracle-scale inequality for the repeated augmented sequence.
-    rng = _trial_rng(seed, "rep:oracle")
+    rng = trial_rng("suite", seed, "rep", "oracle")
     inst = Instance((rng.randint(1, 4), rng.randint(1, 4)), random_tree(4, rng))
     k = 2
     repeated = augmented_repeat(inst, k)
@@ -605,7 +589,7 @@ def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
                         if not ok:
                             return _result("rotation-model", start, False, msg)
     for trial in range(1000):
-        rng = _trial_rng(seed, f"rot:{trial}")
+        rng = trial_rng("suite", seed, "rot", trial)
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
         inst = Instance(
@@ -627,8 +611,6 @@ def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
                     break
                 kk = rng.choice(keys)
                 rots.append(kk)
-                from .tree import rotate
-
                 t2 = rotate(t2, kk)
             racc.append(RotationAccess(tuple(rots)))
         r = RotationExecution(tuple(racc))
@@ -685,7 +667,7 @@ def suite_topdown(seed: int = 0, **_: object) -> SuiteResult:
         pass
     worst = 0.0
     for trial in range(200):
-        rng = _trial_rng(seed, f"tds:{trial}")
+        rng = trial_rng("suite", seed, "tds", trial)
         n = rng.randint(4, 8)
         m = rng.randint(1, 4)
         inst = Instance(
@@ -702,12 +684,10 @@ def suite_topdown(seed: int = 0, **_: object) -> SuiteResult:
             cost += depth(t, k) + 1
             t, _ = top_down_splay(t, k)
         keys = sorted(tree_keys(inst.initial))
-        a, b, z = keys[0], keys[1], keys[-1]
+        b, z = keys[1], keys[-1]
         if not (t.key == z and t.left is not None and t.left.key == b):
             return _result("topdown", start, False, f"frame broken on trial {trial}")
-        from .transforms import _strip_frame
-
-        if t.left.right != _strip_frame(trace.final_tree, a, b, z):
+        if t.left.right != _strip_frame(trace.final_tree):
             return _result("topdown", start, False, f"final shape mismatch on trial {trial}")
         ratio = cost / (trace.cost + inst.n)
         worst = max(worst, ratio)
@@ -727,7 +707,7 @@ def suite_universal(seed: int = 0, **_: object) -> SuiteResult:
     start = time.time()
     for qsize in (5, 7, 9):
         for trial in range(100):
-            rng = _trial_rng(seed, f"uni:{qsize}:{trial}")
+            rng = trial_rng("suite", seed, "uni", qsize, trial)
             n = rng.randint(qsize, 200)
             universe = rng.sample(range(1, 401), n)
             q_keys = sorted(rng.sample(universe, qsize))

@@ -16,14 +16,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algorithms import ALGORITHMS, move_to_root, splay, top_down_splay
+from .algorithms import ALGORITHMS, access_cost, move_to_root, run_accesses, splay, top_down_splay
 from .model import Execution, Instance, _closure_both, validate
 from .tree import (
+    InvariantError,
     Node,
     Tree,
     all_shapes,
     canonical_relabel,
-    contains,
+    frontier,
+    is_right_spine,
     left_spine_tree,
     path_nodes,
     relabel,
@@ -124,24 +126,23 @@ def _bfs(g: TransitionDigraph, src: int) -> tuple[list[int], list[Optional[tuple
     return dist, back
 
 
-def diameter(g: TransitionDigraph) -> int:
-    worst = 0
-    for src in range(len(g.vertices)):
-        dist, _ = _bfs(g, src)
-        if min(dist) < 0:
-            raise TransformUnreachableError(
-                f"digraph for {g.algo} on {g.n} keys is not strongly connected"
-            )
-        worst = max(worst, max(dist))
-    return worst
-
-
 def eccentricities(g: TransitionDigraph) -> list[int]:
+    """Each vertex's eccentricity, or -1 when some vertex is unreachable."""
     out = []
     for src in range(len(g.vertices)):
         dist, _ = _bfs(g, src)
         out.append(max(dist) if min(dist) >= 0 else -1)
     return out
+
+
+def diameter(g: TransitionDigraph, eccs: Optional[list[int]] = None) -> int:
+    """The largest eccentricity; pass ``eccs`` when they are already known."""
+    eccs = eccentricities(g) if eccs is None else eccs
+    if min(eccs) < 0:
+        raise TransformUnreachableError(
+            f"digraph for {g.algo} on {g.n} keys is not strongly connected"
+        )
+    return max(eccs)
 
 
 def shortest_path(g: TransitionDigraph, s: Node, t: Node) -> tuple[int, ...]:
@@ -185,8 +186,6 @@ def flatten_restricted(t: Node) -> list[tuple[int, int]]:
     once, and a key is lift-rotated only while it is a right child, which
     stops being true after its first lift.
     """
-    from .tree import is_right_spine
-
     if is_right_spine(t):
         return []
     rots: list[tuple[int, int]] = []
@@ -229,22 +228,64 @@ def _g4_paths() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
     return table
 
 
-def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...], int]:
-    """Splay keys inside a four-node top window to enact one restricted
-    rotation; returns the new tree, the splayed keys, and the splay cost."""
-    window_keys = _grow_keys(t, frozenset(n.key for n in path_nodes(t, key)), 4)
-    window = root_subtree(t, window_keys)
-    target = rotate(window, key)
+def _g4_block(window: Node, target: Node) -> tuple[int, ...]:
+    """Keys of a shortest splay walk turning the four-node ``window`` into
+    ``target``, an arrangement of the same keys."""
     canon_window, mapping = canonical_relabel(window)
     canon_target = relabel(target, mapping)
-    path = _g4_paths()[(shape_key(canon_window), shape_key(canon_target))]
     inverse = {v: k for k, v in mapping.items()}
-    cost = 0
-    for canon_key in path:
-        real = inverse[canon_key]
-        cost += len(path_nodes(t, real))
-        t, _ = splay(t, real)
-    return t, tuple(inverse[k] for k in path), cost
+    path = _g4_paths()[(shape_key(canon_window), shape_key(canon_target))]
+    return tuple(inverse[k] for k in path)
+
+
+def _splay_keys(t: Node, keys: Iterable[int]) -> tuple[Node, list[int]]:
+    """Splay each key in turn; returns the final tree and each splay's cost
+    (the nodes on its access path)."""
+    t, records = run_accesses(t, keys, "splay")
+    return t, [record.cost for record in records]
+
+
+def _grow_keys(t: Node, keys: Iterable[int]) -> tuple[int, ...]:
+    """Grow a root-connected key set to the topmost window of four nodes (or
+    the whole tree), shallowest child first, ties broken toward the root's
+    left spine."""
+    selected = set(keys)
+    left_spine = set()
+    node: Tree = t
+    while node is not None:
+        left_spine.add(node.key)
+        node = node.left
+    while len(selected) < 4:
+        candidates = [(d, 0 if k in left_spine else 1, k) for d, k in frontier(t, selected)]
+        if not candidates:
+            break
+        selected.add(min(candidates)[2])
+    return tuple(sorted(selected))
+
+
+def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...], list[int]]:
+    """Splay keys inside a four-node top window to enact one restricted
+    rotation; returns the new tree, the splayed keys, and each splay's cost."""
+    window = root_subtree(t, _grow_keys(t, (n.key for n in path_nodes(t, key))))
+    block = _g4_block(window, rotate(window, key))
+    t, costs = _splay_keys(t, block)
+    return t, block, costs
+
+
+def _realize_script(t: Node, script: Iterable[int]) -> tuple[Node, list[int], list[int]]:
+    """Realize restricted rotations one after another, checking that each
+    window walk enacts exactly its rotation; returns the final tree, the
+    splayed keys, and each splay's cost."""
+    keys: list[int] = []
+    costs: list[int] = []
+    for rot in script:
+        expect = rotate(t, rot)
+        t, block, block_costs = realize_restricted_rotation(t, rot)
+        if t != expect:
+            raise InvariantError("window realization must enact exactly the rotation")
+        keys.extend(block)
+        costs.extend(block_costs)
+    return t, keys, costs
 
 
 @dataclass(frozen=True)
@@ -255,10 +296,6 @@ class TransformPlan:
     keys: tuple[int, ...]
     cost: int  # measured cost of replaying the keys
     rotation_count: int  # restricted rotations realized (0 for small trees)
-
-    @property
-    def cost_bound(self) -> int:
-        return 80 * size(self.source)
 
 
 def replay(plan: TransformPlan) -> Node:
@@ -278,81 +315,54 @@ def transform_sequence(source: Node, target: Node, algo: str = "splay") -> Trans
     if source == target:
         return TransformPlan(source, target, algo, (source.key,), 1, 0)
     if n < 4 or algo != "splay":
-        g = build_digraph(n, algo)
-        keys = shortest_path(g, source, target)
-        cost = _replay_cost(source, keys, algo)
-        return TransformPlan(source, target, algo, keys, cost, 0)
+        keys = shortest_path(build_digraph(n, algo), source, target)
+        return TransformPlan(source, target, algo, keys, access_cost(source, keys, algo), 0)
     script = restricted_rotation_script(source, target)
-    t = source
-    keys: list[int] = []
-    cost = 0
-    for rot in script:
-        expect = rotate(t, rot)
-        t, block, block_cost = realize_restricted_rotation(t, rot)
-        assert t == expect, "window realization must enact exactly the rotation"
-        keys.extend(block)
-        cost += block_cost
-    assert t == target
-    return TransformPlan(source, target, "splay", tuple(keys), cost, len(script))
-
-
-def _replay_cost(t: Node, keys: Iterable[int], algo: str) -> int:
-    fn = ALGORITHMS[algo]
-    cost = 0
-    for k in keys:
-        cost += len(path_nodes(t, k))
-        t, _ = fn(t, k)
-    return cost
+    t, keys, costs = _realize_script(source, script)
+    if t != target:
+        raise InvariantError("the rotation script must reach the target")
+    return TransformPlan(source, target, "splay", tuple(keys), sum(costs), len(script))
 
 
 # ---------------------------------------------------------------------------
 # Simulation embedding for Splay.
 
 
-def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[int, ...]]:
-    """Per-access key blocks of the simulation embedding.
+def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[tuple[int, ...], int, int, int]]:
+    """Per-access (keys, splay cost, transition size, longest splay path)
+    of the simulation embedding; the costs come from the splays that check
+    each block lands on the access's after-tree.
 
     Trees of at most three keys are served directly by the requests
-    themselves: each splay costs at most the tree size, which is within the
-    constant budget, and no transformation bookkeeping is needed.  Otherwise
-    an access whose transition keeps its subtree's arrangement costs one
-    splay of the root; a transition of at most four keys is enacted by one
-    shortest splay walk of a four-node window; larger transitions go through
-    restricted rotations.
+    themselves, splayed one after another: each splay costs at most the tree
+    size, which is within the constant budget, and no transformation
+    bookkeeping is needed.  Otherwise an access whose transition keeps its
+    subtree's arrangement costs one splay of the root; a transition of at
+    most four keys is enacted by one shortest splay walk of a four-node
+    window; larger transitions go through restricted rotations.
     """
     trace = validate(inst, e)
-    if inst.n <= 3:
-        return [(x,) for x in inst.requests]
-    blocks: list[tuple[int, ...]] = []
+    blocks: list[tuple[tuple[int, ...], int, int, int]] = []
     t = inst.initial
     for step in trace.steps:
         q, q_prime, x = step.subtree, step.transition, step.requested
-        if q == q_prime:
+        qsize = size(q)
+        if inst.n <= 3 or q == q_prime:
             block: tuple[int, ...] = (x,)
-            landed, _ = splay(t, x)
-        elif size(q) <= 4:
-            window_keys = _grow_keys(t, tree_keys(q), 4)
-            window = root_subtree(t, window_keys)
-            target = root_subtree(step.after, window_keys)
-            canon_window, mapping = canonical_relabel(window)
-            canon_target = relabel(target, mapping)
-            inverse = {v: k for k, v in mapping.items()}
-            path = _g4_paths()[(shape_key(canon_window), shape_key(canon_target))]
-            block = tuple(inverse[k] for k in path)
-            landed = t
-            for k in block:
-                landed, _ = splay(landed, k)
+            landed, costs = _splay_keys(t, block)
+        elif qsize <= 4:
+            window_keys = _grow_keys(t, tree_keys(q))
+            block = _g4_block(root_subtree(t, window_keys), root_subtree(step.after, window_keys))
+            landed, costs = _splay_keys(t, block)
         else:
-            keys: list[int] = []
-            landed = t
-            for rot in restricted_rotation_script(q, q_prime):
-                landed, splayed, _ = realize_restricted_rotation(landed, rot)
-                keys.extend(splayed)
+            landed, keys, costs = _realize_script(t, restricted_rotation_script(q, q_prime))
             block = tuple(keys)
-        assert block and block[-1] == x, "every block finishes at the request"
-        assert landed == step.after, "block must land exactly on the after-tree"
-        blocks.append(block)
-        t = step.after
+        if not block or block[-1] != x:
+            raise InvariantError("every block finishes at the request")
+        if inst.n > 3 and landed != step.after:
+            raise InvariantError("block must land exactly on the after-tree")
+        blocks.append((block, sum(costs), qsize, max(costs)))
+        t = landed
     return blocks
 
 
@@ -360,56 +370,7 @@ def simulation_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
     """Request sequence driving Splay through the execution's subtree
     substitutions; the original requests appear in order as a subsequence,
     and the splay cost stays within a constant factor of the execution's."""
-    return tuple(k for block in embedding_blocks(inst, e) for k in block)
-
-
-def _grow_keys(t: Node, keys: frozenset[int], target_size: int) -> tuple[int, ...]:
-    """Grow a root-connected key set to the topmost window of
-    ``target_size`` nodes (or the whole tree), shallowest child first, ties
-    broken toward the root's left spine."""
-    selected = set(keys)
-    left_spine = set()
-    node: Tree = t
-    while node is not None:
-        left_spine.add(node.key)
-        node = node.left
-    while len(selected) < target_size:
-        candidates = []
-        stack = [(t, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.key in selected:
-                for child in (node.left, node.right):
-                    if child is not None:
-                        if child.key in selected:
-                            stack.append((child, d + 1))
-                        else:
-                            candidates.append(
-                                (d + 1, 0 if child.key in left_spine else 1, child.key)
-                            )
-        if not candidates:
-            break
-        selected.add(min(candidates)[2])
-    return tuple(sorted(selected))
-
-
-def embedding_block_costs(inst: Instance, e: Execution) -> list[tuple[int, int, int]]:
-    """Per-access (block splay cost, transition size, max path nodes) for a
-    simulation; exposed for the acceptance checks."""
-    trace = validate(inst, e)
-    blocks = embedding_blocks(inst, e)
-    out: list[tuple[int, int, int]] = []
-    t: Tree = inst.initial
-    for step, block in zip(trace.steps, blocks):
-        cost = 0
-        maxpath = 0
-        for k in block:
-            d = len(path_nodes(t, k))
-            cost += d
-            maxpath = max(maxpath, d)
-            t, _ = splay(t, k)
-        out.append((cost, size(step.transition), maxpath))
-    return out
+    return tuple(k for block, _, _, _ in embedding_blocks(inst, e) for k in block)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +435,8 @@ def _run_both(t: Node, keys: Sequence[int]) -> Node:
     for k in keys:
         s, _ = splay(s, k)
         m, _ = move_to_root(m, k)
-    assert s == m, "sequence must drive Splay and Move-to-Root identically"
+    if s != m:
+        raise InvariantError("sequence must drive Splay and Move-to-Root identically")
     return s
 
 
@@ -492,7 +454,8 @@ def _simultaneous_table() -> dict[tuple[int, ...], tuple[int, ...]]:
         table[shape_key(_run_both(left, seq))] = seq
         mirrored = right_route + tuple(_MIRROR[k] for k in seq)
         table[shape_key(_run_both(left, mirrored))] = mirrored
-    assert len(table) == 14, "all four-node shapes must be covered"
+    if len(table) != 14:
+        raise InvariantError("all four-node shapes must be covered")
     return table
 
 
@@ -512,25 +475,32 @@ def simultaneous_transform4(source: Node, target: Node) -> tuple[int, ...]:
 # Simulation embedding for Top-Down Splay.
 
 
-def _strip_frame(t: Node, a: int, b: int, z: int) -> Tree:
+def _strip_frame(t: Node) -> Node:
     """Remove the minimum, its successor, and the maximum, splicing each
     removed node's inner subtree into its parent."""
+    out: Tree = t
+    for leftmost in (True, True, False):
+        if out is None:
+            break
+        out = _drop_extreme(out, leftmost)
+    if out is None:
+        raise InvariantError("the frame needs keys besides its three")
+    return out
 
-    def remove_min(node: Node) -> Tree:
-        if node.left is None:
-            return node.right
-        return Node(node.key, remove_min(node.left), node.right)
 
-    def remove_max(node: Node) -> Tree:
-        if node.right is None:
-            return node.left
-        return Node(node.key, node.left, remove_max(node.right))
-
-    out = remove_min(t)  # drops a
-    assert out is not None
-    out = remove_min(out)  # drops b, the new minimum
-    assert out is not None
-    return remove_max(out)  # drops z
+def _drop_extreme(t: Node, leftmost: bool) -> Tree:
+    """``t`` without its minimum (or maximum), whose inner subtree takes its
+    place; rebuilds the outer spine bottom-up."""
+    spine = []
+    child = t.left if leftmost else t.right
+    while child is not None:
+        spine.append(t)
+        t = child
+        child = t.left if leftmost else t.right
+    out = t.right if leftmost else t.left
+    for p in reversed(spine):
+        out = Node(p.key, out, p.right) if leftmost else Node(p.key, p.left, out)
+    return out
 
 
 def _frame_tree(core: Tree, a: int, b: int, z: int) -> Node:
@@ -541,10 +511,10 @@ def _framed_rotation_keys(core: Node, rot_key: int, a: int, z: int) -> tuple[int
     """Top-down-splay keys inducing one restricted rotation inside the
     framed subtree: root children use (key, a, z); grandchildren through the
     left child use (a, key, a, z)."""
-    path = path_nodes(core, rot_key)
-    if len(path) == 2:
+    if not is_restricted_rotation(core, rot_key):
+        raise InvariantError(f"rotation at {rot_key} is not restricted")
+    if len(path_nodes(core, rot_key)) == 2:
         return (rot_key, a, z)
-    assert len(path) == 3 and path[1] is path[0].left
     return (a, rot_key, a, z)
 
 
@@ -576,9 +546,9 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
     for k in (z, b, a, z):
         out.append(k)
         t, _ = top_down_splay(t, k)
-    assert t.key == z and t.left is not None and t.left.key == b
+    if not (t.key == z and t.left is not None and t.left.key == b and t.left.right is not None):
+        raise InvariantError("the opening accesses must pin the frame above the other keys")
     core = t.left.right  # framed subtree holding every other key
-    assert core is not None
 
     def run_script(core_now: Node, core_target: Node, touched: Iterable[int]) -> Node:
         # Transform only the top region the substitution moved; restricted
@@ -596,21 +566,21 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
                 out.append(k)
                 t, _ = top_down_splay(t, k)
             core_now = expect
-            assert t == _frame_tree(core_now, a, b, z)
-        assert core_now == core_target
+            if t != _frame_tree(core_now, a, b, z):
+                raise InvariantError("an induced rotation must keep the frame")
+        if core_now != core_target:
+            raise InvariantError("the rotation script must reach the target core")
         return core_now
 
-    target0 = _strip_frame(inst.initial, a, b, z)
-    assert target0 is not None
-    core = run_script(core, target0, tree_keys(core))
+    core = run_script(core, _strip_frame(inst.initial), tree_keys(core))
     for step in trace.steps:
-        target_core = _strip_frame(step.after, a, b, z)
-        assert target_core is not None
+        target_core = _strip_frame(step.after)
         touched = tree_keys(step.transition) - {a, b, z}
         core = run_script(core, target_core, touched or {core.key})
         for k in _maneuver(step.requested, a, b, z):
             out.append(k)
             t, _ = top_down_splay(t, k)
-        assert t == _frame_tree(core, a, b, z), "maneuver must preserve the frame"
+        if t != _frame_tree(core, a, b, z):
+            raise InvariantError("maneuver must preserve the frame")
     return tuple(out)
 

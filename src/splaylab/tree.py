@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 
 class KeyAbsentError(KeyError):
@@ -350,6 +350,24 @@ def _root_walk(t: Tree, want: AbstractSet[int]) -> tuple[list[Node], list[Tree]]
     return pre, slots
 
 
+def frontier(t: Node, keys: AbstractSet[int]) -> list[tuple[int, int]]:
+    """(depth, key) of each child hanging off the root subtree of ``t`` on
+    ``keys``, which must be connected and hold the root, in the order a
+    stack walk meets them: the children of each popped node left to right,
+    inner nodes popped right subtree first."""
+    out = []
+    stack = [(t, 0)]
+    while stack:
+        node, d = stack.pop()
+        for child in (node.left, node.right):
+            if child is not None:
+                if child.key in keys:
+                    stack.append((child, d + 1))
+                else:
+                    out.append((d + 1, child.key))
+    return out
+
+
 def catalan(n: int) -> int:
     c = 1
     for i in range(n):
@@ -476,24 +494,28 @@ def parse_shape(text: str) -> Tree:
 def canonical_relabel(t: Tree) -> tuple[Tree, dict[int, int]]:
     """Relabel keys to 1..n preserving symmetric order.  Returns the new tree
     and the map from original keys to canonical ones."""
-    ordered = sorted(tree_keys(t))
-    to_canonical = {k: i + 1 for i, k in enumerate(ordered)}
-
-    def rebuild(node: Tree) -> Tree:
-        if node is None:
-            return None
-        return Node(to_canonical[node.key], rebuild(node.left), rebuild(node.right))
-
-    return rebuild(t), to_canonical
+    to_canonical = {k: i + 1 for i, k in enumerate(sorted(tree_keys(t)))}
+    return relabel(t, to_canonical), to_canonical
 
 
-def relabel(t: Tree, mapping: dict[int, int]) -> Tree:
-    def rebuild(node: Tree) -> Tree:
-        if node is None:
-            return None
-        return Node(mapping[node.key], rebuild(node.left), rebuild(node.right))
-
-    return rebuild(t)
+def relabel(t: Tree, mapping: Mapping[int, int]) -> Tree:
+    """The same arrangement with every key ``k`` replaced by ``mapping[k]``."""
+    pre: list[Node] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None:
+            pre.append(node)
+            stack.append(node.right)
+            stack.append(node.left)
+    # Reversed preorder finishes every subtree before its parent, so the
+    # stack holds the left child's copy on top of the right child's.
+    built: list[Node] = []
+    for node in reversed(pre):
+        left = built.pop() if node.left is not None else None
+        right = built.pop() if node.right is not None else None
+        built.append(Node(mapping[node.key], left, right))
+    return built[0] if built else None
 
 
 def child_pointer_diff(a: Tree, b: Tree) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from splaylab.cli import main
 from splaylab.families import UnknownFamilyError, generate
+from splaylab import probes
 from splaylab.probes import UnknownConjectureError, probe
 from splaylab.tree import left_spine_tree, preorder, size
 
@@ -73,6 +74,13 @@ class TestProbes:
         report = probe("deque-linear", trials=2, n=50, m=100, seed=1)
         assert "ratio" in report.aggregates
         assert report.aggregates["ratio"]["max"] > 0
+
+    def test_deque_on_a_deep_spine(self, monkeypatch):
+        # The probe seats its initial keys mid-range; a spine far deeper
+        # than the recursion limit must survive the shift.
+        monkeypatch.setattr(probes, "random_tree", lambda n, rng: left_spine_tree(range(1, n + 1)))
+        report = probe("deque-linear", trials=1, n=20_000, m=5, seed=0)
+        assert report.rows[0][:3] == (0, 20_000, 5)
 
     def test_unknown_conjecture(self):
         with pytest.raises(UnknownConjectureError):

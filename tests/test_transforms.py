@@ -9,10 +9,11 @@ from splaylab.model import Execution, Instance, smallest_root_subtree, validate
 from splaylab.suites import _is_subsequence
 from splaylab.transforms import (
     TransformUnreachableError,
+    _strip_frame,
     augmented_repeat,
     build_digraph,
     diameter,
-    embedding_block_costs,
+    embedding_blocks,
     flatten_restricted,
     is_restricted_rotation,
     realize_restricted_rotation,
@@ -32,6 +33,8 @@ from splaylab.tree import (
     is_right_spine,
     left_spine_tree,
     parse_shape,
+    path_nodes,
+    right_spine_tree,
     rotate,
     shape_print,
     shapes_on_keys,
@@ -120,10 +123,10 @@ class TestRealizeRotation:
             if t.right is not None:
                 candidates.append(t.right.key)
             key = rng.choice(candidates)
-            out, keys, cost = realize_restricted_rotation(t, key)
+            out, keys, costs = realize_restricted_rotation(t, key)
             assert out == rotate(t, key)
             assert len(keys) <= 5
-            assert cost <= 20
+            assert sum(costs) <= 20
 
 
 class TestTransformSequence:
@@ -141,6 +144,7 @@ class TestTransformSequence:
                     plan = transform_sequence(s, t)
                     assert replay(plan) == t
                     assert plan.cost <= 80 * n
+                    assert plan.cost == access_cost(s, plan.keys)
 
     def test_sampled_six_node_pairs(self, rng):
         # The full 17424-pair sweep also passes but takes too long for the
@@ -151,6 +155,7 @@ class TestTransformSequence:
             plan = transform_sequence(s, t)
             assert replay(plan) == t
             assert plan.cost <= 80 * 6
+            assert plan.cost == access_cost(s, plan.keys)
 
     def test_three_node_unreachable_pairs_raise(self):
         spine = left_spine_tree([1, 2, 3])
@@ -164,10 +169,28 @@ class TestTransformSequence:
             for t in shapes:
                 plan = transform_sequence(s, t, algo="mtr")
                 assert replay(plan) == t
+                assert plan.cost == access_cost(s, plan.keys, "mtr")
 
     def test_key_set_mismatch(self):
         with pytest.raises(ValueError):
             transform_sequence(bst_from_sequence([1, 2]), bst_from_sequence([2, 3]))
+
+
+def _replayed_block_costs(inst, e):
+    """Reference: replay the embedding's blocks from the initial tree and
+    measure (splay cost, transition size, longest splay path) per access."""
+    trace = validate(inst, e)
+    out = []
+    t = inst.initial
+    for step, (block, _, _, _) in zip(trace.steps, embedding_blocks(inst, e)):
+        cost = maxpath = 0
+        for k in block:
+            d = len(path_nodes(t, k))
+            cost += d
+            maxpath = max(maxpath, d)
+            t, _ = splay(t, k)
+        out.append((cost, size(step.transition), maxpath))
+    return out
 
 
 class TestSimulationEmbedding:
@@ -184,9 +207,18 @@ class TestSimulationEmbedding:
             trace = validate(inst, e)
             seq = simulation_embedding(inst, e)
             assert _is_subsequence(inst.requests, seq)
-            costs = embedding_block_costs(inst, e)
-            assert sum(c for c, _, _ in costs) <= 80 * trace.cost
-            assert all(mp <= 4 for _, _, mp in costs)
+            blocks = embedding_blocks(inst, e)
+            assert sum(cost for _, cost, _, _ in blocks) <= 80 * trace.cost
+            assert all(maxpath <= 4 for _, _, _, maxpath in blocks)
+
+    def test_one_pass_costs_match_replay(self, rng):
+        for _ in range(300):
+            inst = make_random_instance(rng, rng.randint(1, 7), rng.randint(1, 5))
+            e = make_random_execution(rng, inst)
+            blocks = embedding_blocks(inst, e)
+            assert [b[1:] for b in blocks] == _replayed_block_costs(inst, e)
+            keys = [k for block, _, _, _ in blocks for k in block]
+            assert sum(cost for _, cost, _, _ in blocks) == access_cost(inst.initial, keys)
 
 
 class TestAugmentedRepeat:
@@ -299,6 +331,13 @@ class TestTopDownEmbedding:
             assert t.key == keys[-1]
             assert t.left is not None and t.left.key == keys[1]
             assert t.left.left is not None and t.left.left.key == keys[0]
+
+
+    def test_strip_frame_on_deep_spines(self):
+        # Spines far deeper than the recursion limit.
+        n = 20_000
+        assert _strip_frame(left_spine_tree(range(1, n + 1))) == left_spine_tree(range(3, n))
+        assert _strip_frame(right_spine_tree(range(1, n + 1))) == right_spine_tree(range(3, n))
 
 
 class TestMoveToRootNonMonotone:

@@ -24,10 +24,12 @@ from splaylab.tree import (
     hanging_subtrees,
     insert_leaf,
     left_spine_tree,
+    frontier,
     parse_shape,
     path_encoding,
     postorder,
     preorder,
+    relabel,
     right_spine_tree,
     root_subtree,
     rotate,
@@ -355,18 +357,42 @@ class TestRelabel:
         assert preorder(canon) == (2, 1, 3)
         assert mapping == {7: 1, 20: 2, 93: 3}
 
+    def test_relabel_keeps_the_arrangement(self):
+        for n in range(0, 6):
+            for t in all_shapes(n):
+                shifted = relabel(t, {k: 10 * k for k in range(1, n + 1)})
+                assert preorder(shifted) == tuple(10 * k for k in preorder(t))
+                assert canonical_relabel(shifted)[0] == t
+
+    def test_deep_spines(self):
+        # Spines far deeper than the recursion limit.
+        n = 20_000
+        spine = left_spine_tree(range(1, n + 1))
+        shifted = relabel(spine, {k: k + 5 for k in range(1, n + 1)})
+        assert shifted == left_spine_tree(range(6, n + 6))
+        assert canonical_relabel(shifted) == (spine, {k + 5: k for k in range(1, n + 1)})
+
+
+class TestFrontier:
+    def test_children_hanging_off_the_key_set(self):
+        t = parse_shape("(4 (2 (1 . .) (3 . .)) (6 (5 . .) (7 . .)))")
+        assert frontier(t, {4}) == [(1, 2), (1, 6)]
+        assert frontier(t, {4, 2, 6}) == [(2, 5), (2, 7), (2, 1), (2, 3)]
+        assert frontier(t, {4, 2, 1, 3, 6, 5, 7}) == []
+
 
 def test_duplicate_insert_rejected():
     with pytest.raises(DuplicateKeyError):
         insert_leaf(bst_from_sequence([1]), 1)
 
 
-@pytest.mark.parametrize(
-    "module", ["tree.py", "model.py", "opt.py", "algorithms.py", "wilber.py", "families.py"]
-)
+SOURCES = Path(__file__).resolve().parents[1] / "src" / "splaylab"
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCES.glob("*.py")))
 def test_no_bare_asserts(module):
-    # Invariants of these modules must hold under ``python -O`` too.
-    path = Path(__file__).resolve().parents[1] / "src" / "splaylab" / module
+    # Invariants must hold under ``python -O`` too.
+    path = SOURCES / module
     found = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == [], f"assert statements in {module} at lines {found}"
