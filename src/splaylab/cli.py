@@ -16,15 +16,35 @@ from pathlib import Path
 from . import __version__
 from .algorithms import ALGORITHMS, run_accesses
 from .families import FAMILY_NAMES, UnknownFamilyError, generate
-from .model import format_instance, parse_instance
+from .model import Instance, format_instance, parse_instance
 from .opt import GuardExceededError, opt_cost
 from .probes import PROBE_NAMES, UnknownConjectureError, probe
 from .suites import run_suite
 from .transforms import build_digraph, diameter, eccentricities, strongly_connected
-from .tree import shape_print
+from .tree import KeyAbsentError, shape_print
 from .wilber import crossing_bound, sequence_crossing_bound, splay_bookkeeping_cost
 
 REPORT_COLUMNS = ("cost", "lambda", "lambda2", "zeta", "opt")
+
+
+class UsageError(Exception):
+    """Bad input from the command line; reported on one line, exit code 2."""
+
+
+def read_instance(path: str) -> Instance:
+    """The instance in file ``path``, for ``run``, ``lambda-report`` and
+    ``opt-report``; a missing or malformed file is a usage error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
+        raise UsageError(f"cannot read instance file: {err}") from err
+    try:
+        inst, _ = parse_instance(text)
+    except KeyAbsentError as err:
+        raise UsageError(f"{path}: requested keys {err.args[0]} are not in the tree") from err
+    except ValueError as err:
+        raise UsageError(f"{path}: {err}") from err
+    return inst
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown report columns: {unknown}", file=sys.stderr)
         return 2
-    text = Path(args.instance).read_text()
-    inst, _ = parse_instance(text)
+    inst = read_instance(args.instance)
     _, records = run_accesses(inst.initial, inst.requests, args.algo)
     # Lambda is Move-to-Root's crossing cost and zeta Splay's bookkeeping
     # cost, so the records already hold them when the algorithm matches.
@@ -174,9 +193,9 @@ def cmd_gn(args: argparse.Namespace) -> int:
 
 
 def cmd_lambda_report(args: argparse.Namespace) -> int:
+    instances = [(path, read_instance(path)) for path in args.instances]
     print("instance,m,n,cost_splay,lambda,lambda_prime,zeta,opt")
-    for path in args.instances:
-        inst, _ = parse_instance(Path(path).read_text())
+    for path, inst in instances:
         _, records = run_accesses(inst.initial, inst.requests, "splay")
         cost = sum(r.cost for r in records)
         lam_prime = sum(r.crossing for r in records)
@@ -188,9 +207,9 @@ def cmd_lambda_report(args: argparse.Namespace) -> int:
 
 
 def cmd_opt_report(args: argparse.Namespace) -> int:
+    instances = [(path, read_instance(path)) for path in args.instances]
     print("instance,m,n,opt,splay_cost,mtr_cost,lambda,splay_over_opt,lambda_over_opt")
-    for path in args.instances:
-        inst, _ = parse_instance(Path(path).read_text())
+    for path, inst in instances:
         splay_cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "splay")[1])
         _, mtr_records = run_accesses(inst.initial, inst.requests, "mtr")
         mtr_cost = sum(r.cost for r in mtr_records)
@@ -219,7 +238,11 @@ def main(argv: list[str] | None = None) -> int:
         "lambda-report": cmd_lambda_report,
         "opt-report": cmd_opt_report,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UsageError as err:
+        print(f"splaylab {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Execution, Instance, validate
+from .model import Execution, ExecutionTrace, Instance, validate
 from .tree import (
     InvariantError,
     Node,
@@ -49,6 +49,7 @@ class OptResult:
     states_expanded: int
     # States expanded before each request; sums to ``states_expanded``.
     states_per_layer: tuple[int, ...]
+    trace: ExecutionTrace  # the validated trace of ``execution``
 
 
 def _guards_overridden() -> bool:
@@ -257,7 +258,7 @@ def opt_cost(
         raise InvariantError(
             f"reconstructed execution costs {trace.cost}, not the optimum {total}"
         )
-    return OptResult(total, execution, sum(per_layer), tuple(per_layer))
+    return OptResult(total, execution, sum(per_layer), tuple(per_layer), trace)
 
 
 def initial_tree_shift(x_seq: tuple[int, ...], t: Node, t_prime: Node) -> int:

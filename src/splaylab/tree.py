@@ -463,32 +463,34 @@ def shape_print(t: Tree) -> str:
 
 
 def parse_shape(text: str) -> Tree:
-    """Inverse of :func:`shape_print`."""
+    """Inverse of :func:`shape_print`; iterative, so deep spines parse."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
-
-    def parse() -> Tree:
-        nonlocal pos
+    open_nodes: list[tuple[int, list[Tree]]] = []  # key, left subtree once parsed
+    while True:
         tok = tokens[pos]
-        if tok == ".":
+        pos += 1
+        if tok == "(":
+            open_nodes.append((int(tokens[pos]), []))
             pos += 1
-            return None
-        if tok != "(":
+            continue
+        if tok != ".":
             raise ValueError(f"unexpected token {tok!r} in shape text")
-        pos += 1
-        key = int(tokens[pos])
-        pos += 1
-        left = parse()
-        right = parse()
-        if tokens[pos] != ")":
-            raise ValueError("unbalanced parentheses in shape text")
-        pos += 1
-        return Node(key, left, right)
-
-    out = parse()
+        # A finished subtree is its parent's left child, or its right child,
+        # which finishes the parent in turn.
+        sub: Tree = None
+        while open_nodes and open_nodes[-1][1]:
+            key, (left,) = open_nodes.pop()
+            if tokens[pos] != ")":
+                raise ValueError("unbalanced parentheses in shape text")
+            pos += 1
+            sub = Node(key, left, sub)
+        if not open_nodes:
+            break
+        open_nodes[-1][1].append(sub)
     if pos != len(tokens):
         raise ValueError("trailing tokens in shape text")
-    return out
+    return sub
 
 
 def canonical_relabel(t: Tree) -> tuple[Tree, dict[int, int]]:

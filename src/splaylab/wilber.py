@@ -12,8 +12,8 @@ after-trees; it lower-bounds optimal execution cost up to a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 from .algorithms import move_to_root, splay
 from .model import Instance
@@ -261,7 +261,7 @@ def remove_one_gap(s: Node, x: int, z_seq: Sequence[int]) -> int:
 
 def augment_top(t: Node, y: int) -> Node:
     """New root ``y`` placed above ``t``; ``y`` must bound all of its keys."""
-    if y < min(tree_keys(t)):
+    if y < t.key:
         return Node(y, None, t)
     return Node(y, t, None)
 
@@ -274,14 +274,13 @@ class WindowStep:
     ``move_to_root(s, x)``.  Keys strictly inside the window (u, v) are
     arranged as one subtree in each run: zipped in the unlifted run, unzipped
     in the lifted one; everything else (the top tree) is arranged
-    identically in both.
+    identically in both.  A step keeps both runs' trees, the window bounds
+    and the four window subtrees; levels are left to the witnesses.
     """
 
     index: int
     u: float
     v: float
-    s_time: float
-    t_time: float
     s_tree: Node
     t_tree: Node
     top_keys: tuple[int, ...]
@@ -289,12 +288,16 @@ class WindowStep:
     unzipped: Tree  # K
     zipped_aug: Tree  # J+, with the attachment boundary on top
     unzipped_aug: Tree  # K+
-    delta: dict[int, int]  # level in s_tree minus level in t_tree, per key
 
 
 @dataclass(frozen=True)
 class LevelWitness:
-    """Quantities of the level-difference case analysis for one request."""
+    """Quantities of the level-difference case analysis for one request.
+
+    Everything but ``k_cur`` is read off the previous step, and each witness
+    computes only the levels its checks read: ``delta_z`` is the one level
+    difference of the request itself.
+    """
 
     index: int
     z: int
@@ -311,13 +314,7 @@ class LevelWitness:
     f: int  # z_bar gains a level in the augmented unzipped subtree
     zipped_level: int  # level of z_bar in J+
     unzipped_level: int  # level of z_bar in K+
-    delta_z: int  # measured level difference at z
-    crossing_nodes: tuple[Optional[int], ...] = ()  # w^-1 .. w^(k+1), in order
-
-    @property
-    def shrank(self) -> int:
-        """Indicator that the crossing depth decreased at this request."""
-        return int(self.k_cur < self.k_prev)
+    delta_z: int  # level of z in the previous s_tree minus in its t_tree
 
 
 def window_decompose(
@@ -326,124 +323,85 @@ def window_decompose(
     if not contains(s, x):
         raise KeyAbsentError(x)
     keys = sorted(tree_keys(s))
-    t0, _ = move_to_root(s, x)
-
+    s_tree = s
+    t_tree, _ = move_to_root(s, x)
     u: float = NEG_INF
     v: float = POS_INF
-    s_time: float = NEG_INF
-    t_time: float = NEG_INF
 
-    def make_step(i: int, s_tree: Node, t_tree: Node) -> WindowStep:
-        window = [k for k in keys if u < k < v]
-        top = tuple(k for k in keys if not (u < k < v))
+    def make_step(i: int) -> WindowStep:
+        window = frozenset(k for k in keys if u < k < v)
+        top = tuple(k for k in keys if not u < k < v)
         if not window:
-            zipped = unzipped = zip_aug = unzip_aug = None
-        elif i == 0:
-            zipped, unzipped = s_tree, t_tree
-            zip_aug, unzip_aug = s_tree, t_tree
-        else:
-            zipped, s_parent = _window_subtree(s_tree, set(window))
-            unzipped, t_parent = _window_subtree(t_tree, set(window))
-            if s_parent != t_parent:
-                raise InvariantError("window attachment boundary must agree")
-            zip_aug = augment_top(zipped, s_parent)
-            unzip_aug = augment_top(unzipped, t_parent)
-        delta = {k: level(s_tree, k) - level(t_tree, k) for k in keys}
+            return WindowStep(i, u, v, s_tree, t_tree, top, None, None, None, None)
+        zipped, s_parent = _window_subtree(s_tree, window, u, v)
+        unzipped, t_parent = _window_subtree(t_tree, window, u, v)
+        if s_parent != t_parent:
+            raise InvariantError("window attachment boundary must agree")
         return WindowStep(
-            i, u, v, s_time, t_time, s_tree, t_tree, top,
-            zipped, unzipped, zip_aug, unzip_aug, delta,
+            i, u, v, s_tree, t_tree, top, zipped, unzipped,
+            augment_top(zipped, s_parent), augment_top(unzipped, t_parent),
         )
 
-    steps = [make_step(0, s, t0)]
+    # Before any request the window holds every key and J+ = J, K+ = K.
+    steps = [WindowStep(0, u, v, s_tree, t_tree, (), s_tree, t_tree, s_tree, t_tree)]
     witnesses: list[LevelWitness] = []
-    s_tree, t_tree = s, t0
+    k_prev = level(s_tree, x)
     for i, z in enumerate(z_seq, start=1):
-        wit = _witness(steps[-1], x, z, i)
         if u <= z <= x:
-            u, s_time = z, i
+            u = z
         if x <= z <= v:
-            v, t_time = z, i
+            v = z
         s_tree, _ = move_to_root(s_tree, z)
         t_tree, _ = move_to_root(t_tree, z)
-        steps.append(make_step(i, s_tree, t_tree))
-        k_cur = level(steps[-1].zipped, x) if steps[-1].zipped is not None else 0
-        witnesses.append(replace(wit, k_cur=k_cur))
+        step = make_step(i)
+        k_cur = level(step.zipped, x) if step.zipped is not None else 0
+        witnesses.append(_witness(steps[-1], x, z, i, k_prev, k_cur))
+        steps.append(step)
+        k_prev = k_cur
     return steps, witnesses
 
 
-def _window_subtree(t: Node, window: set[int]) -> tuple[Node, int]:
+def _window_subtree(t: Node, window: frozenset[int], u: float, v: float) -> tuple[Node, int]:
     """The subtree holding exactly the window keys, plus its parent key."""
-    best: Optional[Node] = None
     parent: Optional[Node] = None
-    stack: list[tuple[Node, Optional[Node]]] = [(t, None)]
-    while stack:
-        node, par = stack.pop()
-        if node.key in window:
-            best, parent = node, par
-            break
-        if node.left is not None:
-            stack.append((node.left, node))
-        if node.right is not None:
-            stack.append((node.right, node))
-    if best is None or parent is None:
+    node: Tree = t
+    while node is not None and not u < node.key < v:
+        parent, node = node, node.right if node.key <= u else node.left
+    if node is None or parent is None:
         raise InvariantError("the window must hang below the root")
-    if size(best) != len(window) or tree_keys(best) != frozenset(window):
+    if size(node) != len(window) or tree_keys(node) != window:
         raise InvariantError("window keys must hang as one subtree")
-    return best, parent.key
+    return node, parent.key
 
 
-def generalized_path(j_aug: Node, x: int) -> Node:
-    """Access path for x with off-path subtrees dropped, x's left subtree
-    replaced by its right spine and x's right subtree by its left spine."""
-    path = path_nodes(j_aug, x)
-    x_node = path[-1]
-    left_keys = []
-    node = x_node.left
+def generalized_path_keys(path: Sequence[Node]) -> set[int]:
+    """Keys of the generalized path of the access path ``path`` to x: the
+    path itself, the right spine of x's left subtree and the left spine of
+    x's right subtree."""
+    keys = {node.key for node in path}
+    node = path[-1].left
     while node is not None:
-        left_keys.append(node.key)
+        keys.add(node.key)
         node = node.right
-    right_keys = []
-    node = x_node.right
+    node = path[-1].right
     while node is not None:
-        right_keys.append(node.key)
+        keys.add(node.key)
         node = node.left
-    core: Node = Node(
-        x, _chain(left_keys, rightward=True), _chain(right_keys, rightward=False)
-    )
-    for node in reversed(path[:-1]):
-        if node.key < x:
-            core = Node(node.key, None, core)
-        else:
-            core = Node(node.key, core, None)
-    return core
+    return keys
 
 
-def _chain(keys: Sequence[int], rightward: bool) -> Tree:
-    cur: Tree = None
-    for k in reversed(keys):
-        cur = Node(k, None, cur) if rightward else Node(k, cur, None)
-    return cur
-
-
-def _extended_crossing(prev: WindowStep, x: int) -> dict[int, Optional[int]]:
-    """Crossing nodes of x in the zipped subtree under extended indexing:
-    -1 is x, 0 the augmented root, 1..k-1 the proper crossing nodes, k the
-    same-side child of x, k+1 the other child."""
-    out: dict[int, Optional[int]] = {-1: x}
-    j = prev.zipped
-    if prev.index == 0:
-        out[0] = None
-    elif prev.zipped_aug is not None:
-        out[0] = prev.zipped_aug.key
-    if j is None:
-        return out
-    ck = crossing_keys_on_path(path_nodes(j, x))
+def _extended_crossing(prev: WindowStep, path: Sequence[Node]) -> dict[int, Optional[int]]:
+    """Crossing nodes of x in the zipped subtree, given x's access path
+    there, under extended indexing: -1 is x, 0 the augmented root, 1..k-1 the
+    proper crossing nodes, k the same-side child of x, k+1 the other child."""
+    x_node = path[-1]
+    out: dict[int, Optional[int]] = {-1: x_node.key}
+    out[0] = None if prev.index == 0 else prev.zipped_aug.key
+    ck = crossing_keys_on_path(path)
     k = len(ck)
     for idx in range(1, k):
         out[idx] = ck[idx - 1]
-    path = path_nodes(j, x)
     if len(path) >= 2:
-        x_node = path[-1]
         same_is_left = path[-2].left is x_node
         same = x_node.left if same_is_left else x_node.right
         other = x_node.right if same_is_left else x_node.left
@@ -452,72 +410,69 @@ def _extended_crossing(prev: WindowStep, x: int) -> dict[int, Optional[int]]:
     return out
 
 
-def _witness(prev: WindowStep, x: int, z: int, i: int) -> LevelWitness:
-    delta_z = prev.delta.get(z, 0)
+def _witness(
+    prev: WindowStep, x: int, z: int, i: int, k_prev: int, k_cur: int
+) -> LevelWitness:
+    delta_z = level(prev.s_tree, z) - level(prev.t_tree, z)
     first = int(i > 1)
     j, j_aug = prev.zipped, prev.zipped_aug
-    k_tree, k_aug = prev.unzipped, prev.unzipped_aug
-    k_prev = level(j, x) if j is not None else 0
-
-    if j_aug is None or not contains(j_aug, z):
+    try:
+        z_path = path_nodes(j_aug, z)
+    except KeyAbsentError:
         return LevelWitness(
-            i, z, z, False, k_prev, 0, 0, 0, first, 0, 0, 0, 0, 0, 0, delta_z, ()
+            i, z, z, False, k_prev, k_cur, 0, 0, first, 0, 0, 0, 0, 0, 0, delta_z
         )
 
-    p_aug = generalized_path(j_aug, x)
-    path_keys = tree_keys(p_aug)
-    z_bar = _reduce_to_path(j_aug, path_keys, z, x)
+    # J hangs below the augmented root except before the first request,
+    # where J+ is J itself.
+    x_aug_path = path_nodes(j_aug, x)
+    x_path = x_aug_path if j_aug is j else x_aug_path[1:]
+    path_keys = generalized_path_keys(x_aug_path)
+    zbar_path = z_path[: _reduce_to_path(z_path, path_keys, x) + 1]
+    z_bar = zbar_path[-1].key
 
-    crossing = _extended_crossing(prev, x)
+    crossing = _extended_crossing(prev, x_path)
     if z_bar == x:
         c = -1
     else:
-        ancestors = {n.key for n in path_nodes(j_aug, z_bar)}
+        ancestors = {n.key for n in zbar_path}
         c = max(
-            (idx for idx, key in crossing.items() if idx >= 0 and key is not None and key in ancestors),
+            (idx for idx, key in crossing.items() if idx >= 0 and key in ancestors),
             default=-1,
         )
-
-    w0 = crossing.get(0)
-    if w0 is not None and z_bar == w0:
-        zone = 0
+    if c == -1:
+        zone = k_prev
+    elif c == 0:
+        zone = 0  # the augmented root lies outside J
     else:
-        anchor = crossing.get(c)
-        if c == -1 or anchor is None:
-            zone = k_prev
-        else:
-            zone = level(j, anchor) if j is not None and contains(j, anchor) else 0
+        zone = level(j, crossing[c])
 
     a = int(z_bar not in path_keys)
     # The zone's crossing node is compared against the path node z_bar hangs
     # from: z_bar itself when on the generalized path, its parent otherwise.
-    path_to_zbar = path_nodes(j_aug, z_bar)
-    anchor = z_bar if a == 0 else path_to_zbar[-2].key
+    anchor = z_bar if a == 0 else zbar_path[-2].key
     b = int(crossing.get(c) != anchor)
-    e = int(j is not None and level(j, x) < level(j_aug, x))
-    f = int(
-        k_tree is not None
-        and contains(k_tree, z_bar)
-        and level(k_tree, z_bar) < level(k_aug, z_bar)
-    )
-    ordered = tuple(crossing[idx] for idx in sorted(crossing))
+    e = int(k_prev < len(crossing_keys_on_path(x_aug_path)))
+    k_aug_path = path_nodes(prev.unzipped_aug, z_bar)
+    unzipped_level = len(crossing_keys_on_path(k_aug_path))
+    # z_bar's path inside K; empty when z_bar is the augmented root.
+    k_path = k_aug_path if prev.unzipped_aug is prev.unzipped else k_aug_path[1:]
+    f = int(bool(k_path) and len(crossing_keys_on_path(k_path)) < unzipped_level)
     return LevelWitness(
-        i, z, z_bar, True, k_prev, 0, c, zone, first, a, b, e, f,
-        level(j_aug, z_bar), level(k_aug, z_bar), delta_z, ordered,
+        i, z, z_bar, True, k_prev, k_cur, c, zone, first, a, b, e, f,
+        len(crossing_keys_on_path(zbar_path)), unzipped_level, delta_z,
     )
 
 
-def _reduce_to_path(j_aug: Node, path_keys: frozenset[int], z: int, x: int) -> int:
-    """Deepest ancestor of z that is on the generalized path, or whose parent
-    is on it (other than x)."""
-    path = path_nodes(j_aug, z)
-    for idx in range(len(path) - 1, -1, -1):
-        key = path[idx].key
-        if key in path_keys:
-            return key
-        if idx >= 1 and path[idx - 1].key in path_keys and path[idx - 1].key != x:
-            return key
-    return path[0].key
+def _reduce_to_path(z_path: Sequence[Node], path_keys: AbstractSet[int], x: int) -> int:
+    """Position on z's access path of its deepest ancestor that is on the
+    generalized path, or whose parent is on it (other than x)."""
+    for idx in range(len(z_path) - 1, -1, -1):
+        if z_path[idx].key in path_keys:
+            return idx
+        if idx >= 1 and z_path[idx - 1].key in path_keys and z_path[idx - 1].key != x:
+            return idx
+    return 0
 
 
 @dataclass
@@ -526,11 +481,7 @@ class FormulaReport:
     outside: int = 0
     degenerate: int = 0
     uncovered_decrease_rows: int = 0
-    violations: list[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.violations is None:
-            self.violations = []
+    violations: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:

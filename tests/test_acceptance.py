@@ -26,11 +26,13 @@ CRITERIA = [
 ]
 
 # The exhaustive sweeps answer every comparison from shared tables; their
-# counts at seed 0 must stay those of one replay per sequence.
+# counts at seed 0 must stay those of one replay per sequence.  The window
+# suite's counts pin the decomposition's workload in the same way.
 PINNED_DETAIL = {
     "wilber-monotone": "72106 subsequences within factor four",
     "opt-monotone": "1402 instances, 6844 subsequence comparisons, 8246 elisions: zero violations",
     "remove-one": "control gap 4 > 3; 195050 gaps within four times the level",
+    "window": "186045 decompositions, 276330 formula checks: zero violations",
 }
 
 

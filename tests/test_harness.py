@@ -87,7 +87,32 @@ class TestProbes:
             probe("nope", trials=1, n=5, m=5, seed=0)
 
 
+# The three commands that read instance files, and three malformed inputs.
+INSTANCE_COMMANDS = {
+    "run": lambda path: ["run", "--instance", path],
+    "lambda-report": lambda path: ["lambda-report", path],
+    "opt-report": lambda path: ["opt-report", path],
+}
+BAD_INSTANCES = {
+    "missing-file": None,
+    "unparsable-tree-line": "tree: 2 x\nrequests: 2\n",
+    "request-key-absent": "tree: 2 1 3\nrequests: 1 5\n",
+}
+
+
 class TestCli:
+    @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
+    @pytest.mark.parametrize("command", sorted(INSTANCE_COMMANDS))
+    def test_bad_instance_file_exit_2(self, tmp_path, capsys, command, case):
+        path = tmp_path / "inst.txt"
+        if BAD_INSTANCES[case] is not None:
+            path.write_text(BAD_INSTANCES[case])
+        assert main(INSTANCE_COMMANDS[command](str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"splaylab {command}: ")
+
     def test_gen_run_roundtrip(self, tmp_path):
         out = tmp_path / "inst.txt"
         assert main(["gen", "--family", "spine-312", "--n", "8", "--out", str(out)]) == 0

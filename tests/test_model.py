@@ -33,6 +33,7 @@ from splaylab.tree import (
     left_spine_tree,
     parse_shape,
     path_nodes,
+    right_spine_tree,
     root_subtree,
     shape_print,
     size,
@@ -195,6 +196,17 @@ class TestDeepSpine:
         deleted = range(2, n + 1, 4)
         elided = elide(inst, e, deleted)
         assert validate(subsequence_instance(inst, deleted), elided).cost < trace.cost
+
+    def test_shape_and_execution_text_on_20000_key_spines(self):
+        # Both spines nest far deeper than the recursion limit: the left one
+        # through left children, the right one through right children.
+        for spine in (left_spine_tree(range(1, 20_001)), right_spine_tree(range(1, 20_001))):
+            assert parse_shape(shape_print(spine)) == spine
+            # Accessing the root with the whole spine as its transition tree.
+            e = Execution((spine,))
+            parsed = parse_execution(format_execution(e))
+            assert parsed == e
+            assert validate(Instance((spine.key,), spine), parsed).cost == 20_000
 
 
 class TestRotationModel:

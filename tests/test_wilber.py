@@ -9,17 +9,22 @@ from splaylab.families import random_tree
 from splaylab.model import Instance
 from splaylab.suites import _lift_tables
 from splaylab.tree import (
+    Node,
     all_shapes,
     bst_from_sequence,
+    contains,
     path_nodes,
     shape_print,
     size,
+    tree_keys,
 )
 from splaylab.wilber import (
+    _reduce_to_path,
     crossing_bound,
     crossing_bounds,
     crossing_keys_graphical,
     crossing_keys_on_path,
+    generalized_path_keys,
     level,
     level_report,
     remove_one_gap,
@@ -186,6 +191,46 @@ class TestRemoveOneGap:
             assert remove_one_gap(s, x, z) <= 4 * level(s, x)
 
 
+def reference_generalized_path(j_aug, x):
+    """Access path for x with off-path subtrees dropped, x's left subtree
+    replaced by its right spine and x's right subtree by its left spine,
+    built as a tree."""
+    path = path_nodes(j_aug, x)
+    x_node = path[-1]
+    left = right = None
+    spine = []
+    node = x_node.left
+    while node is not None:
+        spine.append(node.key)
+        node = node.right
+    for k in reversed(spine):
+        left = Node(k, None, left)
+    spine = []
+    node = x_node.right
+    while node is not None:
+        spine.append(node.key)
+        node = node.left
+    for k in reversed(spine):
+        right = Node(k, right, None)
+    core = Node(x, left, right)
+    for node in reversed(path[:-1]):
+        core = Node(node.key, None, core) if node.key < x else Node(node.key, core, None)
+    return core
+
+
+def reference_reduce_to_path(j_aug, path_keys, z, x):
+    """Deepest ancestor of z that is on the generalized path, or whose
+    parent is on it (other than x), from its own walk."""
+    path = path_nodes(j_aug, z)
+    for idx in range(len(path) - 1, -1, -1):
+        key = path[idx].key
+        if key in path_keys:
+            return key
+        if idx >= 1 and path[idx - 1].key in path_keys and path[idx - 1].key != x:
+            return key
+    return path[0].key
+
+
 class TestWindowDecomposition:
     def test_initial_state(self):
         s = bst_from_sequence([2, 1, 3])
@@ -227,3 +272,46 @@ class TestWindowDecomposition:
     def test_absent_key_rejected(self):
         with pytest.raises(KeyError):
             window_decompose(bst_from_sequence([2, 1, 3]), 9, (1,))
+
+    def test_generalized_path_keys_match_tree_reference_exhaustive(self):
+        for n in range(1, 7):
+            for t in all_shapes(n):
+                for x in range(1, n + 1):
+                    ref_keys = tree_keys(reference_generalized_path(t, x))
+                    keys = generalized_path_keys(path_nodes(t, x))
+                    assert keys == ref_keys, (shape_print(t), x)
+                    for z in range(1, n + 1):
+                        z_path = path_nodes(t, z)
+                        z_bar = z_path[_reduce_to_path(z_path, keys, x)].key
+                        assert z_bar == reference_reduce_to_path(t, ref_keys, z, x)
+
+    def test_witness_levels_match_their_trees_exhaustive(self):
+        # Each witness reads its levels off shared path walks; every one must
+        # equal the level measured afresh in the tree it describes.
+        def x_level(t, x):
+            return level(t, x) if t is not None else 0
+
+        for n in range(1, 5):
+            for t in all_shapes(n):
+                for x in range(1, n + 1):
+                    for m in range(4):
+                        for z_seq in itertools.product(range(1, n + 1), repeat=m):
+                            steps, wits = window_decompose(t, x, z_seq)
+                            assert len(steps) == len(wits) + 1
+                            for wit in wits:
+                                prev, new = steps[wit.index - 1], steps[wit.index]
+                                assert wit.delta_z == (
+                                    level(prev.s_tree, wit.z) - level(prev.t_tree, wit.z)
+                                )
+                                assert wit.k_prev == x_level(prev.zipped, x)
+                                assert wit.k_cur == x_level(new.zipped, x)
+                                if not wit.inside:
+                                    continue
+                                z_bar, j, k = wit.z_bar, prev.zipped, prev.unzipped
+                                j_aug, k_aug = prev.zipped_aug, prev.unzipped_aug
+                                assert wit.zipped_level == level(j_aug, z_bar)
+                                assert wit.unzipped_level == level(k_aug, z_bar)
+                                assert wit.e == int(level(j, x) < level(j_aug, x))
+                                assert wit.f == int(
+                                    contains(k, z_bar) and level(k, z_bar) < level(k_aug, z_bar)
+                                )
