@@ -3,7 +3,7 @@
 Subcommands: ``verify`` runs acceptance suites, ``run`` executes an instance
 file under one algorithm and reports requested columns, ``probe`` runs a
 conjecture probe, ``gen`` writes a family instance, ``gn`` prints transition
-digraph facts.  Exit codes: 0 on success, 1 on assertion failure, 2 on usage
+digraph facts.  Exit codes: 0 on success, 1 when a suite failed, 2 on usage
 errors.
 """
 
@@ -18,7 +18,7 @@ from .algorithms import ALGORITHMS, run_accesses
 from .families import FAMILY_NAMES, UnknownFamilyError, generate
 from .model import Instance, format_instance, parse_instance
 from .opt import GuardExceededError, opt_cost
-from .probes import PROBE_NAMES, UnknownConjectureError, probe
+from .probes import PROBES, UnknownConjectureError, probe
 from .suites import run_suite
 from .transforms import build_digraph, diameter, eccentricities, strongly_connected
 from .tree import KeyAbsentError, shape_print
@@ -45,6 +45,15 @@ def read_instance(path: str) -> Instance:
     except ValueError as err:
         raise UsageError(f"{path}: {err}") from err
     return inst
+
+
+def _require_at_least(args: argparse.Namespace, **minimums: int) -> None:
+    """Reject a numeric option below its minimum; options left unset pass."""
+    for name, low in minimums.items():
+        value = getattr(args, name)
+        if value is not None and value < low:
+            option = "--" + name.replace("_", "-")
+            raise UsageError(f"{option} must be at least {low}, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,6 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _require_at_least(args, max_n=1, max_m=1)
     kwargs = {"seed": args.seed}
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
@@ -148,11 +158,12 @@ def _opt_text(inst) -> str:
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
+    _require_at_least(args, trials=1, n=1, m=0)
     try:
         report = probe(args.conjecture, args.trials, args.n, args.m, args.seed)
     except UnknownConjectureError:
         print(
-            f"unknown conjecture: {args.conjecture} (choose from {', '.join(PROBE_NAMES)})",
+            f"unknown conjecture: {args.conjecture} (choose from {', '.join(PROBES)})",
             file=sys.stderr,
         )
         return 2

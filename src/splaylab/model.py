@@ -17,6 +17,7 @@ from typing import Iterable, Optional
 
 from .tree import (
     DisconnectedSubtreeError,
+    DuplicateKeyError,
     InvariantError,
     KeyAbsentError,
     Node,
@@ -460,7 +461,13 @@ def parse_instance(text: str) -> tuple[Instance, Optional[tuple[int, ...]]]:
             subsequence = tuple(int(x) for x in line[len("subsequence:"):].split())
     if tree_line is None or requests_line is None:
         raise ValueError("instance file needs 'tree:' and 'requests:' lines")
-    initial = bst_from_sequence(int(k) for k in tree_line)
+    keys = [int(k) for k in tree_line]
+    seen: set[int] = set()
+    for k in keys:
+        if k in seen:
+            raise DuplicateKeyError(f"key {k} appears more than once on the 'tree:' line")
+        seen.add(k)
+    initial = bst_from_sequence(keys)
     return Instance(tuple(int(x) for x in requests_line), initial), subsequence
 
 

@@ -78,29 +78,11 @@ def _random_subsequence(rng: random.Random, x: tuple[int, ...]) -> tuple[int, ..
 
 
 def probe(conjecture: str, trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    if conjecture == "splay-mr-crossings":
-        return _probe_splay_mr(trials, n, m, seed)
-    if conjecture == "monotone-splay-crossings":
-        return _probe_monotone_crossings(trials, n, m, seed)
-    if conjecture == "splay-bookkeeping":
-        return _probe_bookkeeping(trials, n, m, seed)
-    if conjecture == "deque-linear":
-        return _probe_deque(trials, n, m, seed)
-    if conjecture == "traversal-linear":
-        return _probe_traversal(trials, n, seed)
-    if conjecture == "subseq-ratio":
-        return _probe_subseq_ratio(n)
-    raise UnknownConjectureError(conjecture)
-
-
-PROBE_NAMES = (
-    "splay-mr-crossings",
-    "monotone-splay-crossings",
-    "splay-bookkeeping",
-    "deque-linear",
-    "traversal-linear",
-    "subseq-ratio",
-)
+    try:
+        run = PROBES[conjecture]
+    except KeyError:
+        raise UnknownConjectureError(conjecture) from None
+    return run(trials, n, m, seed)
 
 
 def _probe_splay_mr(trials: int, n: int, m: int, seed: int) -> ProbeReport:
@@ -193,7 +175,7 @@ def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     )
 
 
-def _probe_traversal(trials: int, n: int, seed: int) -> ProbeReport:
+def _probe_traversal(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
@@ -210,7 +192,7 @@ def _probe_traversal(trials: int, n: int, seed: int) -> ProbeReport:
     )
 
 
-def _probe_subseq_ratio(n: int) -> ProbeReport:
+def _probe_subseq_ratio(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     fam = generate("spine-312", n=max(n, 3))
     cx = access_cost(fam.instance.initial, fam.instance.requests, "splay")
@@ -227,3 +209,15 @@ def _probe_subseq_ratio(n: int) -> ProbeReport:
         ("family", "n", "cost_x", "cost_y", "ratio"),
         rows,
     )
+
+
+# Every probe takes (trials, n, m, seed) and ignores the parameters its
+# report does not list.
+PROBES = {
+    "splay-mr-crossings": _probe_splay_mr,
+    "monotone-splay-crossings": _probe_monotone_crossings,
+    "splay-bookkeeping": _probe_bookkeeping,
+    "deque-linear": _probe_deque,
+    "traversal-linear": _probe_traversal,
+    "subseq-ratio": _probe_subseq_ratio,
+}

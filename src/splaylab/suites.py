@@ -1,8 +1,10 @@
 """Verification suites: one runnable check per acceptance criterion.
 
-Each suite returns a :class:`SuiteResult`; the CLI and the acceptance tests
-are thin wrappers around these functions.  Suites that sample use the given
-seed through per-trial derivation, so results are reproducible.
+Each suite returns its detail string, or raises :class:`SuiteFailure` at
+the first failed check; :func:`run_suite` times it and builds the
+:class:`SuiteResult`.  The CLI and the acceptance tests are thin wrappers
+around ``run_suite``.  Suites that sample use the given seed through
+per-trial derivation, so results are reproducible.
 """
 
 from __future__ import annotations
@@ -79,16 +81,16 @@ SPLAY_312_SPINE100_COST = 103  # pinned regression value for X=(3,1,2), n=100
 TOPDOWN_EMBED_FACTOR = 64  # implementation constant for the framed embedding
 
 
+class SuiteFailure(Exception):
+    """A suite check failed; the message names the failing case."""
+
+
 @dataclass
 class SuiteResult:
     name: str
     passed: bool
     detail: str
     seconds: float
-
-
-def _result(name: str, start: float, passed: bool, detail: str) -> SuiteResult:
-    return SuiteResult(name, passed, detail, time.time() - start)
 
 
 def _is_subsequence(xs: Iterable[int], ys: Iterable[int]) -> bool:
@@ -123,8 +125,7 @@ def _all_transitions(t: Node, x: int):
 # Criterion 1.
 
 
-def suite_g4(**_: object) -> SuiteResult:
-    start = time.time()
+def suite_g4(**_: object) -> str:
     g4 = build_digraph(4, "splay")
     checks = [
         (len(g4.vertices) == 14, "G4 has 14 vertices"),
@@ -134,26 +135,22 @@ def suite_g4(**_: object) -> SuiteResult:
         (strongly_connected(build_digraph(3, "mtr")), "G3 move-to-root strongly connected"),
     ]
     failed = [msg for ok, msg in checks if not ok]
-    return _result(
-        "g4",
-        start,
-        not failed,
-        "; ".join(msg for _, msg in checks) if not failed else "FAILED: " + "; ".join(failed),
-    )
+    if failed:
+        raise SuiteFailure("FAILED: " + "; ".join(failed))
+    return "; ".join(msg for _, msg in checks)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 2.
 
 
-def suite_transform(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_transform(seed: int = 0, **_: object) -> str:
     worst = 0.0
     for s in all_shapes(4):
         for t in all_shapes(4):
             plan = transform_sequence(s, t)
             if replay(plan) != t or plan.cost > 320 or plan.rotation_count > 16:
-                return _result("transform", start, False, f"4-node pair {shape_print(s)} -> {shape_print(t)}")
+                raise SuiteFailure(f"4-node pair {shape_print(s)} -> {shape_print(t)}")
             worst = max(worst, plan.cost / 4)
     for n in (8, 16, 32, 64):
         for trial in range(100):
@@ -162,25 +159,20 @@ def suite_transform(seed: int = 0, **_: object) -> SuiteResult:
             t = random_tree(n, rng)
             plan = transform_sequence(s, t)
             if replay(plan) != t:
-                return _result("transform", start, False, f"replay mismatch at n={n}")
+                raise SuiteFailure(f"replay mismatch at n={n}")
             if plan.cost > 80 * n or plan.rotation_count > 4 * n:
-                return _result(
-                    "transform", start, False,
-                    f"bounds exceeded at n={n}: cost {plan.cost}, rotations {plan.rotation_count}",
+                raise SuiteFailure(
+                    f"bounds exceeded at n={n}: cost {plan.cost}, rotations {plan.rotation_count}"
                 )
             worst = max(worst, plan.cost / n)
-    return _result(
-        "transform", start, True,
-        f"14x14 and 4x100 random pairs exact; max cost/n {worst:.1f} <= 80",
-    )
+    return f"14x14 and 4x100 random pairs exact; max cost/n {worst:.1f} <= 80"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3.
 
 
-def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_embedding(seed: int = 0, **_: object) -> str:
     # Exhaustive part: verify every per-access block over every reachable
     # (tree, request, transition) edge; every execution is a path through
     # these edges and its three properties are sums/conjunctions over them.
@@ -208,9 +200,8 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
                                     )
                                     edges_checked += 1
                                 if not block_ok[key]:
-                                    return _result(
-                                        "embedding", start, False,
-                                        f"block violation at {shape_print(t)}, x={x}",
+                                    raise SuiteFailure(
+                                        f"block violation at {shape_print(t)}, x={x}"
                                     )
                                 after = substitute(t, q_prime)
                                 nxt[after] = nxt.get(after, 0) + ways
@@ -227,16 +218,15 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
         blocks = embedding_blocks(inst, random_execution(rng, inst))
         seq = [k for block, _, _, _ in blocks for k in block]
         if not _is_subsequence(inst.requests, seq):
-            return _result("embedding", start, False, f"subsequence violated on trial {trial}")
+            raise SuiteFailure(f"subsequence violated on trial {trial}")
         # embedding_blocks validates the execution, whose cost is its summed |Q|.
         exec_cost = sum(qsize for _, _, qsize, _ in blocks)
         total = sum(cost for _, cost, _, _ in blocks)
         if total > 80 * exec_cost or any(maxpath > 4 for _, _, _, maxpath in blocks):
-            return _result("embedding", start, False, f"cost/path violated on trial {trial}")
-    return _result(
-        "embedding", start, True,
+            raise SuiteFailure(f"cost/path violated on trial {trial}")
+    return (
         f"{edges_checked} distinct blocks verified covering {executions_covered} executions;"
-        " 1000 random executions pass",
+        " 1000 random executions pass"
     )
 
 
@@ -244,8 +234,7 @@ def suite_embedding(seed: int = 0, **_: object) -> SuiteResult:
 # Criterion 4.
 
 
-def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> str:
     # One oracle call per (shape, sequence), with the trace the oracle
     # validated, serves the strict-monotonicity comparisons and every elision.
     instances = comparisons = elisions = 0
@@ -267,26 +256,23 @@ def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> SuiteResu
                     if sub:
                         comparisons += 1
                         if best[sub].cost >= full.cost:
-                            return _result(
-                                "opt-monotone", start, False,
-                                f"optimum not strictly lower: {shape_print(t)} {inst.requests} -> {sub}",
+                            raise SuiteFailure(
+                                "optimum not strictly lower:"
+                                f" {shape_print(t)} {inst.requests} -> {sub}"
                             )
                     sub_trace = validate(sub_inst, _elide_trace(full.trace, deleted))
                     elisions += 1
                     if sub_trace.cost >= full.cost:
-                        return _result(
-                            "opt-monotone", start, False,
-                            f"elision not cheaper: {shape_print(t)} {inst.requests} {deleted}",
+                        raise SuiteFailure(
+                            f"elision not cheaper: {shape_print(t)} {inst.requests} {deleted}"
                         )
                     if sub and sub_trace.cost < best[sub].cost:
-                        return _result(
-                            "opt-monotone", start, False,
-                            f"elision beat the oracle: {shape_print(t)} {inst.requests}",
+                        raise SuiteFailure(
+                            f"elision beat the oracle: {shape_print(t)} {inst.requests}"
                         )
-    return _result(
-        "opt-monotone", start, True,
+    return (
         f"{instances} instances, {comparisons} subsequence comparisons,"
-        f" {elisions} elisions: zero violations",
+        f" {elisions} elisions: zero violations"
     )
 
 
@@ -294,83 +280,66 @@ def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> SuiteResu
 # Criterion 5.
 
 
-def suite_wilber_equivalence(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
-    checked = 0
-    for keycount in range(1, 5):
-        for m in range(1, 6):
-            for x_seq in itertools.product(range(1, keycount + 1), repeat=m):
-                t = bst_from_sequence(x_seq)
-                lhs = sequence_crossing_bound(x_seq)
-                rhs = crossing_bound(Instance(x_seq, t)) - size(t) + 1
-                checked += 1
-                if lhs != rhs:
-                    return _result(
-                        "wilber-equivalence", start, False, f"mismatch on {x_seq}"
-                    )
-    for trial in range(10_000):
-        rng = trial_rng("suite", seed, "weq", trial)
-        m = rng.randint(1, 12)
-        keys = rng.randint(1, 8)
-        x_seq = tuple(rng.randint(1, keys) for _ in range(m))
-        t = bst_from_sequence(x_seq)
-        lhs = sequence_crossing_bound(x_seq)
-        rhs = crossing_bound(Instance(x_seq, t)) - size(t) + 1
-        checked += 1
-        if lhs != rhs:
-            return _result("wilber-equivalence", start, False, f"mismatch on {x_seq}")
-    return _result(
-        "wilber-equivalence", start, True, f"{checked} sequences: exact equality"
+def suite_wilber_equivalence(seed: int = 0, **_: object) -> str:
+    def random_cases():
+        for trial in range(10_000):
+            rng = trial_rng("suite", seed, "weq", trial)
+            m = rng.randint(1, 12)
+            keys = rng.randint(1, 8)
+            yield tuple(rng.randint(1, keys) for _ in range(m))
+
+    exhaustive = (
+        x_seq
+        for keycount in range(1, 5)
+        for m in range(1, 6)
+        for x_seq in itertools.product(range(1, keycount + 1), repeat=m)
     )
+    checked = 0
+    for x_seq in itertools.chain(exhaustive, random_cases()):
+        t = bst_from_sequence(x_seq)
+        checked += 1
+        if sequence_crossing_bound(x_seq) != crossing_bound(Instance(x_seq, t)) - size(t) + 1:
+            raise SuiteFailure(f"mismatch on {x_seq}")
+    return f"{checked} sequences: exact equality"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 6.
 
 
-def suite_lambda_opt(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_lambda_opt(seed: int = 0, **_: object) -> str:
+    def random_cases():
+        for trial in range(200):
+            rng = trial_rng("suite", seed, "lamopt", trial)
+            yield Instance(tuple(rng.randint(1, 5) for _ in range(4)), random_tree(5, rng))
+
+    exhaustive = (
+        Instance(x_seq, t)
+        for n in range(1, 5)
+        for t in all_shapes(n)
+        for m in range(1, 4)
+        for x_seq in itertools.product(range(1, n + 1), repeat=m)
+    )
     worst = 0.0
-    for n in range(1, 5):
-        for t in all_shapes(n):
-            for m in range(1, 4):
-                for x_seq in itertools.product(range(1, n + 1), repeat=m):
-                    inst = Instance(x_seq, t)
-                    lam = crossing_bound(inst)
-                    best = opt_cost(inst).cost
-                    if lam > 24 * best:
-                        return _result(
-                            "lambda-opt", start, False, f"{shape_print(t)} {x_seq}"
-                        )
-                    worst = max(worst, lam / best)
-    for trial in range(200):
-        rng = trial_rng("suite", seed, "lamopt", trial)
-        inst = Instance(
-            tuple(rng.randint(1, 5) for _ in range(4)), random_tree(5, rng)
-        )
+    for inst in itertools.chain(exhaustive, random_cases()):
         lam = crossing_bound(inst)
         best = opt_cost(inst).cost
         if lam > 24 * best:
-            return _result("lambda-opt", start, False, f"random trial {trial}")
+            raise SuiteFailure(f"{shape_print(inst.initial)} {inst.requests}")
         worst = max(worst, lam / best)
-    return _result(
-        "lambda-opt", start, True, f"max lambda/opt ratio observed: {worst:.3f} (<= 24)"
-    )
+    return f"max lambda/opt ratio observed: {worst:.3f} (<= 24)"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 7.
 
 
-def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_remove_one(seed: int = 0, **_: object) -> str:
     # Counter-example control for the retracted one-times bound.
     s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
     gap = remove_one_gap(s, 4, (5, 3))
     if not gap > level(s, 4) == 3:
-        return _result(
-            "remove-one", start, False, f"control gap {gap} not above level 3"
-        )
+        raise SuiteFailure(f"control gap {gap} not above level 3")
     checked = 0
     for n in range(1, 6):
         for t, x, here, lifted in _lift_tables(n, 4):
@@ -378,9 +347,7 @@ def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
             for z_seq, cost in here.items():
                 checked += 1
                 if cost - lifted[z_seq] > lim:
-                    return _result(
-                        "remove-one", start, False, f"{shape_print(t)} x={x} Z={z_seq}"
-                    )
+                    raise SuiteFailure(f"{shape_print(t)} x={x} Z={z_seq}")
     for trial in range(10_000):
         rng = trial_rng("suite", seed, "rmone", trial)
         n = rng.randint(1, 10)
@@ -389,11 +356,8 @@ def suite_remove_one(seed: int = 0, **_: object) -> SuiteResult:
         z_seq = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 8)))
         checked += 1
         if remove_one_gap(t, x, z_seq) > 4 * level(t, x):
-            return _result("remove-one", start, False, f"random trial {trial}")
-    return _result(
-        "remove-one", start, True,
-        f"control gap {gap} > 3; {checked} gaps within four times the level",
-    )
+            raise SuiteFailure(f"random trial {trial}")
+    return f"control gap {gap} > 3; {checked} gaps within four times the level"
 
 
 def _lift_tables(n: int, max_m: int):
@@ -412,8 +376,7 @@ def _lift_tables(n: int, max_m: int):
 # Criterion 8.
 
 
-def suite_wilber_monotone(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
     checked = 0
     for n in range(1, 5):
         for t in all_shapes(n):
@@ -425,10 +388,7 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> SuiteResult:
                         continue
                     checked += 1
                     if bound[sub] > 4 * full:
-                        return _result(
-                            "wilber-monotone", start, False,
-                            f"{shape_print(t)} {x_seq} -> {sub}",
-                        )
+                        raise SuiteFailure(f"{shape_print(t)} {x_seq} -> {sub}")
     for trial in range(10_000):
         rng = trial_rng("suite", seed, "wmono", trial)
         n = rng.randint(1, 8)
@@ -440,74 +400,64 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> SuiteResult:
             continue
         checked += 1
         if crossing_bound(Instance(sub, t)) > 4 * crossing_bound(Instance(x_seq, t)):
-            return _result("wilber-monotone", start, False, f"random trial {trial}")
-    return _result(
-        "wilber-monotone", start, True,
-        f"{checked} subsequences within factor four",
-    )
+            raise SuiteFailure(f"random trial {trial}")
+    return f"{checked} subsequences within factor four"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 9.
 
 
-def suite_window(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
-    runs = 0
-    formula_checks = 0
-    for n in range(2, 6):
-        for t in all_shapes(n):
-            for x in range(1, n + 1):
-                for m in range(0, 5):
-                    for z_seq in itertools.product(range(1, n + 1), repeat=m):
-                        ok, count, msg = _window_run(t, x, z_seq)
-                        runs += 1
-                        formula_checks += count
-                        if not ok:
-                            return _result("window", start, False, msg)
-    for trial in range(1000):
-        rng = trial_rng("suite", seed, "window", trial)
-        n = rng.randint(2, 8)
-        t = random_tree(n, rng)
-        x = rng.randint(1, n)
-        z_seq = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
-        ok, count, msg = _window_run(t, x, z_seq)
-        runs += 1
-        formula_checks += count
-        if not ok:
-            return _result("window", start, False, f"random: {msg}")
-    return _result(
-        "window", start, True,
-        f"{runs} decompositions, {formula_checks} formula checks: zero violations",
+def suite_window(seed: int = 0, **_: object) -> str:
+    def random_cases():
+        for trial in range(1000):
+            rng = trial_rng("suite", seed, "window", trial)
+            n = rng.randint(2, 8)
+            t = random_tree(n, rng)
+            x = rng.randint(1, n)
+            yield t, x, tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
+
+    exhaustive = (
+        (t, x, z_seq)
+        for n in range(2, 6)
+        for t in all_shapes(n)
+        for x in range(1, n + 1)
+        for m in range(0, 5)
+        for z_seq in itertools.product(range(1, n + 1), repeat=m)
     )
+    runs = formula_checks = 0
+    for t, x, z_seq in itertools.chain(exhaustive, random_cases()):
+        try:
+            formula_checks += _window_run(t, x, z_seq)
+        except SuiteFailure as err:
+            raise SuiteFailure(f"{shape_print(t)} x={x} Z={z_seq}: {err}") from None
+        runs += 1
+    return f"{runs} decompositions, {formula_checks} formula checks: zero violations"
 
 
-def _window_run(t: Node, x: int, z_seq: tuple[int, ...]) -> tuple[bool, int, str]:
+def _window_run(t: Node, x: int, z_seq: tuple[int, ...]) -> int:
+    """Check one window decomposition; the number of level formulas checked."""
     steps, witnesses = window_decompose(t, x, z_seq)
     for st in steps:
-        if st.zipped is not None:
-            if st.unzipped != move_to_root(st.zipped, x)[0]:
-                return False, 0, f"unzipped subtree mismatch at step {st.index}"
+        if st.zipped is not None and st.unzipped != move_to_root(st.zipped, x)[0]:
+            raise SuiteFailure(f"unzipped subtree mismatch at step {st.index}")
         if st.index >= 1:
             if st.s_tree.key != st.t_tree.key:
-                return False, 0, f"roots differ at step {st.index}"
+                raise SuiteFailure(f"roots differ at step {st.index}")
             for key in st.top_keys:
-                pa = parent_key(st.s_tree, key)
-                pb = parent_key(st.t_tree, key)
-                if pa != pb:
-                    return False, 0, f"top-tree parent mismatch at step {st.index}"
+                if parent_key(st.s_tree, key) != parent_key(st.t_tree, key):
+                    raise SuiteFailure(f"top-tree parent mismatch at step {st.index}")
     report = validate_level_formulas(steps, witnesses, x)
     if not report.ok:
-        return False, report.checked, "; ".join(report.violations[:2])
-    return True, report.checked, ""
+        raise SuiteFailure("; ".join(report.violations[:2]))
+    return report.checked
 
 
 # ---------------------------------------------------------------------------
 # Criterion 10.
 
 
-def suite_repetition(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_repetition(seed: int = 0, **_: object) -> str:
     for trial in range(100):
         rng = trial_rng("suite", seed, "rep", trial)
         n = rng.randint(4, 32)
@@ -521,12 +471,9 @@ def suite_repetition(seed: int = 0, **_: object) -> SuiteResult:
         unit_cost = access_cost(inst.initial, unit, "splay")
         rep_cost = access_cost(inst.initial, repeated, "splay")
         if rep_cost != k * unit_cost:
-            return _result(
-                "repetition", start, False,
-                f"trial {trial}: {rep_cost} != {k} * {unit_cost}",
-            )
+            raise SuiteFailure(f"trial {trial}: {rep_cost} != {k} * {unit_cost}")
         if unit_cost < access_cost(inst.initial, inst.requests, "splay"):
-            return _result("repetition", start, False, f"trial {trial}: unit below base")
+            raise SuiteFailure(f"trial {trial}: unit below base")
     # Oracle-scale inequality for the repeated augmented sequence.
     rng = trial_rng("suite", seed, "rep", "oracle")
     inst = Instance((rng.randint(1, 4), rng.randint(1, 4)), random_tree(4, rng))
@@ -535,19 +482,15 @@ def suite_repetition(seed: int = 0, **_: object) -> SuiteResult:
     lhs = opt_cost(Instance(repeated, inst.initial), guard_m=200).cost
     rhs = 83 * k * opt_cost(inst).cost
     if lhs > rhs:
-        return _result("repetition", start, False, f"oracle bound {lhs} > {rhs}")
-    return _result(
-        "repetition", start, True,
-        f"100 exact repetition identities; oracle bound {lhs} <= {rhs}",
-    )
+        raise SuiteFailure(f"oracle bound {lhs} > {rhs}")
+    return f"100 exact repetition identities; oracle bound {lhs} <= {rhs}"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 11.
 
 
-def suite_families(**_: object) -> SuiteResult:
-    start = time.time()
+def suite_families(**_: object) -> str:
     fam = generate("spine-312", n=10_000)
     cx = access_cost(fam.instance.initial, fam.instance.requests, "splay")
     cy = access_cost(fam.instance.initial, fam.subsequence, "splay")
@@ -558,24 +501,24 @@ def suite_families(**_: object) -> SuiteResult:
     powers_ratio = cy2 / cx2
     small = generate("spine-312", n=100)
     pinned = access_cost(small.instance.initial, small.instance.requests, "splay")
-    ok = (
+    detail = (
+        f"spine-312 ratio {spine_ratio:.4f} in [1.45,1.55]; powers ratio"
+        f" {powers_ratio:.4f} in [1.9,2.1]; pinned n=100 cost {pinned}"
+    )
+    if not (
         1.45 <= spine_ratio <= 1.55
         and 1.9 <= powers_ratio <= 2.1
         and pinned == SPLAY_312_SPINE100_COST
-    )
-    return _result(
-        "families", start, ok,
-        f"spine-312 ratio {spine_ratio:.4f} in [1.45,1.55]; powers ratio"
-        f" {powers_ratio:.4f} in [1.9,2.1]; pinned n=100 cost {pinned}",
-    )
+    ):
+        raise SuiteFailure(detail)
+    return detail
 
 
 # ---------------------------------------------------------------------------
 # Criterion 12.
 
 
-def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_rotation_model(seed: int = 0, **_: object) -> str:
     checked = 0
     for n in range(1, 4):
         for t in all_shapes(n):
@@ -584,9 +527,7 @@ def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
                     inst = Instance(x_seq, t)
                     for e in _all_executions(inst):
                         checked += 1
-                        ok, msg = _rotation_round_trip(inst, e)
-                        if not ok:
-                            return _result("rotation-model", start, False, msg)
+                        _rotation_round_trip(inst, e)
     for trial in range(1000):
         rng = trial_rng("suite", seed, "rot", trial)
         n = rng.randint(1, 6)
@@ -596,9 +537,7 @@ def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
         )
         e = random_execution(rng, inst)
         checked += 1
-        ok, msg = _rotation_round_trip(inst, e)
-        if not ok:
-            return _result("rotation-model", start, False, f"random: {msg}")
+        _rotation_round_trip(inst, e, "random: ")
         # Random rotation executions, independently of the transition side.
         racc = []
         t2 = inst.initial
@@ -616,8 +555,8 @@ def suite_rotation_model(seed: int = 0, **_: object) -> SuiteResult:
         rt = rotation_trace(inst, r)
         e2 = from_rotation_model(inst, r)
         if validate(inst, e2).cost > 4 * rt.cost:
-            return _result("rotation-model", start, False, f"4x exceeded on trial {trial}")
-    return _result("rotation-model", start, True, f"{checked} executions round-tripped")
+            raise SuiteFailure(f"4x exceeded on trial {trial}")
+    return f"{checked} executions round-tripped"
 
 
 def _all_executions(inst: Instance):
@@ -631,39 +570,40 @@ def _all_executions(inst: Instance):
     yield from expand(inst.initial, 0, ())
 
 
-def _rotation_round_trip(inst: Instance, e: Execution) -> tuple[bool, str]:
+def _rotation_round_trip(inst: Instance, e: Execution, prefix: str = "") -> None:
+    """Check that ``e`` survives the rotation model both ways; failure
+    messages start with ``prefix``."""
     trace = validate(inst, e)
     r = to_rotation_model(inst, e)
     rt = rotation_trace(inst, r)
     if rt.cost > 3 * trace.cost:
-        return False, f"to_rotation {rt.cost} > 3 x {trace.cost}"
+        raise SuiteFailure(f"{prefix}to_rotation {rt.cost} > 3 x {trace.cost}")
     if any(d != 0 for d in rt.search_depths):
-        return False, "search did not happen at the root"
+        raise SuiteFailure(f"{prefix}search did not happen at the root")
     back = from_rotation_model(inst, r)
     back_trace = validate(inst, back)
     if back_trace.cost > 4 * rt.cost:
-        return False, f"from_rotation {back_trace.cost} > 4 x {rt.cost}"
+        raise SuiteFailure(f"{prefix}from_rotation {back_trace.cost} > 4 x {rt.cost}")
     if back_trace.final_tree != trace.final_tree:
-        return False, "round trip changed the final tree"
-    return True, ""
+        raise SuiteFailure(f"{prefix}round trip changed the final tree")
 
 
 # ---------------------------------------------------------------------------
 # Criterion 13.
 
 
-def suite_topdown(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_topdown(seed: int = 0, **_: object) -> str:
     g3 = build_digraph(3, "tds")
     if strongly_connected(g3):
-        return _result("topdown", start, False, "top-down digraph unexpectedly connected")
+        raise SuiteFailure("top-down digraph unexpectedly connected")
     spine = left_spine_tree([1, 2, 3])
     zigzag = parse_shape("(3 (1 . (2 . .)) .)")
     try:
         shortest_path(g3, spine, zigzag)
-        return _result("topdown", start, False, "left spine reached the zig-zag shape")
     except TransformUnreachableError:
         pass
+    else:
+        raise SuiteFailure("left spine reached the zig-zag shape")
     worst = 0.0
     for trial in range(200):
         rng = trial_rng("suite", seed, "tds", trial)
@@ -676,7 +616,7 @@ def suite_topdown(seed: int = 0, **_: object) -> SuiteResult:
         trace = validate(inst, e)
         seq = topdown_embedding(inst, e)
         if not _is_subsequence(inst.requests, seq):
-            return _result("topdown", start, False, f"subsequence violated on trial {trial}")
+            raise SuiteFailure(f"subsequence violated on trial {trial}")
         t = inst.initial
         cost = 0
         for k in seq:
@@ -685,25 +625,21 @@ def suite_topdown(seed: int = 0, **_: object) -> SuiteResult:
         keys = sorted(tree_keys(inst.initial))
         b, z = keys[1], keys[-1]
         if not (t.key == z and t.left is not None and t.left.key == b):
-            return _result("topdown", start, False, f"frame broken on trial {trial}")
+            raise SuiteFailure(f"frame broken on trial {trial}")
         if t.left.right != _strip_frame(trace.final_tree):
-            return _result("topdown", start, False, f"final shape mismatch on trial {trial}")
+            raise SuiteFailure(f"final shape mismatch on trial {trial}")
         ratio = cost / (trace.cost + inst.n)
         worst = max(worst, ratio)
         if cost > TOPDOWN_EMBED_FACTOR * (trace.cost + inst.n):
-            return _result("topdown", start, False, f"cost factor exceeded: {ratio:.1f}")
-    return _result(
-        "topdown", start, True,
-        f"digraph non-connectivity confirmed; 200 embeddings pass, max cost factor {worst:.1f}",
-    )
+            raise SuiteFailure(f"cost factor exceeded: {ratio:.1f}")
+    return f"digraph non-connectivity confirmed; 200 embeddings pass, max cost factor {worst:.1f}"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 14.
 
 
-def suite_universal(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_universal(seed: int = 0, **_: object) -> str:
     for qsize in (5, 7, 9):
         for trial in range(100):
             rng = trial_rng("suite", seed, "uni", qsize, trial)
@@ -714,24 +650,20 @@ def suite_universal(seed: int = 0, **_: object) -> SuiteResult:
             q = rng.choice(shapes_on_keys(tuple(q_keys)))
             u = universal_transform(q)
             if len(u) > 30 * qsize:
-                return _result("universal", start, False, f"|U| too long at {qsize}")
+                raise SuiteFailure(f"|U| too long at {qsize}")
             cur = t
             for k in u:
                 cur, _ = splay(cur, k)
             if smallest_root_subtree(cur, q_keys) != q:
-                return _result(
-                    "universal", start, False,
-                    f"subtree not realized: |Q|={qsize} trial {trial}",
-                )
-    return _result("universal", start, True, "300 supersets: subtree realized, |U| <= 30|Q|")
+                raise SuiteFailure(f"subtree not realized: |Q|={qsize} trial {trial}")
+    return "300 supersets: subtree realized, |U| <= 30|Q|"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 15.
 
 
-def suite_simultaneous(**_: object) -> SuiteResult:
-    start = time.time()
+def suite_simultaneous(**_: object) -> str:
     pairs = 0
     for s in all_shapes(4):
         for t in all_shapes(4):
@@ -741,20 +673,16 @@ def suite_simultaneous(**_: object) -> SuiteResult:
                 a, _ = splay(a, k)
                 b, _ = move_to_root(b, k)
             if a != t or b != t:
-                return _result(
-                    "simultaneous", start, False,
-                    f"{shape_print(s)} -> {shape_print(t)} diverged",
-                )
+                raise SuiteFailure(f"{shape_print(s)} -> {shape_print(t)} diverged")
             pairs += 1
-    return _result("simultaneous", start, True, f"{pairs} pairs reached under both algorithms")
+    return f"{pairs} pairs reached under both algorithms"
 
 
 # ---------------------------------------------------------------------------
 # Criterion 16.
 
 
-def suite_probes(seed: int = 0, **_: object) -> SuiteResult:
-    start = time.time()
+def suite_probes(seed: int = 0, **_: object) -> str:
     specs = [
         ("splay-mr-crossings", dict(trials=50, n=200, m=400, seed=seed)),
         ("monotone-splay-crossings", dict(trials=50, n=200, m=400, seed=seed)),
@@ -763,19 +691,13 @@ def suite_probes(seed: int = 0, **_: object) -> SuiteResult:
         ("traversal-linear", dict(trials=10, n=1000, m=0, seed=seed)),
         ("subseq-ratio", dict(trials=1, n=10_000, m=0, seed=seed)),
     ]
-    names = []
     for name, kwargs in specs:
-        first = probe(name, **kwargs).to_csv()
-        second = probe(name, **kwargs).to_csv()
-        if first != second:
-            return _result("probes", start, False, f"{name} not deterministic")
-        names.append(name)
-    return _result(
-        "probes", start, True, "deterministic reports for " + ", ".join(names)
-    )
+        if probe(name, **kwargs).to_csv() != probe(name, **kwargs).to_csv():
+            raise SuiteFailure(f"{name} not deterministic")
+    return "deterministic reports for " + ", ".join(name for name, _ in specs)
 
 
-SUITES: dict[str, Callable[..., SuiteResult]] = {
+SUITES: dict[str, Callable[..., str]] = {
     "g4": suite_g4,
     "transform": suite_transform,
     "embedding": suite_embedding,
@@ -796,8 +718,15 @@ SUITES: dict[str, Callable[..., SuiteResult]] = {
 
 
 def run_suite(name: str, **kwargs: object) -> list[SuiteResult]:
-    if name == "all":
-        return [fn(**kwargs) for fn in SUITES.values()]
-    if name not in SUITES:
-        raise KeyError(name)
-    return [SUITES[name](**kwargs)]
+    """Run suite ``name``, or every suite for ``"all"``, timing each one.
+    An unknown name raises ``KeyError`` before any suite runs."""
+    suites = SUITES if name == "all" else {name: SUITES[name]}
+    results = []
+    for suite, fn in suites.items():
+        start = time.time()
+        try:
+            passed, detail = True, fn(**kwargs)
+        except SuiteFailure as err:
+            passed, detail = False, str(err)
+        results.append(SuiteResult(suite, passed, detail, time.time() - start))
+    return results

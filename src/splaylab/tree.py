@@ -212,32 +212,33 @@ def insert_leaf(t: Tree, key: int) -> Node:
 def bst_from_sequence(keys: Iterable[int]) -> Tree:
     """Insertion tree: insert keys in order of first appearance.
 
-    Built as the cartesian tree on (key, first-appearance index) with the
-    min-heap order on indices, which is the same tree leaf insertion builds,
-    in O(n log n) instead of O(n^2) for adversarial orders.
+    Built as the treap whose priority is the negated first-appearance index,
+    which is the same tree leaf insertion builds, in O(n log n) instead of
+    O(n^2) for adversarial orders.
     """
     first: dict[int, int] = {}
     for i, k in enumerate(keys):
         if k not in first:
-            first[k] = i
-    items = sorted(first.items())  # ascending by key
-    root: Tree = None
-    # Stack holds the right spine of the tree under construction, paired
-    # with each node's current left child.
-    spine: list[tuple[int, int, Tree]] = []  # (key, index, left subtree)
+            first[k] = -i
+    return treap_build(first.items())
 
-    def collapse(upto: int) -> Tree:
+
+def treap_build(items: Iterable[tuple[int, float]]) -> Tree:
+    """The unique tree in symmetric order by key and max-heap order by
+    priority, built along the right spine in key order."""
+    spine: list[tuple[int, float, Tree]] = []  # (key, priority, left subtree)
+
+    def collapse(min_priority: float) -> Tree:
         sub: Tree = None
-        while spine and spine[-1][1] > upto:
+        while spine and spine[-1][1] < min_priority:
             k, _, left = spine.pop()
             sub = Node(k, left, sub)
         return sub
 
-    for k, idx in items:
-        left = collapse(idx)
-        spine.append((k, idx, left))
-    root = collapse(-1)
-    return root
+    for key, pri in sorted(items):
+        left = collapse(pri)
+        spine.append((key, pri, left))
+    return collapse(float("inf"))
 
 
 def rotate(t: Tree, key: int) -> Node:

@@ -13,7 +13,7 @@ after-trees; it lower-bounds optimal execution cost up to a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 from .algorithms import move_to_root, splay
 from .model import Instance
@@ -27,6 +27,7 @@ from .tree import (
     path_nodes,
     postorder,
     size,
+    treap_build,
     tree_keys,
 )
 
@@ -143,24 +144,6 @@ def postorder_priorities(t: Node) -> dict[int, int]:
     order = postorder(t)
     n = len(order)
     return {key: i + 1 - n - 1 for i, key in enumerate(order)}
-
-
-def treap_build(items: Iterable[tuple[int, float]]) -> Tree:
-    """The unique tree in symmetric order by key and max-heap order by
-    priority, built along the right spine in key order."""
-    spine: list[tuple[int, float, Tree]] = []  # (key, priority, left subtree)
-
-    def collapse(min_priority: float) -> Tree:
-        sub: Tree = None
-        while spine and spine[-1][1] < min_priority:
-            k, _, left = spine.pop()
-            sub = Node(k, left, sub)
-        return sub
-
-    for key, pri in sorted(items):
-        left = collapse(pri)
-        spine.append((key, pri, left))
-    return collapse(POS_INF)
 
 
 def recency_treap(inst: Instance, upto: int) -> Tree:

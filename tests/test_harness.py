@@ -7,9 +7,10 @@ import pytest
 
 from splaylab.cli import main
 from splaylab.families import UnknownFamilyError, generate
-from splaylab import probes
+from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
-from splaylab.tree import left_spine_tree, preorder, size
+from splaylab.tree import all_shapes, left_spine_tree, preorder, shape_print, size
+from splaylab.wilber import FormulaReport
 
 
 class TestFamilies:
@@ -97,6 +98,17 @@ BAD_INSTANCES = {
     "missing-file": None,
     "unparsable-tree-line": "tree: 2 x\nrequests: 2\n",
     "request-key-absent": "tree: 2 1 3\nrequests: 1 5\n",
+    "duplicate-tree-key": "tree: 2 1 2\nrequests: 1\n",
+}
+
+# Numeric options below their accepted range, one per bound.
+BAD_NUMBERS = {
+    "probe-trials-0": ["probe", "--conjecture", "splay-bookkeeping", "--trials", "0"],
+    "probe-n-0": ["probe", "--conjecture", "splay-mr-crossings", "--n", "0"],
+    "probe-deque-n-negative": ["probe", "--conjecture", "deque-linear", "--n", "-2"],
+    "probe-m-negative": ["probe", "--conjecture", "splay-bookkeeping", "--m", "-1"],
+    "verify-max-n-negative": ["verify", "--suite", "opt-monotone", "--max-n", "-3"],
+    "verify-max-m-0": ["verify", "--suite", "opt-monotone", "--max-m", "0"],
 }
 
 
@@ -112,6 +124,20 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"splaylab {command}: ")
+
+    @pytest.mark.parametrize("case", sorted(BAD_NUMBERS))
+    def test_numeric_option_out_of_range_exit_2(self, capsys, case):
+        argv = BAD_NUMBERS[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"splaylab {argv[0]}: --")
+
+    def test_probe_accepts_the_range_minimums(self, capsys):
+        argv = ["probe", "--conjecture", "splay-bookkeeping", "--trials", "1", "--n", "1"]
+        assert main(argv + ["--m", "0"]) == 0
+        assert capsys.readouterr().out.startswith("# conjecture=splay-bookkeeping")
 
     def test_gen_run_roundtrip(self, tmp_path):
         out = tmp_path / "inst.txt"
@@ -174,3 +200,36 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "splaylab" in proc.stdout
+
+
+class TestSuiteFailures:
+    """A failed check fails its suite, names the failing case, and makes
+    ``verify`` exit 1."""
+
+    def test_g4_diameter_mismatch(self, monkeypatch, capsys):
+        monkeypatch.setattr(suites, "G4_DIAMETER", 4)
+        [result] = suites.run_suite("g4")
+        assert (result.name, result.passed) == ("g4", False)
+        assert result.detail == "FAILED: G4 diameter == 4 (<= 5)"
+        assert main(["verify", "--suite", "g4"]) == 1
+        assert "[FAIL] g4: FAILED: G4 diameter == 4 (<= 5)" in capsys.readouterr().out
+
+    def test_transform_fails_on_its_first_pair(self, monkeypatch):
+        monkeypatch.setattr(suites, "replay", lambda plan: None)
+        [result] = suites.run_suite("transform")
+        assert not result.passed
+        first = shape_print(all_shapes(4)[0])
+        assert result.detail == f"4-node pair {first} -> {first}"
+
+    def test_window_reports_a_formula_violation(self, monkeypatch):
+        calls = []
+
+        def planted(steps, witnesses, x):
+            calls.append(x)
+            return FormulaReport(checked=1, violations=["planted violation"])
+
+        monkeypatch.setattr(suites, "validate_level_formulas", planted)
+        [result] = suites.run_suite("window")
+        assert not result.passed
+        assert len(calls) == 1
+        assert "planted violation" in result.detail

@@ -286,3 +286,7 @@ class TestTextFormats:
     def test_missing_lines_rejected(self):
         with pytest.raises(ValueError):
             parse_instance("tree: 1 2 3\n")
+
+    def test_duplicate_tree_key_rejected(self):
+        with pytest.raises(ValueError, match="key 2 appears more than once"):
+            parse_instance("tree: 2 1 2\nrequests: 1\n")
