@@ -17,10 +17,10 @@ from . import __version__
 from .algorithms import ALGORITHMS, run_accesses
 from .families import FAMILY_NAMES, UnknownFamilyError, generate
 from .model import Instance, format_instance, parse_instance
-from .opt import GuardExceededError, opt_cost
+from .opt import DEFAULT_GUARD_M, DEFAULT_GUARD_N, GuardExceededError, check_guards, opt_cost
 from .probes import PROBES, UnknownConjectureError, probe
-from .suites import run_suite
-from .transforms import build_digraph, diameter, eccentricities, strongly_connected
+from .suites import SUITES, run_suite
+from .transforms import build_digraph, eccentricities
 from .tree import KeyAbsentError, shape_print
 from .wilber import crossing_bound, sequence_crossing_bound, splay_bookkeeping_cost
 
@@ -100,17 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite != "all" and args.suite not in SUITES:
+        raise UsageError(f"unknown suite: {args.suite} (choose from all, {', '.join(SUITES)})")
     _require_at_least(args, max_n=1, max_m=1)
+    # --max-n and --max-m size the opt-monotone sweep, so the oracle's
+    # guards bound them; an option left unset passes.
+    try:
+        check_guards(args.max_n or 0, args.max_m or 0)
+    except GuardExceededError as err:
+        raise UsageError(
+            f"--max-n must be at most {DEFAULT_GUARD_N} and --max-m at most {DEFAULT_GUARD_M},"
+            " the oracle's guards (SPLAYLAB_GUARD_OVERRIDE lifts them)"
+        ) from err
     kwargs = {"seed": args.seed}
     if args.max_n is not None:
         kwargs["max_n"] = args.max_n
     if args.max_m is not None:
         kwargs["max_m"] = args.max_m
-    try:
-        results = run_suite(args.suite, **kwargs)
-    except KeyError:
-        print(f"unknown suite: {args.suite}", file=sys.stderr)
-        return 2
+    results = run_suite(args.suite, **kwargs)
     failed = 0
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -123,8 +130,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     columns = [c.strip() for c in args.report.split(",") if c.strip()]
     unknown = [c for c in columns if c not in REPORT_COLUMNS]
     if unknown:
-        print(f"unknown report columns: {unknown}", file=sys.stderr)
-        return 2
+        raise UsageError(
+            f"unknown report columns: {unknown} (choose from {', '.join(REPORT_COLUMNS)})"
+        )
     inst = read_instance(args.instance)
     _, records = run_accesses(inst.initial, inst.requests, args.algo)
     # Lambda is Move-to-Root's crossing cost and zeta Splay's bookkeeping
@@ -161,12 +169,10 @@ def cmd_probe(args: argparse.Namespace) -> int:
     _require_at_least(args, trials=1, n=1, m=0)
     try:
         report = probe(args.conjecture, args.trials, args.n, args.m, args.seed)
-    except UnknownConjectureError:
-        print(
-            f"unknown conjecture: {args.conjecture} (choose from {', '.join(PROBES)})",
-            file=sys.stderr,
-        )
-        return 2
+    except UnknownConjectureError as err:
+        raise UsageError(
+            f"unknown conjecture: {args.conjecture} (choose from {', '.join(PROBES)})"
+        ) from err
     sys.stdout.write(report.to_csv())
     return 0
 
@@ -174,13 +180,16 @@ def cmd_probe(args: argparse.Namespace) -> int:
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         fam = generate(args.family, n=args.n, k=args.k, m=args.m, seed=args.seed)
-    except UnknownFamilyError:
-        print(f"unknown family: {args.family}", file=sys.stderr)
-        return 2
+    except UnknownFamilyError as err:
+        raise UsageError(
+            f"unknown family: {args.family} (choose from {', '.join(FAMILY_NAMES)})"
+        ) from err
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    Path(args.out).write_text(format_instance(fam.instance, fam.subsequence))
+        raise UsageError(str(err)) from err
+    try:
+        Path(args.out).write_text(format_instance(fam.instance, fam.subsequence))
+    except OSError as err:
+        raise UsageError(f"cannot write instance file: {err}") from err
     print(f"wrote {args.family} instance (n={fam.instance.n}, m={fam.instance.m}) to {args.out}")
     return 0
 
@@ -189,11 +198,10 @@ def cmd_gn(args: argparse.Namespace) -> int:
     try:
         g = build_digraph(args.n, args.algo)
     except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return 2
-    connected = strongly_connected(g)
-    eccs = eccentricities(g)
-    diam = diameter(g, eccs) if connected else ""
+        raise UsageError(str(err)) from err
+    eccs = eccentricities(g)  # -1 marks a vertex that cannot reach them all
+    connected = min(eccs) >= 0
+    diam = max(eccs) if connected else ""
     worst = max(range(len(eccs)), key=lambda i: eccs[i])
     print("n,algorithm,vertices,strongly_connected,diameter,max_eccentricity_vertex")
     print(

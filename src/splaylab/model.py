@@ -105,10 +105,6 @@ class ExecutionTrace:
     def final_tree(self) -> Node:
         return self.steps[-1].after if self.steps else self.instance.initial
 
-    @property
-    def after_trees(self) -> list[Node]:
-        return [s.after for s in self.steps]
-
 
 def validate(inst: Instance, e: Execution) -> ExecutionTrace:
     """Check an execution step by step and return its full trace."""
@@ -245,10 +241,6 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     return ExecutionTrace(inst, tuple(steps), cost)
 
 
-def splay_execute(inst: Instance) -> ExecutionTrace:
-    return algorithm_trace(inst, "splay")
-
-
 # ---------------------------------------------------------------------------
 # Rotation-based model.
 
@@ -270,7 +262,6 @@ class RotationTrace:
     instance: Instance
     cost: int
     search_depths: tuple[int, ...]
-    after_trees: tuple[Node, ...]  # tree at each search
 
 
 def rotation_trace(inst: Instance, r: RotationExecution) -> RotationTrace:
@@ -281,7 +272,6 @@ def rotation_trace(inst: Instance, r: RotationExecution) -> RotationTrace:
     t = inst.initial
     cost = 0
     depths = []
-    afters = []
     for i, (x, acc) in enumerate(zip(inst.requests, r.accesses), start=1):
         for k in acc.rotations:
             try:
@@ -295,8 +285,7 @@ def rotation_trace(inst: Instance, r: RotationExecution) -> RotationTrace:
         d = depth(t, x)
         cost += 1 + len(acc.rotations) + d
         depths.append(d)
-        afters.append(t)
-    return RotationTrace(inst, cost, tuple(depths), tuple(afters))
+    return RotationTrace(inst, cost, tuple(depths))
 
 
 def _vine_rotations(q: Node) -> list[tuple[int, int]]:
@@ -358,20 +347,21 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
     pending: list[int] = []  # deferred rotation keys, in order
     last = inst.m
     for i, (x, acc) in enumerate(zip(inst.requests, r.accesses), start=1):
-        ops = pending + list(acc.rotations)
-        # Lift the requested key to the root, remembering how to undo it.
+        # Replay the pending and listed rotations, then lift the requested
+        # key to the root, remembering how to undo it; every rotation's
+        # (key, parent key) edge is recorded in execution order.
         work = t
-        for k in ops:
+        edges: list[tuple[int, int]] = []
+        for k in pending + list(acc.rotations):
+            edges.append((k, path_nodes(work, k)[-2].key))
             work = rotate(work, k)
-        lift: list[int] = []
         undo: list[int] = []
         while work.key != x:
-            parents = path_nodes(work, x)
-            undo.append(parents[-2].key)
+            p = path_nodes(work, x)[-2].key
+            edges.append((x, p))
+            undo.append(p)
             work = rotate(work, x)
-            lift.append(x)
-        ops = ops + lift
-        # Union-find over rotation edges, evaluated in execution order.
+        # Union-find over the rotation edges.
         comp: dict[int, int] = {}
 
         def find(a: int) -> int:
@@ -382,13 +372,8 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
                 comp[a], a = root, comp[a]
             return root
 
-        work = t
-        edges: list[tuple[int, int]] = []
-        for k in ops:
-            p = path_nodes(work, k)[-2].key
-            edges.append((k, p))
+        for k, p in edges:
             comp[find(k)] = find(p)
-            work = rotate(work, k)
         keep_root = find(x)
         if i == last:
             # No later access can absorb deferred rotations, so the final

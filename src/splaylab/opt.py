@@ -52,17 +52,13 @@ class OptResult:
     trace: ExecutionTrace  # the validated trace of ``execution``
 
 
-def _guards_overridden() -> bool:
-    return bool(os.environ.get("SPLAYLAB_GUARD_OVERRIDE"))
-
-
-def check_guards(inst: Instance, guard_n: int = DEFAULT_GUARD_N, guard_m: int = DEFAULT_GUARD_M) -> None:
-    if _guards_overridden():
+def check_guards(n: int, m: int, guard_n: int = DEFAULT_GUARD_N, guard_m: int = DEFAULT_GUARD_M) -> None:
+    """Reject n keys and m requests beyond the guards, unless
+    SPLAYLAB_GUARD_OVERRIDE is set."""
+    if os.environ.get("SPLAYLAB_GUARD_OVERRIDE"):
         return
-    if inst.n > guard_n or inst.m > guard_m:
-        raise GuardExceededError(
-            f"instance n={inst.n}, m={inst.m} exceeds guards n<={guard_n}, m<={guard_m}"
-        )
+    if n > guard_n or m > guard_m:
+        raise GuardExceededError(f"n={n}, m={m} exceeds guards n<={guard_n}, m<={guard_m}")
 
 
 @lru_cache(maxsize=200_000)
@@ -221,7 +217,7 @@ def opt_cost(
     guard_m: int = DEFAULT_GUARD_M,
 ) -> OptResult:
     """Exact minimum execution cost and one optimal execution achieving it."""
-    check_guards(inst, guard_n, guard_m)
+    check_guards(inst.n, inst.m, guard_n, guard_m)
     start = shape_key(inst.initial)
     layer: dict[tuple[int, ...], int] = {start: 0}
     # back[after] = (shape, (transition tree, its print), cost so far)

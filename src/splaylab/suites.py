@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algorithms import access_cost, move_to_root, splay, top_down_splay
+from .algorithms import access_cost, move_to_root, run_accesses
 from .families import generate, random_tree, trial_rng
 from .model import (
     Execution,
@@ -51,7 +51,6 @@ from .tree import (
     Node,
     all_shapes,
     bst_from_sequence,
-    depth,
     left_spine_tree,
     parent_key,
     frontier,
@@ -145,26 +144,19 @@ def suite_g4(**_: object) -> str:
 
 
 def suite_transform(seed: int = 0, **_: object) -> str:
+    def random_pairs():
+        for n in (8, 16, 32, 64):
+            for trial in range(100):
+                rng = trial_rng("suite", seed, "transform", n, trial)
+                yield n, random_tree(n, rng), random_tree(n, rng)
+
+    exhaustive = ((4, s, t) for s in all_shapes(4) for t in all_shapes(4))
     worst = 0.0
-    for s in all_shapes(4):
-        for t in all_shapes(4):
-            plan = transform_sequence(s, t)
-            if replay(plan) != t or plan.cost > 320 or plan.rotation_count > 16:
-                raise SuiteFailure(f"4-node pair {shape_print(s)} -> {shape_print(t)}")
-            worst = max(worst, plan.cost / 4)
-    for n in (8, 16, 32, 64):
-        for trial in range(100):
-            rng = trial_rng("suite", seed, "transform", n, trial)
-            s = random_tree(n, rng)
-            t = random_tree(n, rng)
-            plan = transform_sequence(s, t)
-            if replay(plan) != t:
-                raise SuiteFailure(f"replay mismatch at n={n}")
-            if plan.cost > 80 * n or plan.rotation_count > 4 * n:
-                raise SuiteFailure(
-                    f"bounds exceeded at n={n}: cost {plan.cost}, rotations {plan.rotation_count}"
-                )
-            worst = max(worst, plan.cost / n)
+    for n, s, t in itertools.chain(exhaustive, random_pairs()):
+        plan = transform_sequence(s, t)
+        if replay(plan) != t or plan.cost > 80 * n or plan.rotation_count > 4 * n:
+            raise SuiteFailure(f"{n}-node pair {shape_print(s)} -> {shape_print(t)}")
+        worst = max(worst, plan.cost / n)
     return f"14x14 and 4x100 random pairs exact; max cost/n {worst:.1f} <= 80"
 
 
@@ -617,11 +609,8 @@ def suite_topdown(seed: int = 0, **_: object) -> str:
         seq = topdown_embedding(inst, e)
         if not _is_subsequence(inst.requests, seq):
             raise SuiteFailure(f"subsequence violated on trial {trial}")
-        t = inst.initial
-        cost = 0
-        for k in seq:
-            cost += depth(t, k) + 1
-            t, _ = top_down_splay(t, k)
+        t, records = run_accesses(inst.initial, seq, "tds")
+        cost = sum(r.cost for r in records)
         keys = sorted(tree_keys(inst.initial))
         b, z = keys[1], keys[-1]
         if not (t.key == z and t.left is not None and t.left.key == b):
@@ -651,9 +640,7 @@ def suite_universal(seed: int = 0, **_: object) -> str:
             u = universal_transform(q)
             if len(u) > 30 * qsize:
                 raise SuiteFailure(f"|U| too long at {qsize}")
-            cur = t
-            for k in u:
-                cur, _ = splay(cur, k)
+            cur, _ = run_accesses(t, u, "splay")
             if smallest_root_subtree(cur, q_keys) != q:
                 raise SuiteFailure(f"subtree not realized: |Q|={qsize} trial {trial}")
     return "300 supersets: subtree realized, |U| <= 30|Q|"
@@ -668,10 +655,8 @@ def suite_simultaneous(**_: object) -> str:
     for s in all_shapes(4):
         for t in all_shapes(4):
             seq = simultaneous_transform4(s, t)
-            a = b = s
-            for k in seq:
-                a, _ = splay(a, k)
-                b, _ = move_to_root(b, k)
+            a, _ = run_accesses(s, seq, "splay")
+            b, _ = run_accesses(s, seq, "mtr")
             if a != t or b != t:
                 raise SuiteFailure(f"{shape_print(s)} -> {shape_print(t)} diverged")
             pairs += 1

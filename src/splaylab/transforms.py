@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algorithms import ALGORITHMS, access_cost, move_to_root, run_accesses, splay, top_down_splay
+from .algorithms import ALGORITHMS, access_cost, run_accesses
 from .model import Execution, Instance, _closure_both, validate
 from .tree import (
     InvariantError,
@@ -73,45 +73,6 @@ def build_digraph(n: int, algo: str = "splay") -> TransitionDigraph:
     return TransitionDigraph(n, algo, vertices, index, tuple(arcs))
 
 
-def strongly_connected(g: TransitionDigraph) -> bool:
-    order: list[int] = []
-    seen = [False] * len(g.vertices)
-    for start in range(len(g.vertices)):
-        if seen[start]:
-            continue
-        stack = [(start, 0)]
-        seen[start] = True
-        while stack:
-            v, i = stack.pop()
-            if i < len(g.arcs[v]):
-                stack.append((v, i + 1))
-                w = g.arcs[v][i]
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append((w, 0))
-            else:
-                order.append(v)
-    rev: list[list[int]] = [[] for _ in g.vertices]
-    for v, row in enumerate(g.arcs):
-        for w in row:
-            rev[w].append(v)
-    seen = [False] * len(g.vertices)
-    components = 0
-    for v in reversed(order):
-        if seen[v]:
-            continue
-        components += 1
-        stack2 = [v]
-        seen[v] = True
-        while stack2:
-            u = stack2.pop()
-            for w in rev[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack2.append(w)
-    return components == 1
-
-
 def _bfs(g: TransitionDigraph, src: int) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
     dist = [-1] * len(g.vertices)
     back: list[Optional[tuple[int, int]]] = [None] * len(g.vertices)
@@ -135,9 +96,14 @@ def eccentricities(g: TransitionDigraph) -> list[int]:
     return out
 
 
-def diameter(g: TransitionDigraph, eccs: Optional[list[int]] = None) -> int:
-    """The largest eccentricity; pass ``eccs`` when they are already known."""
-    eccs = eccentricities(g) if eccs is None else eccs
+def strongly_connected(g: TransitionDigraph) -> bool:
+    """True when every vertex reaches every other."""
+    return min(eccentricities(g)) >= 0
+
+
+def diameter(g: TransitionDigraph) -> int:
+    """The largest eccentricity."""
+    eccs = eccentricities(g)
     if min(eccs) < 0:
         raise TransformUnreachableError(
             f"digraph for {g.algo} on {g.n} keys is not strongly connected"
@@ -299,11 +265,7 @@ class TransformPlan:
 
 
 def replay(plan: TransformPlan) -> Node:
-    fn = ALGORITHMS[plan.algo]
-    t = plan.source
-    for k in plan.keys:
-        t, _ = fn(t, k)
-    return t
+    return run_accesses(plan.source, plan.keys, plan.algo)[0]
 
 
 def transform_sequence(source: Node, target: Node, algo: str = "splay") -> TransformPlan:
@@ -382,12 +344,9 @@ def augmented_repeat(inst: Instance, k: int) -> tuple[int, ...]:
     splayed tree to its initial shape, repeated k times."""
     if k < 1:
         raise ValueError("repetition count must be at least 1")
-    t: Tree = inst.initial
-    for x in inst.requests:
-        t, _ = splay(t, x)
+    t, _ = run_accesses(inst.initial, inst.requests, "splay")
     reset = transform_sequence(t, inst.initial).keys
-    unit = inst.requests + reset
-    return unit * k
+    return (inst.requests + reset) * k
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +390,8 @@ _MIRROR = {1: 4, 2: 3, 3: 2, 4: 1}
 
 
 def _run_both(t: Node, keys: Sequence[int]) -> Node:
-    s = m = t
-    for k in keys:
-        s, _ = splay(s, k)
-        m, _ = move_to_root(m, k)
+    s, _ = run_accesses(t, keys, "splay")
+    m, _ = run_accesses(t, keys, "mtr")
     if s != m:
         raise InvariantError("sequence must drive Splay and Move-to-Root identically")
     return s
@@ -543,9 +500,13 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
 
     out: list[int] = []
     t = inst.initial
-    for k in (z, b, a, z):
-        out.append(k)
-        t, _ = top_down_splay(t, k)
+
+    def serve(keys: Sequence[int]) -> None:
+        nonlocal t
+        out.extend(keys)
+        t, _ = run_accesses(t, keys, "tds")
+
+    serve((z, b, a, z))
     if not (t.key == z and t.left is not None and t.left.key == b and t.left.right is not None):
         raise InvariantError("the opening accesses must pin the frame above the other keys")
     core = t.left.right  # framed subtree holding every other key
@@ -554,18 +515,14 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         # Transform only the top region the substitution moved; restricted
         # rotations of that root subtree are restricted for the whole framed
         # subtree as well.
-        nonlocal t
         if core_now == core_target:
             return core_now
         span = _closure_both(core_now, core_target, touched)
         before = root_subtree(core_now, span)
         after = root_subtree(core_target, span)
         for rot in restricted_rotation_script(before, after):
-            expect = rotate(core_now, rot)
-            for k in _framed_rotation_keys(core_now, rot, a, z):
-                out.append(k)
-                t, _ = top_down_splay(t, k)
-            core_now = expect
+            serve(_framed_rotation_keys(core_now, rot, a, z))
+            core_now = rotate(core_now, rot)
             if t != _frame_tree(core_now, a, b, z):
                 raise InvariantError("an induced rotation must keep the frame")
         if core_now != core_target:
@@ -577,9 +534,7 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         target_core = _strip_frame(step.after)
         touched = tree_keys(step.transition) - {a, b, z}
         core = run_script(core, target_core, touched or {core.key})
-        for k in _maneuver(step.requested, a, b, z):
-            out.append(k)
-            t, _ = top_down_splay(t, k)
+        serve(_maneuver(step.requested, a, b, z))
         if t != _frame_tree(core, a, b, z):
             raise InvariantError("maneuver must preserve the frame")
     return tuple(out)

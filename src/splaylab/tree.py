@@ -376,23 +376,11 @@ def catalan(n: int) -> int:
     return c
 
 
-@lru_cache(maxsize=None)
-def _shapes_range(lo: int, hi: int) -> tuple[Tree, ...]:
-    if lo > hi:
-        return (None,)
-    out: list[Tree] = []
-    for k in range(lo, hi + 1):
-        for left in _shapes_range(lo, k - 1):
-            for right in _shapes_range(k + 1, hi):
-                out.append(Node(k, left, right))
-    return tuple(out)
-
-
 def all_shapes(n: int) -> tuple[Tree, ...]:
     """Every binary search tree on keys 1..n, exactly once."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _shapes_range(1, n)
+    return shapes_on_keys(tuple(range(1, n + 1)))
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from splaylab.algorithms import (
     top_down_splay,
 )
 from splaylab.families import generate, random_tree
-from splaylab.model import Instance, algorithm_trace, splay_execute, validate
+from splaylab.model import Instance, algorithm_trace, validate
 from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
@@ -251,13 +251,13 @@ class TestInsertionSplay:
 class TestExecutionTraces:
     def test_empty_request_sequence(self):
         inst = Instance((), bst_from_sequence([2, 1, 3]))
-        trace = splay_execute(inst)
+        trace = algorithm_trace(inst, "splay")
         assert trace.cost == 0 and trace.steps == ()
 
     def test_spine_312_cost_pinned(self):
         t = left_spine_tree(range(1, 101))
         inst = Instance((3, 1, 2), t)
-        assert splay_execute(inst).cost == 103
+        assert algorithm_trace(inst, "splay").cost == 103
 
     def test_trace_validates_in_model(self, rng):
         from splaylab.model import Execution
@@ -281,7 +281,7 @@ class TestExecutionTraces:
             for x in inst.requests:
                 expect += depth(cur, x)
                 cur, _ = splay(cur, x)
-            assert splay_execute(inst).cost == expect
+            assert algorithm_trace(inst, "splay").cost == expect
 
 
 class TestPathBasedProperty:

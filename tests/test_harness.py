@@ -9,7 +9,7 @@ from splaylab.cli import main
 from splaylab.families import UnknownFamilyError, generate
 from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
-from splaylab.tree import all_shapes, left_spine_tree, preorder, shape_print, size
+from splaylab.tree import KeyAbsentError, all_shapes, left_spine_tree, shape_print, size
 from splaylab.wilber import FormulaReport
 
 
@@ -111,6 +111,50 @@ BAD_NUMBERS = {
     "verify-max-m-0": ["verify", "--suite", "opt-monotone", "--max-m", "0"],
 }
 
+# The usage errors without a test of their own; "{tmp}" stands for a fresh temporary directory.
+USAGE_ERRORS = {
+    "verify-max-n-beyond-guard": ["verify", "--suite", "opt-monotone", "--max-n", "8"],
+    "verify-max-m-beyond-guard": ["verify", "--suite", "opt-monotone", "--max-m", "9"],
+    "run-unknown-column": ["run", "--instance", "{tmp}/absent.txt", "--report", "cost,nope"],
+    "gen-bad-size": ["gen", "--family", "random", "--n", "-5", "--out", "{tmp}/x.txt"],
+    "gen-unwritable-out": ["gen", "--family", "random", "--n", "3", "--out", "{tmp}/no/x.txt"],
+    "gn-size-0": ["gn", "--n", "0"],
+}
+
+# The gn CSV row for n = 1..7 under each algorithm; n = 8 takes seconds per run.
+GN_ROWS = {
+    ("splay", 1): '1,splay,1,True,0,"(1 . .)"',
+    ("splay", 2): '2,splay,2,True,1,"(1 . (2 . .))"',
+    ("splay", 3): '3,splay,5,False,,"(1 . (3 (2 . .) .))"',
+    ("splay", 4): '4,splay,14,True,5,"(1 . (2 . (4 (3 . .) .)))"',
+    ("splay", 5): '5,splay,42,True,6,"(1 . (2 . (4 (3 . .) (5 . .))))"',
+    ("splay", 6): '6,splay,132,True,7,"(1 . (2 . (3 . (4 . (5 . (6 . .))))))"',
+    ("splay", 7): '7,splay,429,True,9,"(1 . (2 . (3 . (4 . (6 (5 . .) (7 . .))))))"',
+    ("mtr", 1): '1,mtr,1,True,0,"(1 . .)"',
+    ("mtr", 2): '2,mtr,2,True,1,"(1 . (2 . .))"',
+    ("mtr", 3): '3,mtr,5,True,2,"(1 . (2 . (3 . .)))"',
+    ("mtr", 4): '4,mtr,14,True,3,"(1 . (2 . (3 . (4 . .))))"',
+    ("mtr", 5): '5,mtr,42,True,4,"(1 . (2 . (3 . (4 . (5 . .)))))"',
+    ("mtr", 6): '6,mtr,132,True,5,"(1 . (2 . (3 . (4 . (5 . (6 . .))))))"',
+    ("mtr", 7): '7,mtr,429,True,6,"(1 . (2 . (3 . (4 . (5 . (6 . (7 . .)))))))"',
+    ("tds", 1): '1,tds,1,True,0,"(1 . .)"',
+    ("tds", 2): '2,tds,2,True,1,"(1 . (2 . .))"',
+    ("tds", 3): '3,tds,5,False,,"(1 . (3 (2 . .) .))"',
+    ("tds", 4): '4,tds,14,False,,"(1 . (2 . (3 . (4 . .))))"',
+    ("tds", 5): '5,tds,42,False,,"(1 . (2 . (3 . (4 . (5 . .)))))"',
+    ("tds", 6): '6,tds,132,False,,"(1 . (2 . (3 . (4 . (5 . (6 . .))))))"',
+    ("tds", 7): '7,tds,429,False,,"(1 . (2 . (3 . (4 . (5 . (6 . (7 . .)))))))"',
+}
+
+
+def _assert_usage_error(argv, capsys):
+    """``argv`` exits 2 with nothing on stdout and one line on stderr."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"splaylab {argv[0]}: ")
+
 
 class TestCli:
     @pytest.mark.parametrize("case", sorted(BAD_INSTANCES))
@@ -134,6 +178,34 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"splaylab {argv[0]}: --")
 
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_usage_error_exit_2(self, tmp_path, capsys, case):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in USAGE_ERRORS[case]]
+        _assert_usage_error(argv, capsys)
+
+    def test_unknown_family_exit_2(self, tmp_path, capsys):
+        out = str(tmp_path / "x.txt")
+        _assert_usage_error(["gen", "--family", "nope", "--n", "3", "--out", out], capsys)
+
+    def test_unknown_suite_exit_2(self, capsys):
+        _assert_usage_error(["verify", "--suite", "nope"], capsys)
+
+    def test_unknown_conjecture_exit_2(self, capsys):
+        _assert_usage_error(["probe", "--conjecture", "nope"], capsys)
+
+    def test_guard_override_lifts_the_verify_bounds(self, monkeypatch, capsys):
+        monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", "1")
+        assert main(["verify", "--suite", "g4", "--max-n", "8", "--max-m", "9"]) == 0
+        assert "[PASS] g4" in capsys.readouterr().out
+
+    def test_key_error_inside_a_suite_propagates(self, monkeypatch):
+        def broken(**_):
+            raise KeyAbsentError(99)
+
+        monkeypatch.setitem(suites.SUITES, "g4", broken)
+        with pytest.raises(KeyAbsentError):
+            main(["verify", "--suite", "g4"])
+
     def test_probe_accepts_the_range_minimums(self, capsys):
         argv = ["probe", "--conjecture", "splay-bookkeeping", "--trials", "1", "--n", "1"]
         assert main(argv + ["--m", "0"]) == 0
@@ -148,16 +220,6 @@ class TestCli:
             "--report", "cost,lambda,lambda2,zeta,opt",
         ]) == 0
 
-    def test_unknown_family_exit_2(self, tmp_path):
-        code = main(["gen", "--family", "nope", "--n", "3", "--out", str(tmp_path / "x")])
-        assert code == 2
-
-    def test_unknown_suite_exit_2(self):
-        assert main(["verify", "--suite", "nope"]) == 2
-
-    def test_unknown_conjecture_exit_2(self):
-        assert main(["probe", "--conjecture", "nope"]) == 2
-
     def test_verify_suite_passes(self, capsys):
         assert main(["verify", "--suite", "g4"]) == 0
         out = capsys.readouterr().out
@@ -167,6 +229,13 @@ class TestCli:
         assert main(["gn", "--n", "4", "--algo", "splay"]) == 0
         out = capsys.readouterr().out
         assert "4,splay,14,True,5" in out
+
+    @pytest.mark.parametrize("algo,n", sorted(GN_ROWS))
+    def test_gn_row(self, capsys, algo, n):
+        assert main(["gn", "--n", str(n), "--algo", algo]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "n,algorithm,vertices,strongly_connected,diameter,max_eccentricity_vertex"
+        assert row == GN_ROWS[(algo, n)]
 
     def test_probe_command(self, capsys):
         assert main([

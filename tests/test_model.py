@@ -37,7 +37,6 @@ from splaylab.tree import (
     root_subtree,
     shape_print,
     size,
-    tree_keys,
 )
 
 from conftest import make_random_execution, make_random_instance

@@ -21,7 +21,6 @@ from splaylab.transforms import (
     shortest_path,
     simulation_embedding,
     simultaneous_transform4,
-    strongly_connected,
     topdown_embedding,
     transform_sequence,
     universal_transform,
@@ -36,7 +35,6 @@ from splaylab.tree import (
     path_nodes,
     right_spine_tree,
     rotate,
-    shape_print,
     shapes_on_keys,
     size,
     tree_keys,
