@@ -138,9 +138,15 @@ def validate(inst: Instance, e: Execution) -> ExecutionTrace:
 
 
 def subsequence_instance(inst: Instance, deleted: Iterable[int]) -> Instance:
+    """``inst`` without the ``deleted`` request indices (1-based).  Its
+    requests were checked against the tree when ``inst`` was built, so the
+    key walk of :class:`Instance` is skipped."""
     gone = set(deleted)
     kept = tuple(x for i, x in enumerate(inst.requests, start=1) if i not in gone)
-    return Instance(kept, inst.initial)
+    sub = object.__new__(Instance)
+    object.__setattr__(sub, "requests", kept)
+    object.__setattr__(sub, "initial", inst.initial)
+    return sub
 
 
 def elide(inst: Instance, e: Execution, deleted: Iterable[int]) -> Execution:

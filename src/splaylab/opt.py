@@ -1,14 +1,16 @@
 """Exact brute-force optimal execution cost by layered dynamic programming
 over tree shapes.
 
-State after i requests is the whole tree arrangement; each request expands
-every (connected root subtree containing the requested key, rearrangement
-with that key at the root) pair.  Only those rearrangements are enumerated:
-for the requested key x and a root subtree on keys Q, they are (x L R) for
-every L on Q's keys below x and every R on those above, left-major, shared
-through :func:`splaylab.tree.rooted_shapes`.  No after-tree is built for a
-candidate: its state key, a preorder, is spliced from the preorders of L, R
-and Q's hanging subtrees (see :func:`_transitions`).  Guards keep the state
+State after i requests is the whole tree arrangement.  A request x is served
+by replacing a connected root subtree Q holding x with an arrangement Q' of
+its keys, x at the root, at cost |Q|; the after-tree depends only on Q' and
+Q's hanging subtrees.  So each layer's (state, Q) pairs are grouped by
+(Q's keys, hanging-subtree preorders): a group keeps its least distance and
+relaxes its moves once (see :func:`_groups`).  The arrangements are (x L R)
+for every L on Q's keys below x and every R on those above, left-major,
+shared through :func:`splaylab.tree.rooted_shapes`.  No after-tree is built
+for a move: its state key, a preorder, is spliced from the preorders of L, R
+and Q's hanging subtrees (see :func:`_group_moves`).  Guards keep the state
 space at desk scale; the environment variable SPLAYLAB_GUARD_OVERRIDE lifts
 them at the caller's risk.
 """
@@ -49,6 +51,9 @@ class OptResult:
     states_expanded: int
     # States expanded before each request; sums to ``states_expanded``.
     states_per_layer: tuple[int, ...]
+    # (Kept set, hanging subtrees) groups relaxed before each request; each
+    # is at most that layer's count of (state, kept set) pairs.
+    groups_per_layer: tuple[int, ...]
     trace: ExecutionTrace  # the validated trace of ``execution``
 
 
@@ -61,48 +66,54 @@ def check_guards(n: int, m: int, guard_n: int = DEFAULT_GUARD_N, guard_m: int = 
         raise GuardExceededError(f"n={n}, m={m} exceeds guards n<={guard_n}, m<={guard_m}")
 
 
-@lru_cache(maxsize=200_000)
-def _transitions(
-    shape: tuple[int, ...], x: int
-) -> tuple[tuple[tuple[int, ...], tuple[Node, str], int], ...]:
-    """All (after-shape key, (transition tree, its print), cost) moves for
-    one request; the pairs are those of :func:`_printed_rooted_shapes`, shared.
+# A kept key set and the preorders of its hanging subtrees: see _groups.
+_Group = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 
-    Enumerates every connected root subtree Q containing ``x`` and every
-    arrangement Q' of its keys with ``x`` at the root; deduplicates to the
-    cheapest transition per resulting arrangement (ties to the smaller
-    transition-tree print, so reconstructed executions are deterministic).
-    No after-tree is built: with Q' = (x L R), the after-shape's preorder is
-    ``x``, then L's preorder with its empty slots filled by the preorders of
-    Q's hanging subtrees, then R's likewise, since a preorder meets a tree's
-    empty slots in symmetric order.
+
+@lru_cache(maxsize=200_000)
+def _groups(shape: tuple[int, ...], x: int) -> tuple[_Group, ...]:
+    """The (Q's keys, fill) pair of every connected root subtree Q of the
+    state containing ``x``, in sorted key-set order: ``fill`` holds the
+    preorders of Q's hanging subtrees in symmetric order.
+
+    The pair fixes the request's moves through Q (see :func:`_group_moves`),
+    so states sharing a pair share them.
     """
     t = _tree_from_shape(shape)
     below, above = _child_preorders(t, shape)
     position = {k: p for p, k in enumerate(shape)}
-    best: dict[tuple[int, ...], tuple[int, str, tuple[Node, str]]] = {}
+    out = []
     for q_keys in _root_subtree_keysets(t, x):
-        cost = len(q_keys)
-        i = q_keys.index(x)
-        # Q's hanging subtrees in symmetric order.  Of two consecutive keys
-        # of Q one is the other's ancestor, so it comes first in preorder,
-        # and the gap between them holds the inner child of the other.
+        # Of two consecutive keys of Q one is the other's ancestor, so it
+        # comes first in preorder, and the gap between them holds the inner
+        # child of the other.
         fill = [below[q_keys[0]]]
         for lo, hi in zip(q_keys, q_keys[1:]):
             fill.append(below[hi] if position[hi] > position[lo] else above[lo])
         fill.append(above[q_keys[-1]])
-        heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
-        tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
-        rooted = iter(_printed_rooted_shapes(q_keys, x))
-        for head in heads:
-            for tail in tails:
-                rooted_pair = next(rooted)
-                q_print = rooted_pair[1]
-                k = head + tail
-                old = best.get(k)
-                if old is None or cost < old[0] or (cost == old[0] and q_print < old[1]):
-                    best[k] = (cost, q_print, rooted_pair)
-    return tuple((k, v[2], v[0]) for k, v in best.items())
+        out.append((q_keys, tuple(fill)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=200_000)
+def _group_moves(
+    q_keys: tuple[int, ...], fill: tuple[tuple[int, ...], ...], x: int
+) -> tuple[tuple[tuple[int, ...], tuple[Node, str]], ...]:
+    """The (after-shape key, (transition tree, its print)) move of every
+    arrangement Q' of ``q_keys`` with ``x`` at the root, in
+    :func:`_printed_rooted_shapes` order, whose pairs it shares.
+
+    No after-tree is built: with Q' = (x L R), the after-shape's preorder is
+    ``x``, then L's preorder with its empty slots filled by ``fill``'s first
+    preorders, then R's with the rest, since a preorder meets a tree's empty
+    slots in symmetric order.  Distinct arrangements give distinct
+    after-shapes, whose root subtree on ``q_keys`` is Q'.
+    """
+    i = q_keys.index(x)
+    heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
+    tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
+    afters = (head + tail for head in heads for tail in tails)
+    return tuple(zip(afters, _printed_rooted_shapes(q_keys, x)))
 
 
 @lru_cache(maxsize=None)
@@ -116,7 +127,9 @@ def _printed_rooted_shapes(keys: tuple[int, ...], x: int) -> tuple[tuple[Node, s
     return tuple(zip(rooted_shapes(keys, x), prints))
 
 
-def _splice(runs: tuple[tuple[int, ...], ...], fill: list[tuple[int, ...]]) -> tuple[int, ...]:
+def _splice(
+    runs: tuple[tuple[int, ...], ...], fill: tuple[tuple[int, ...], ...]
+) -> tuple[int, ...]:
     out: tuple[int, ...] = ()
     for run, sub in zip(runs, fill):
         out += run + sub
@@ -220,22 +233,35 @@ def opt_cost(
     check_guards(inst.n, inst.m, guard_n, guard_m)
     start = shape_key(inst.initial)
     layer: dict[tuple[int, ...], int] = {start: 0}
-    # back[after] = (shape, (transition tree, its print), cost so far)
-    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str], int]]] = []
+    # back[after] = (shape, (transition tree, its print))
+    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str]]]] = []
     per_layer: list[int] = []
+    groups_per_layer: list[int] = []
     for x in inst.requests:
-        nxt: dict[tuple[int, ...], int] = {}
-        back: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str], int]] = {}
         per_layer.append(len(layer))
+        # Each group keeps its least distance and the first state in layer
+        # order at it; groups keep the order of their first (state, Q).
+        groups: dict[_Group, tuple[int, tuple[int, ...]]] = {}
         for shape, dist in layer.items():
-            for after, rooted_pair, cost in _transitions(shape, x):
-                cand = dist + cost
+            for group in _groups(shape, x):
+                known = groups.get(group)
+                if known is None or dist < known[0]:
+                    groups[group] = (dist, shape)
+        groups_per_layer.append(len(groups))
+        nxt: dict[tuple[int, ...], int] = {}
+        back: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str]]] = {}
+        for (q_keys, fill), (dist, shape) in groups.items():
+            cand = dist + len(q_keys)
+            for after, rooted_pair in _group_moves(q_keys, fill, x):
                 known = nxt.get(after)
+                # Equal prints mean the same Q' and after-shape, so the same
+                # group, whose kept state is the first in layer order at its
+                # distance, as a per-state relaxation would choose.
                 if known is None or cand < known or (
                     cand == known and rooted_pair[1] < back[after][1][1]
                 ):
                     nxt[after] = cand
-                    back[after] = (shape, rooted_pair, cand)
+                    back[after] = (shape, rooted_pair)
         layer = nxt
         parents.append(back)
     best_shape = min(layer, key=lambda s: (layer[s], s))
@@ -244,7 +270,7 @@ def opt_cost(
     trees: list[Node] = []
     cur = best_shape
     for back in reversed(parents):
-        shape, (q_prime, _), _ = back[cur]
+        shape, (q_prime, _) = back[cur]
         trees.append(q_prime)
         cur = shape
     trees.reverse()
@@ -254,7 +280,9 @@ def opt_cost(
         raise InvariantError(
             f"reconstructed execution costs {trace.cost}, not the optimum {total}"
         )
-    return OptResult(total, execution, sum(per_layer), tuple(per_layer), trace)
+    return OptResult(
+        total, execution, sum(per_layer), tuple(per_layer), tuple(groups_per_layer), trace
+    )
 
 
 def initial_tree_shift(x_seq: tuple[int, ...], t: Node, t_prime: Node) -> int:

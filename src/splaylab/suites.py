@@ -386,12 +386,12 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
         n = rng.randint(1, 8)
         t = random_tree(n, rng)
         m = rng.randint(1, 6)
-        x_seq = tuple(rng.randint(1, n) for _ in range(m))
-        sub = tuple(x for x in x_seq if rng.random() < 0.6)
-        if not sub:
+        inst = Instance(tuple(rng.randint(1, n) for _ in range(m)), t)
+        sub = subsequence_instance(inst, [i for i in range(1, m + 1) if rng.random() >= 0.6])
+        if not sub.requests:
             continue
         checked += 1
-        if crossing_bound(Instance(sub, t)) > 4 * crossing_bound(Instance(x_seq, t)):
+        if crossing_bound(sub) > 4 * crossing_bound(inst):
             raise SuiteFailure(f"random trial {trial}")
     return f"{checked} subsequences within factor four"
 

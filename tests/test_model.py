@@ -55,6 +55,19 @@ def cost8_instance():
     return Instance((1, 2, 6), t), e
 
 
+class TestInstance:
+    def test_absent_request_rejected(self):
+        with pytest.raises(KeyAbsentError):
+            Instance((1, 7), bst_from_sequence([2, 1, 3]))
+
+    def test_subsequence_equals_checked_instance(self, rng):
+        for _ in range(50):
+            inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
+            deleted = {i for i in range(1, inst.m + 1) if rng.random() < 0.5}
+            kept = tuple(x for i, x in enumerate(inst.requests, 1) if i not in deleted)
+            assert subsequence_instance(inst, deleted) == Instance(kept, inst.initial)
+
+
 class TestValidate:
     def test_root_access_costs_one(self):
         t = bst_from_sequence([2, 1, 3])

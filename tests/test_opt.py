@@ -17,8 +17,13 @@ from splaylab.model import (
 )
 from splaylab.opt import (
     GuardExceededError,
+    _child_preorders,
+    _group_moves,
+    _groups,
+    _printed_rooted_shapes,
     _root_subtree_keysets,
-    _transitions,
+    _slot_runs,
+    _splice,
     _tree_from_shape,
     initial_tree_shift,
     opt_cost,
@@ -97,6 +102,85 @@ def reference_opt_cost(inst):
     return total, Execution(tuple(reversed(trees))), expanded
 
 
+def per_state_transitions(shape, x):
+    """The oracle's moves for one state, spliced per state and reduced to
+    the cheapest (transition tree, print) pair per after-shape, ties to the
+    smaller print: the move enumeration the grouped DP replaced."""
+    t = _tree_from_shape(shape)
+    below, above = _child_preorders(t, shape)
+    position = {k: p for p, k in enumerate(shape)}
+    best = {}
+    for q_keys in _root_subtree_keysets(t, x):
+        cost = len(q_keys)
+        i = q_keys.index(x)
+        fill = [below[q_keys[0]]]
+        for lo, hi in zip(q_keys, q_keys[1:]):
+            fill.append(below[hi] if position[hi] > position[lo] else above[lo])
+        fill.append(above[q_keys[-1]])
+        heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
+        tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
+        rooted = iter(_printed_rooted_shapes(q_keys, x))
+        for head in heads:
+            for tail in tails:
+                rooted_pair = next(rooted)
+                q_print = rooted_pair[1]
+                k = head + tail
+                old = best.get(k)
+                if old is None or cost < old[0] or (cost == old[0] and q_print < old[1]):
+                    best[k] = (cost, q_print, rooted_pair)
+    return tuple((k, v[2], v[0]) for k, v in best.items())
+
+
+def per_state_opt_cost(inst):
+    """The layered DP that relaxes every state's own moves, ties to the
+    smaller transition-tree print: the loop the grouped DP replaced.
+    Returns the cost, the execution and the states per layer."""
+    layer = {shape_key(inst.initial): 0}
+    parents = []
+    per_layer = []
+    for x in inst.requests:
+        nxt, back = {}, {}
+        per_layer.append(len(layer))
+        for shape, dist in layer.items():
+            for after, rooted_pair, cost in per_state_transitions(shape, x):
+                cand = dist + cost
+                known = nxt.get(after)
+                if known is None or cand < known or (
+                    cand == known and rooted_pair[1] < back[after][1][1]
+                ):
+                    nxt[after] = cand
+                    back[after] = (shape, rooted_pair)
+        layer = nxt
+        parents.append(back)
+    cur = min(layer, key=lambda s: (layer[s], s))
+    total = layer[cur]
+    trees = []
+    for back in reversed(parents):
+        cur, (q_prime, _) = back[cur]
+        trees.append(q_prime)
+    return total, Execution(tuple(reversed(trees))), tuple(per_layer)
+
+
+def cheapest_group_moves(shape, x):
+    """The grouped moves of one state, reduced to the cheapest move per
+    after-shape, ties to the smaller print, as (after, Q', cost)."""
+    best = {}
+    for q_keys, fill in _groups(shape, x):
+        cost = len(q_keys)
+        for after, (q_prime, q_print) in _group_moves(q_keys, fill, x):
+            old = best.get(after)
+            if old is None or (cost, q_print) < old[:2]:
+                best[after] = (cost, q_print, q_prime)
+    return [(k, q_prime, cost) for k, (cost, _, q_prime) in best.items()]
+
+
+def assert_same_result(result, cost, execution):
+    assert result.cost == cost
+    assert [shape_print(q) for q in result.execution.transition_trees] == [
+        shape_print(q) for q in execution.transition_trees
+    ]
+
+
 class TestTransitions:
     def test_keysets_match_reference(self):
         for n in range(1, 7):
@@ -105,18 +189,32 @@ class TestTransitions:
                     assert _root_subtree_keysets(t, x) == reference_keysets(t, x)
 
     def test_match_reference_exhaustive(self):
-        # Same moves in the same order, with the same chosen transition tree,
-        # cost and print, for every shape with n <= 6 and every request.
+        # The grouped moves, reduced per after-shape, are the reference moves
+        # in the same order, with the same chosen transition tree and cost,
+        # for every shape with n <= 6 and every request.
         for n in range(1, 7):
             for t in all_shapes(n):
                 shape = shape_key(t)
                 assert _tree_from_shape(shape) == t
                 for x in range(1, n + 1):
-                    moves = _transitions(shape, x)
+                    assert cheapest_group_moves(shape, x) == list(
+                        reference_transitions(shape, x)
+                    )
+                    for q_keys, fill in _groups(shape, x):
+                        assert all(
+                            q_print == shape_print(q)
+                            for _, (q, q_print) in _group_moves(q_keys, fill, x)
+                        )
+
+    def test_per_state_transitions_match_reference_exhaustive(self):
+        for n in range(1, 7):
+            for t in all_shapes(n):
+                shape = shape_key(t)
+                for x in range(1, n + 1):
+                    moves = per_state_transitions(shape, x)
                     assert [(k, q, c) for k, (q, _), c in moves] == list(
                         reference_transitions(shape, x)
                     )
-                    assert all(q_print == shape_print(q) for _, (q, q_print), _ in moves)
 
     def test_rooted_shapes_are_the_filtered_arrangements(self):
         for n in range(1, 7):
@@ -140,6 +238,36 @@ class TestTransitions:
                 shape_print(q) for q in execution.transition_trees
             ]
 
+    def test_opt_cost_matches_reference_dp_long(self):
+        # Six to eight requests reach tie-breaks across several layers.
+        rng = random.Random(11)
+        for m in (6, 7, 8):
+            for _ in range(4):
+                inst = make_random_instance(rng, rng.randint(4, 6), m)
+                result = opt_cost(inst)
+                cost, execution, expanded = reference_opt_cost(inst)
+                assert_same_result(result, cost, execution)
+                assert result.states_expanded == expanded
+
+    def test_opt_cost_matches_per_state_dp(self):
+        # Which state a group keeps decides the reconstructed execution.
+        rng = random.Random(10)
+        for _ in range(300):
+            inst = make_random_instance(rng, rng.randint(1, 7), rng.randint(0, 8))
+            result = opt_cost(inst)
+            cost, execution, per_layer = per_state_opt_cost(inst)
+            assert_same_result(result, cost, execution)
+            assert result.states_per_layer == per_layer
+
+    def test_opt_cost_matches_per_state_dp_n8(self, monkeypatch):
+        monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", "1")
+        rng = random.Random(8)
+        inst = Instance(tuple(rng.randint(1, 8) for _ in range(6)), random_tree(8, rng))
+        result = opt_cost(inst)
+        cost, execution, per_layer = per_state_opt_cost(inst)
+        assert_same_result(result, cost, execution)
+        assert result.states_per_layer == per_layer
+
     def test_states_per_layer(self, rng):
         for _ in range(20):
             inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 4))
@@ -147,6 +275,19 @@ class TestTransitions:
             assert len(result.states_per_layer) == inst.m
             assert sum(result.states_per_layer) == result.states_expanded
             assert result.states_per_layer[:1] in ((), (1,))
+
+    def test_groups_per_layer(self, rng):
+        # At most one group per (state, kept set) pair of the layer, whose
+        # states are those the reference moves reach.
+        for _ in range(20):
+            inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
+            result = opt_cost(inst)
+            assert len(result.groups_per_layer) == inst.m
+            layer = {shape_key(inst.initial)}
+            for x, groups in zip(inst.requests, result.groups_per_layer):
+                pairs = sum(len(_root_subtree_keysets(_tree_from_shape(s), x)) for s in layer)
+                assert 1 <= groups <= pairs
+                layer = {k for s in layer for k, _, _ in per_state_transitions(s, x)}
 
 
 class TestOracleBasics:
