@@ -28,10 +28,12 @@ from .tree import (  # noqa: F401
 )
 from .algorithms import (  # noqa: F401
     AccessRecord,
+    RunTotals,
     deque_run,
     insertion_splay,
     move_to_root,
     run_accesses,
+    run_totals,
     splay,
     top_down_splay,
 )

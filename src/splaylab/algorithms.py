@@ -14,7 +14,7 @@ off the path are re-attached wherever symmetric order forces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .tree import (
     KeyAbsentError,
@@ -167,13 +167,32 @@ def run_accesses(
     return t, records
 
 
-def access_cost(t: Tree, keys: Iterable[int], algo: str = "splay") -> int:
+class RunTotals(NamedTuple):
+    """The final tree and summed costs of one algorithm's run."""
+
+    tree: Tree
+    cost: int
+    crossing: int
+
+    @property
+    def bookkeeping(self) -> int:
+        return self.cost - self.crossing
+
+
+def run_totals(t: Tree, keys: Iterable[int], algo: str = "splay") -> RunTotals:
+    """Apply one algorithm along a request sequence, keeping no per-access
+    records; the one place that sums a run's costs."""
     fn = ALGORITHMS[algo]
-    total = 0
+    cost = crossing = 0
     for k in keys:
         t, rec = fn(t, k)
-        total += rec.cost
-    return total
+        cost += rec.cost
+        crossing += rec.crossing
+    return RunTotals(t, cost, crossing)
+
+
+def access_cost(t: Tree, keys: Iterable[int], algo: str = "splay") -> int:
+    return run_totals(t, keys, algo).cost
 
 
 # ---------------------------------------------------------------------------

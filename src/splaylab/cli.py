@@ -1,20 +1,23 @@
 """Command-line front door.
 
 Subcommands: ``verify`` runs acceptance suites, ``run`` executes an instance
-file under one algorithm and reports requested columns, ``probe`` runs a
-conjecture probe, ``gen`` writes a family instance, ``gn`` prints transition
-digraph facts.  Exit codes: 0 on success, 1 when a suite failed, 2 on usage
-errors.
+file under one algorithm and reports requested columns, ``lambda-report`` and
+``opt-report`` report fixed columns for instance files, all three from one
+column table, ``probe`` runs a conjecture probe, ``gen`` writes a family
+instance, ``gn`` prints transition digraph facts.  Exit codes: 0 on success,
+1 when a suite failed, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache, cached_property
 from pathlib import Path
+from typing import Callable, Sequence
 
 from . import __version__
-from .algorithms import ALGORITHMS, run_accesses
+from .algorithms import ALGORITHMS, run_totals
 from .families import FAMILY_NAMES, UnknownFamilyError, generate
 from .model import Instance, format_instance, parse_instance
 from .opt import DEFAULT_GUARD_M, DEFAULT_GUARD_N, GuardExceededError, check_guards, opt_cost
@@ -22,9 +25,7 @@ from .probes import PROBES, UnknownConjectureError, probe
 from .suites import SUITES, run_suite
 from .transforms import build_digraph, eccentricities
 from .tree import KeyAbsentError, shape_print
-from .wilber import crossing_bound, sequence_crossing_bound, splay_bookkeeping_cost
-
-REPORT_COLUMNS = ("cost", "lambda", "lambda2", "zeta", "opt")
+from .wilber import sequence_crossing_bound
 
 
 class UsageError(Exception):
@@ -45,6 +46,63 @@ def read_instance(path: str) -> Instance:
     except ValueError as err:
         raise UsageError(f"{path}: {err}") from err
     return inst
+
+
+class _Cells:
+    """What the report columns of one instance read, each computed at most
+    once: one run per algorithm, and the oracle's cost."""
+
+    def __init__(self, inst: Instance, algo: str) -> None:
+        self.inst, self.algo = inst, algo  # the "cost" column reports algo's run
+        self.run = cache(lambda name: run_totals(inst.initial, inst.requests, name))
+
+    @cached_property
+    def opt(self) -> int | None:
+        """The oracle's cost, or None when the instance exceeds its guard."""
+        try:
+            return opt_cost(self.inst).cost
+        except GuardExceededError:
+            return None
+
+
+def _over_opt(value: int, cells: _Cells) -> str:
+    """``value / opt`` to four places; empty when the guard trips or opt is 0."""
+    return f"{value / cells.opt:.4f}" if cells.opt else ""
+
+
+# Report columns: name -> the column's cell for one instance.  lambda is
+# Move-to-Root's crossing cost, the lower bound; lambda_prime and zeta split
+# Splay's cost into crossings and bookkeeping.  The README describes each.
+COLUMNS: dict[str, Callable[[_Cells], object]] = {
+    "algo": lambda c: c.algo,
+    "cost": lambda c: c.run(c.algo).cost,
+    "cost_splay": lambda c: c.run("splay").cost,
+    "splay_cost": lambda c: c.run("splay").cost,
+    "mtr_cost": lambda c: c.run("mtr").cost,
+    "lambda": lambda c: c.run("mtr").crossing,
+    "lambda_prime": lambda c: c.run("splay").crossing,
+    "lambda2": lambda c: sequence_crossing_bound(c.inst.requests),
+    "zeta": lambda c: c.run("splay").bookkeeping,
+    "opt": lambda c: "" if c.opt is None else c.opt,
+    "splay_over_opt": lambda c: _over_opt(c.run("splay").cost, c),
+    "lambda_over_opt": lambda c: _over_opt(c.run("mtr").crossing, c),
+}
+RUN_COLUMNS = ("cost", "lambda", "lambda2", "zeta", "opt")  # the choices of run --report
+LAMBDA_REPORT = ("cost_splay", "lambda", "lambda_prime", "zeta", "opt")
+OPT_REPORT = ("opt", "splay_cost", "mtr_cost", "lambda", "splay_over_opt", "lambda_over_opt")
+
+
+def _write_report(paths: Sequence[str], columns: Sequence[str], algo: str = "splay") -> int:
+    """Print a CSV header and one row per instance file: its name, m and n,
+    then ``columns`` from :data:`COLUMNS`.  Every file is read first, so a bad
+    one prints nothing."""
+    instances = [(path, read_instance(path)) for path in paths]
+    print(",".join(["instance", "m", "n", *columns]))
+    for path, inst in instances:
+        cells = _Cells(inst, algo)
+        row = [Path(path).name, inst.m, inst.n, *(COLUMNS[c](cells) for c in columns)]
+        print(",".join(map(str, row)))
+    return 0
 
 
 def _require_at_least(args: argparse.Namespace, **minimums: int) -> None:
@@ -70,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute an instance file")
     p_run.add_argument("--instance", required=True)
     p_run.add_argument("--algo", choices=sorted(ALGORITHMS), default="splay")
-    p_run.add_argument("--report", default="cost", help="comma list: cost,lambda,lambda2,zeta,opt")
+    p_run.add_argument("--report", default="cost", help="comma list: " + ",".join(RUN_COLUMNS))
 
     p_probe = sub.add_parser("probe", help="run a conjecture probe")
     p_probe.add_argument("--conjecture", required=True)
@@ -128,41 +186,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     columns = [c.strip() for c in args.report.split(",") if c.strip()]
-    unknown = [c for c in columns if c not in REPORT_COLUMNS]
+    choices = f"(choose from {', '.join(RUN_COLUMNS)})"
+    if not columns:
+        raise UsageError(f"--report names no column {choices}")
+    unknown = [c for c in columns if c not in RUN_COLUMNS]
     if unknown:
-        raise UsageError(
-            f"unknown report columns: {unknown} (choose from {', '.join(REPORT_COLUMNS)})"
-        )
-    inst = read_instance(args.instance)
-    _, records = run_accesses(inst.initial, inst.requests, args.algo)
-    # Lambda is Move-to-Root's crossing cost and zeta Splay's bookkeeping
-    # cost, so the records already hold them when the algorithm matches.
-    values: dict[str, object] = {}
-    if "cost" in columns:
-        values["cost"] = sum(r.cost for r in records)
-    if "lambda" in columns:
-        values["lambda"] = (sum(r.crossing for r in records) if args.algo == "mtr"
-                            else crossing_bound(inst))
-    if "lambda2" in columns:
-        values["lambda2"] = sequence_crossing_bound(inst.requests)
-    if "zeta" in columns:
-        values["zeta"] = (sum(r.bookkeeping for r in records) if args.algo == "splay"
-                          else splay_bookkeeping_cost(inst))
-    if "opt" in columns:
-        values["opt"] = _opt_text(inst)
-    print("instance,m,n,algo," + ",".join(columns))
-    row = [Path(args.instance).name, str(inst.m), str(inst.n), args.algo]
-    row += [str(values[c]) for c in columns]
-    print(",".join(row))
-    return 0
-
-
-def _opt_text(inst) -> str:
-    """The oracle's cost, or an empty cell when the instance exceeds its guard."""
-    try:
-        return str(opt_cost(inst).cost)
-    except GuardExceededError:
-        return ""
+        raise UsageError(f"unknown report columns: {unknown} {choices}")
+    return _write_report([args.instance], ["algo", *columns], args.algo)
 
 
 def cmd_probe(args: argparse.Namespace) -> int:
@@ -211,40 +241,6 @@ def cmd_gn(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lambda_report(args: argparse.Namespace) -> int:
-    instances = [(path, read_instance(path)) for path in args.instances]
-    print("instance,m,n,cost_splay,lambda,lambda_prime,zeta,opt")
-    for path, inst in instances:
-        _, records = run_accesses(inst.initial, inst.requests, "splay")
-        cost = sum(r.cost for r in records)
-        lam_prime = sum(r.crossing for r in records)
-        zeta = sum(r.bookkeeping for r in records)
-        lam = crossing_bound(inst)
-        opt = _opt_text(inst)
-        print(f"{Path(path).name},{inst.m},{inst.n},{cost},{lam},{lam_prime},{zeta},{opt}")
-    return 0
-
-
-def cmd_opt_report(args: argparse.Namespace) -> int:
-    instances = [(path, read_instance(path)) for path in args.instances]
-    print("instance,m,n,opt,splay_cost,mtr_cost,lambda,splay_over_opt,lambda_over_opt")
-    for path, inst in instances:
-        splay_cost = sum(r.cost for r in run_accesses(inst.initial, inst.requests, "splay")[1])
-        _, mtr_records = run_accesses(inst.initial, inst.requests, "mtr")
-        mtr_cost = sum(r.cost for r in mtr_records)
-        lam = sum(r.crossing for r in mtr_records)  # the crossing bound
-        try:
-            opt = opt_cost(inst).cost
-            ratios = f"{splay_cost / opt:.4f},{lam / opt:.4f}"
-            opt_text = str(opt)
-        except GuardExceededError:
-            opt_text, ratios = "", ","
-        print(
-            f"{Path(path).name},{inst.m},{inst.n},{opt_text},{splay_cost},{mtr_cost},{lam},{ratios}"
-        )
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -254,8 +250,8 @@ def main(argv: list[str] | None = None) -> int:
         "probe": cmd_probe,
         "gen": cmd_gen,
         "gn": cmd_gn,
-        "lambda-report": cmd_lambda_report,
-        "opt-report": cmd_opt_report,
+        "lambda-report": lambda args: _write_report(args.instances, LAMBDA_REPORT),
+        "opt-report": lambda args: _write_report(args.instances, OPT_REPORT),
     }
     try:
         return handlers[args.command](args)

@@ -234,14 +234,12 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     steps = []
     cost = 0
     for i, x in enumerate(inst.requests, start=1):
-        path = path_nodes(t, x)
-        encoding = "".join("0" if c is p.left else "1" for p, c in zip(path, path[1:]))
         q = Node(x)  # Q is the access path itself
-        for p in reversed(path[:-1]):
+        for p in reversed(path_nodes(t, x)[:-1]):
             q = Node(p.key, q, None) if x < p.key else Node(p.key, None, q)
         after, record = fn(t, x)
         q_prime, _ = fn(q, x)  # path-based: Q' is the rearranged bare path
-        steps.append(AccessStep(i, x, q, q_prime, after, encoding))
+        steps.append(AccessStep(i, x, q, q_prime, after, record.encoding))
         cost += record.cost
         t = after
     return ExecutionTrace(inst, tuple(steps), cost)

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import __version__
-from .algorithms import access_cost, deque_run, run_accesses
+from .algorithms import access_cost, deque_run, run_totals
 from .families import generate, random_tree, trial_rng
 from .model import Instance
 from .tree import bst_from_sequence, preorder, relabel
@@ -128,9 +128,8 @@ def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
         inst = _random_instance(rng, n, m)
-        _, records = run_accesses(inst.initial, inst.requests, "splay")
-        zeta = sum(r.bookkeeping for r in records)
-        lam_prime = sum(r.crossing for r in records)
+        totals = run_totals(inst.initial, inst.requests, "splay")
+        zeta, lam_prime = totals.bookkeeping, totals.crossing
         rows.append((trial, n, m, lam_prime, zeta, zeta / (lam_prime + n)))
     return ProbeReport(
         "splay-bookkeeping",

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algorithms import access_cost, move_to_root, run_accesses
+from .algorithms import access_cost, move_to_root, run_totals
 from .families import generate, random_tree, trial_rng
 from .model import (
     Execution,
@@ -609,8 +609,7 @@ def suite_topdown(seed: int = 0, **_: object) -> str:
         seq = topdown_embedding(inst, e)
         if not _is_subsequence(inst.requests, seq):
             raise SuiteFailure(f"subsequence violated on trial {trial}")
-        t, records = run_accesses(inst.initial, seq, "tds")
-        cost = sum(r.cost for r in records)
+        t, cost, _ = run_totals(inst.initial, seq, "tds")
         keys = sorted(tree_keys(inst.initial))
         b, z = keys[1], keys[-1]
         if not (t.key == z and t.left is not None and t.left.key == b):
@@ -640,7 +639,7 @@ def suite_universal(seed: int = 0, **_: object) -> str:
             u = universal_transform(q)
             if len(u) > 30 * qsize:
                 raise SuiteFailure(f"|U| too long at {qsize}")
-            cur, _ = run_accesses(t, u, "splay")
+            cur = run_totals(t, u, "splay").tree
             if smallest_root_subtree(cur, q_keys) != q:
                 raise SuiteFailure(f"subtree not realized: |Q|={qsize} trial {trial}")
     return "300 supersets: subtree realized, |U| <= 30|Q|"
@@ -655,8 +654,8 @@ def suite_simultaneous(**_: object) -> str:
     for s in all_shapes(4):
         for t in all_shapes(4):
             seq = simultaneous_transform4(s, t)
-            a, _ = run_accesses(s, seq, "splay")
-            b, _ = run_accesses(s, seq, "mtr")
+            a = run_totals(s, seq, "splay").tree
+            b = run_totals(s, seq, "mtr").tree
             if a != t or b != t:
                 raise SuiteFailure(f"{shape_print(s)} -> {shape_print(t)} diverged")
             pairs += 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algorithms import ALGORITHMS, access_cost, run_accesses
+from .algorithms import ALGORITHMS, access_cost, run_accesses, run_totals
 from .model import Execution, Instance, _closure_both, validate
 from .tree import (
     InvariantError,
@@ -265,7 +265,7 @@ class TransformPlan:
 
 
 def replay(plan: TransformPlan) -> Node:
-    return run_accesses(plan.source, plan.keys, plan.algo)[0]
+    return run_totals(plan.source, plan.keys, plan.algo).tree
 
 
 def transform_sequence(source: Node, target: Node, algo: str = "splay") -> TransformPlan:
@@ -344,7 +344,7 @@ def augmented_repeat(inst: Instance, k: int) -> tuple[int, ...]:
     splayed tree to its initial shape, repeated k times."""
     if k < 1:
         raise ValueError("repetition count must be at least 1")
-    t, _ = run_accesses(inst.initial, inst.requests, "splay")
+    t = run_totals(inst.initial, inst.requests, "splay").tree
     reset = transform_sequence(t, inst.initial).keys
     return (inst.requests + reset) * k
 
@@ -390,8 +390,8 @@ _MIRROR = {1: 4, 2: 3, 3: 2, 4: 1}
 
 
 def _run_both(t: Node, keys: Sequence[int]) -> Node:
-    s, _ = run_accesses(t, keys, "splay")
-    m, _ = run_accesses(t, keys, "mtr")
+    s = run_totals(t, keys, "splay").tree
+    m = run_totals(t, keys, "mtr").tree
     if s != m:
         raise InvariantError("sequence must drive Splay and Move-to-Root identically")
     return s
@@ -504,7 +504,7 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
     def serve(keys: Sequence[int]) -> None:
         nonlocal t
         out.extend(keys)
-        t, _ = run_accesses(t, keys, "tds")
+        t = run_totals(t, keys, "tds").tree
 
     serve((z, b, a, z))
     if not (t.key == z and t.left is not None and t.left.key == b and t.left.right is not None):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Optional, Sequence
 
-from .algorithms import move_to_root, splay
+from .algorithms import move_to_root, run_totals
 from .model import Instance
 from .tree import (
     InvariantError,
@@ -87,12 +87,7 @@ def crossing_keys_graphical(t: Tree, key: int) -> tuple[int, ...]:
 
 def crossing_bound(inst: Instance) -> int:
     """Total crossing cost of Move-to-Root's execution (the lower bound)."""
-    t: Tree = inst.initial
-    total = 0
-    for x in inst.requests:
-        t, rec = move_to_root(t, x)
-        total += rec.crossing
-    return total
+    return run_totals(inst.initial, inst.requests, "mtr").crossing
 
 
 def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int, ...], int]:
@@ -117,21 +112,11 @@ def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int,
 
 
 def splay_crossing_cost(inst: Instance) -> int:
-    t: Tree = inst.initial
-    total = 0
-    for x in inst.requests:
-        t, rec = splay(t, x)
-        total += rec.crossing
-    return total
+    return run_totals(inst.initial, inst.requests, "splay").crossing
 
 
 def splay_bookkeeping_cost(inst: Instance) -> int:
-    t: Tree = inst.initial
-    total = 0
-    for x in inst.requests:
-        t, rec = splay(t, x)
-        total += rec.bookkeeping
-    return total
+    return run_totals(inst.initial, inst.requests, "splay").bookkeeping
 
 
 # ---------------------------------------------------------------------------

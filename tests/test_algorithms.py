@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splaylab.algorithms import (
+    ALGORITHMS,
     EmptyDequeError,
     access_cost,
     classify_steps,
@@ -18,6 +19,7 @@ from splaylab.algorithms import (
     move_to_root,
     parse_deque_script,
     run_accesses,
+    run_totals,
     splay,
     top_down_splay,
 )
@@ -366,6 +368,24 @@ class TestCrossingBookkeepingSplit:
             t, rec = splay(t, x)
             assert rec.crossing + rec.bookkeeping == rec.cost
             assert 1 <= rec.crossing <= rec.cost
+
+
+class TestRunTotals:
+    @given(
+        st.sampled_from(sorted(ALGORITHMS)),
+        st.lists(st.integers(1, 12), unique=True, min_size=1, max_size=12),
+        st.lists(st.integers(0, 11), max_size=30),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fold_matches_the_records(self, algo, order, picks):
+        t = bst_from_sequence(order)
+        keys = [order[i % len(order)] for i in picks]
+        final, records = run_accesses(t, keys, algo)
+        totals = run_totals(t, keys, algo)
+        assert totals.tree == final
+        assert totals.cost == sum(r.cost for r in records)
+        assert totals.crossing == sum(r.crossing for r in records)
+        assert totals.bookkeeping == sum(r.bookkeeping for r in records)
 
 
 class TestDeque:

@@ -1,11 +1,17 @@
 """Families, probes, and the command-line interface."""
 
+import contextlib
+import io
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from splaylab.cli import main
+from splaylab.cli import COLUMNS, main
 from splaylab.families import UnknownFamilyError, generate
 from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
@@ -111,11 +117,13 @@ BAD_NUMBERS = {
     "verify-max-m-0": ["verify", "--suite", "opt-monotone", "--max-m", "0"],
 }
 
-# The usage errors without a test of their own; "{tmp}" stands for a fresh temporary directory.
+# The usage errors without a test of their own; "{tmp}" stands for a fresh
+# temporary directory that holds a valid instance file, inst.txt.
 USAGE_ERRORS = {
     "verify-max-n-beyond-guard": ["verify", "--suite", "opt-monotone", "--max-n", "8"],
     "verify-max-m-beyond-guard": ["verify", "--suite", "opt-monotone", "--max-m", "9"],
     "run-unknown-column": ["run", "--instance", "{tmp}/absent.txt", "--report", "cost,nope"],
+    "run-no-column": ["run", "--instance", "{tmp}/inst.txt", "--report", ","],
     "gen-bad-size": ["gen", "--family", "random", "--n", "-5", "--out", "{tmp}/x.txt"],
     "gen-unwritable-out": ["gen", "--family", "random", "--n", "3", "--out", "{tmp}/no/x.txt"],
     "gn-size-0": ["gn", "--n", "0"],
@@ -145,6 +153,112 @@ GN_ROWS = {
     ("tds", 6): '6,tds,132,False,,"(1 . (2 . (3 . (4 . (5 . (6 . .))))))"',
     ("tds", 7): '7,tds,429,False,,"(1 . (2 . (3 . (4 . (5 . (6 . (7 . .)))))))"',
 }
+
+
+# `gen` arguments of the instance files whose report rows are pinned below.
+# n > 7 or m > 8 exceeds the oracle's guard, so those rows leave opt empty.
+REPORT_FILES = {
+    "spine-312": ["--family", "spine-312", "--n", "6"],
+    "spine-312-deep": ["--family", "spine-312", "--n", "40"],
+    "powers": ["--family", "powers", "--k", "3"],
+    "mtr-bad": ["--family", "mtr-bad", "--n", "5"],
+    "sequential": ["--family", "sequential", "--n", "7"],
+    "traversal": ["--family", "traversal", "--n", "7", "--seed", "3"],
+    "random": ["--family", "random", "--n", "5", "--m", "6", "--seed", "1"],
+    "random-at-guard": ["--family", "random", "--n", "7", "--m", "8", "--seed", "2"],
+    "random-above-guard": ["--family", "random", "--n", "12", "--m", "20", "--seed", "4"],
+}
+ALL_RUN_COLUMNS = ["--report", "cost,lambda,lambda2,zeta,opt"]
+REPORT_COMMANDS = {
+    "run-splay": lambda path: ["run", "--instance", path, "--algo", "splay", *ALL_RUN_COLUMNS],
+    "run-mtr": lambda path: ["run", "--instance", path, "--algo", "mtr", *ALL_RUN_COLUMNS],
+    "run-tds": lambda path: ["run", "--instance", path, "--algo", "tds", *ALL_RUN_COLUMNS],
+    "lambda-report": lambda path: ["lambda-report", path],
+    "opt-report": lambda path: ["opt-report", path],
+}
+REPORT_HEADERS = {
+    "run-splay": "instance,m,n,algo,cost,lambda,lambda2,zeta,opt",
+    "run-mtr": "instance,m,n,algo,cost,lambda,lambda2,zeta,opt",
+    "run-tds": "instance,m,n,algo,cost,lambda,lambda2,zeta,opt",
+    "lambda-report": "instance,m,n,cost_splay,lambda,lambda_prime,zeta,opt",
+    "opt-report": "instance,m,n,opt,splay_cost,mtr_cost,lambda,splay_over_opt,lambda_over_opt",
+}
+REPORT_ROWS = {
+    ("spine-312", "run-splay"): "spine-312.txt,3,6,splay,9,7,4,3,9",
+    ("spine-312", "run-mtr"): "spine-312.txt,3,6,mtr,10,7,4,3,9",
+    ("spine-312", "run-tds"): "spine-312.txt,3,6,tds,9,7,4,3,9",
+    ("spine-312", "lambda-report"): "spine-312.txt,3,6,9,7,6,3,9",
+    ("spine-312", "opt-report"): "spine-312.txt,3,6,9,9,10,7,1.0000,0.7778",
+    ("spine-312-deep", "run-splay"): "spine-312-deep.txt,3,40,splay,43,7,4,37,",
+    ("spine-312-deep", "run-mtr"): "spine-312-deep.txt,3,40,mtr,44,7,4,37,",
+    ("spine-312-deep", "run-tds"): "spine-312-deep.txt,3,40,tds,43,7,4,37,",
+    ("spine-312-deep", "lambda-report"): "spine-312-deep.txt,3,40,43,7,6,37,",
+    ("spine-312-deep", "opt-report"): "spine-312-deep.txt,3,40,,43,44,7,,",
+    ("powers", "run-splay"): "powers.txt,5,7,splay,14,10,7,4,13",
+    ("powers", "run-mtr"): "powers.txt,5,7,mtr,13,10,7,4,13",
+    ("powers", "run-tds"): "powers.txt,5,7,tds,14,10,7,4,13",
+    ("powers", "lambda-report"): "powers.txt,5,7,14,10,10,4,13",
+    ("powers", "opt-report"): "powers.txt,5,7,13,14,13,10,1.0769,0.7692",
+    ("mtr-bad", "run-splay"): "mtr-bad.txt,9,5,splay,17,17,13,0,",
+    ("mtr-bad", "run-mtr"): "mtr-bad.txt,9,5,mtr,17,17,13,0,",
+    ("mtr-bad", "run-tds"): "mtr-bad.txt,9,5,tds,17,17,13,0,",
+    ("mtr-bad", "lambda-report"): "mtr-bad.txt,9,5,17,17,17,0,",
+    ("mtr-bad", "opt-report"): "mtr-bad.txt,9,5,,17,17,17,,",
+    ("sequential", "run-splay"): "sequential.txt,7,7,splay,23,19,7,6,19",
+    ("sequential", "run-mtr"): "sequential.txt,7,7,mtr,34,19,7,6,19",
+    ("sequential", "run-tds"): "sequential.txt,7,7,tds,25,19,7,6,19",
+    ("sequential", "lambda-report"): "sequential.txt,7,7,23,19,17,6,19",
+    ("sequential", "opt-report"): "sequential.txt,7,7,19,23,34,19,1.2105,1.0000",
+    ("traversal", "run-splay"): "traversal.txt,7,7,splay,20,17,9,3,19",
+    ("traversal", "run-mtr"): "traversal.txt,7,7,mtr,21,17,9,3,19",
+    ("traversal", "run-tds"): "traversal.txt,7,7,tds,20,17,9,3,19",
+    ("traversal", "lambda-report"): "traversal.txt,7,7,20,17,17,3,19",
+    ("traversal", "opt-report"): "traversal.txt,7,7,19,20,21,17,1.0526,0.8947",
+    ("random", "run-splay"): "random.txt,6,5,splay,19,16,9,3,16",
+    ("random", "run-mtr"): "random.txt,6,5,mtr,18,16,9,3,16",
+    ("random", "run-tds"): "random.txt,6,5,tds,17,16,9,3,16",
+    ("random", "lambda-report"): "random.txt,6,5,19,16,16,3,16",
+    ("random", "opt-report"): "random.txt,6,5,16,19,18,16,1.1875,1.0000",
+    ("random-at-guard", "run-splay"): "random-at-guard.txt,8,7,splay,25,21,13,5,25",
+    ("random-at-guard", "run-mtr"): "random-at-guard.txt,8,7,mtr,25,21,13,5,25",
+    ("random-at-guard", "run-tds"): "random-at-guard.txt,8,7,tds,25,21,13,5,25",
+    ("random-at-guard", "lambda-report"): "random-at-guard.txt,8,7,25,21,20,5,25",
+    ("random-at-guard", "opt-report"): "random-at-guard.txt,8,7,25,25,25,21,1.0000,0.8400",
+    ("random-above-guard", "run-splay"): "random-above-guard.txt,20,12,splay,71,51,39,17,",
+    ("random-above-guard", "run-mtr"): "random-above-guard.txt,20,12,mtr,69,51,39,17,",
+    ("random-above-guard", "run-tds"): "random-above-guard.txt,20,12,tds,65,51,39,17,",
+    ("random-above-guard", "lambda-report"): "random-above-guard.txt,20,12,71,51,54,17,",
+    ("random-above-guard", "opt-report"): "random-above-guard.txt,20,12,,71,69,51,,",
+}
+
+
+# Instance texts for the CLI contract: valid instances with up to 8 keys and
+# 8 requests, which keep the oracle fast, and up to four tree:, requests: or
+# subsequence: lines of small keys or junk.
+def _valid_instance(keys):
+    return st.lists(st.sampled_from(keys), max_size=8).map(
+        lambda requests: f"tree: {' '.join(map(str, keys))}\nrequests: {' '.join(map(str, requests))}\n"
+    )
+
+
+_INSTANCE_LINE = st.tuples(
+    st.sampled_from(["tree:", "requests:", "subsequence:", ""]),
+    st.one_of(
+        st.lists(st.integers(-2, 9), max_size=8).map(lambda keys: " " + " ".join(map(str, keys))),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=8),
+    ),
+).map("".join)
+INSTANCE_TEXTS = st.one_of(
+    st.lists(st.integers(-2, 9), unique=True, min_size=1, max_size=8).flatmap(_valid_instance),
+    st.lists(_INSTANCE_LINE, max_size=4).map("\n".join),
+)
+
+
+def _gen_report_file(tmp_path, case, capsys) -> str:
+    path = str(tmp_path / f"{case}.txt")
+    assert main(["gen", *REPORT_FILES[case], "--out", path]) == 0
+    capsys.readouterr()
+    return path
 
 
 def _assert_usage_error(argv, capsys):
@@ -180,6 +294,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
     def test_usage_error_exit_2(self, tmp_path, capsys, case):
+        (tmp_path / "inst.txt").write_text("tree: 2 1 3\nrequests: 1 3\n")
         argv = [arg.replace("{tmp}", str(tmp_path)) for arg in USAGE_ERRORS[case]]
         _assert_usage_error(argv, capsys)
 
@@ -261,6 +376,63 @@ class TestCli:
         assert main(["opt-report", str(out)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].startswith("instance,m,n,opt,splay_cost,mtr_cost,lambda")
+
+    @pytest.mark.parametrize("case,command", sorted(REPORT_ROWS))
+    def test_report_row(self, tmp_path, capsys, case, command):
+        path = _gen_report_file(tmp_path, case, capsys)
+        assert main(REPORT_COMMANDS[command](path)) == 0
+        expected = [REPORT_HEADERS[command], REPORT_ROWS[(case, command)]]
+        assert capsys.readouterr().out.splitlines() == expected
+
+    def test_instance_without_requests(self, tmp_path, capsys):
+        # gen writes files with m = 0; their oracle cost is 0, so the ratios are empty.
+        path = str(tmp_path / "empty.txt")
+        assert main(["gen", "--family", "random", "--n", "4", "--m", "0", "--out", path]) == 0
+        capsys.readouterr()
+        rows = {}
+        for command, argv in REPORT_COMMANDS.items():
+            assert main(argv(path)) == 0
+            header, rows[command] = capsys.readouterr().out.splitlines()
+            assert header == REPORT_HEADERS[command]
+        assert rows == {
+            "run-splay": "empty.txt,0,4,splay,0,0,0,0,0",
+            "run-mtr": "empty.txt,0,4,mtr,0,0,0,0,0",
+            "run-tds": "empty.txt,0,4,tds,0,0,0,0,0",
+            "lambda-report": "empty.txt,0,4,0,0,0,0,0",
+            "opt-report": "empty.txt,0,4,0,0,0,0,,",
+        }
+
+    @given(
+        st.sampled_from(sorted(REPORT_COMMANDS)),
+        st.one_of(st.binary(max_size=40), INSTANCE_TEXTS.map(str.encode)),
+    )
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_any_instance_file_exits_0_or_2(self, tmp_path, command, data):
+        path = tmp_path / "inst.txt"
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(REPORT_COMMANDS[command](str(path)))
+        if code == 2:
+            assert out.getvalue() == "" and len(err.getvalue().splitlines()) == 1
+        else:
+            assert code == 0 and len(out.getvalue().splitlines()) == 2
+
+    def test_readme_describes_every_report_column(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        section = readme.split("### Report columns", 1)[1].split("\n#", 1)[0]
+        items = [line.split(":", 1)[0] for line in section.splitlines() if line.startswith("- ")]
+        assert {name for item in items for name in re.findall(r"`(\w+)`", item)} == set(COLUMNS)
+
+    @pytest.mark.parametrize("command", ["lambda-report", "opt-report"])
+    def test_report_rows_follow_the_file_order(self, tmp_path, capsys, command):
+        cases = sorted(REPORT_FILES, reverse=True)
+        paths = [_gen_report_file(tmp_path, case, capsys) for case in cases]
+        assert main([command, *paths]) == 0
+        expected = [REPORT_HEADERS[command]] + [REPORT_ROWS[(case, command)] for case in cases]
+        assert capsys.readouterr().out.splitlines() == expected
 
     def test_console_script_installed(self):
         proc = subprocess.run(
