@@ -21,6 +21,7 @@ from .tree import (
     Node,
     Tree,
     insert_leaf,
+    parse_key,
     path_nodes,
 )
 
@@ -300,7 +301,7 @@ def parse_deque_script(text: str) -> list[tuple[str, Optional[int]]]:
         if parts[0] in ("push", "inject"):
             if len(parts) != 2:
                 raise ValueError(f"bad deque op line: {line!r}")
-            ops.append((parts[0], int(parts[1])))
+            ops.append((parts[0], parse_key(parts[1])))
         elif parts[0] in ("pop", "eject") and len(parts) == 1:
             ops.append((parts[0], None))
         else:

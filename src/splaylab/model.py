@@ -27,6 +27,7 @@ from .tree import (
     bst_from_sequence,
     contains,
     depth,
+    parse_key,
     parse_shape,
     path_encoding,
     path_nodes,
@@ -447,17 +448,17 @@ def parse_instance(text: str) -> tuple[Instance, Optional[tuple[int, ...]]]:
         elif line.startswith("requests:"):
             requests_line = line[len("requests:"):].split()
         elif line.startswith("subsequence:"):
-            subsequence = tuple(int(x) for x in line[len("subsequence:"):].split())
+            subsequence = tuple(map(parse_key, line[len("subsequence:"):].split()))
     if tree_line is None or requests_line is None:
         raise ValueError("instance file needs 'tree:' and 'requests:' lines")
-    keys = [int(k) for k in tree_line]
+    keys = [parse_key(k) for k in tree_line]
     seen: set[int] = set()
     for k in keys:
         if k in seen:
             raise DuplicateKeyError(f"key {k} appears more than once on the 'tree:' line")
         seen.add(k)
     initial = bst_from_sequence(keys)
-    return Instance(tuple(int(x) for x in requests_line), initial), subsequence
+    return Instance(tuple(map(parse_key, requests_line)), initial), subsequence
 
 
 def format_execution(e: Execution) -> str:

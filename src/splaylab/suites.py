@@ -52,7 +52,6 @@ from .tree import (
     all_shapes,
     bst_from_sequence,
     left_spine_tree,
-    parent_key,
     frontier,
     parse_shape,
     path_nodes,
@@ -66,13 +65,20 @@ from .tree import (
     tree_keys,
 )
 from .wilber import (
+    FormulaViolation,
+    check_delta_sum,
+    check_level_witness,
+    check_window_state,
     crossing_bound,
     crossing_bounds,
     level,
     remove_one_gap,
     sequence_crossing_bound,
     validate_level_formulas,
+    walk_sequences,
+    window_advance,
     window_decompose,
+    window_start,
 )
 
 G4_DIAMETER = 5  # pinned by direct computation
@@ -168,37 +174,32 @@ def suite_embedding(seed: int = 0, **_: object) -> str:
     # Exhaustive part: verify every per-access block over every reachable
     # (tree, request, transition) edge; every execution is a path through
     # these edges and its three properties are sums/conjunctions over them.
-    edges_checked = 0
-    executions_covered = 0
+    edges_checked = executions_covered = 0
     for n in range(1, 5):
         for t0 in all_shapes(n):
             block_ok: dict[tuple, bool] = {}
-            for m in range(1, 4):
-                for x_seq in itertools.product(range(1, n + 1), repeat=m):
-                    counts = {t0: 1}
-                    for x in x_seq:
-                        nxt: dict[Node, int] = {}
-                        for t, ways in counts.items():
-                            for q_prime in _all_transitions(t, x):
-                                key = (t, x, q_prime)
-                                if key not in block_ok:
-                                    [(block, cost, qsize, maxpath)] = embedding_blocks(
-                                        Instance((x,), t), Execution((q_prime,))
-                                    )
-                                    block_ok[key] = (
-                                        cost <= 80 * qsize
-                                        and maxpath <= 4
-                                        and block[-1] == x
-                                    )
-                                    edges_checked += 1
-                                if not block_ok[key]:
-                                    raise SuiteFailure(
-                                        f"block violation at {shape_print(t)}, x={x}"
-                                    )
-                                after = substitute(t, q_prime)
-                                nxt[after] = nxt.get(after, 0) + ways
-                        counts = nxt
+
+            def advance(counts: dict[Node, int], x: int) -> dict[Node, int]:
+                # Executions of the sequence, counted by the tree they end in.
+                nxt: dict[Node, int] = {}
+                for t, ways in counts.items():
+                    for q_prime in _all_transitions(t, x):
+                        key = (t, x, q_prime)
+                        if key not in block_ok:
+                            [(block, cost, qsize, maxpath)] = embedding_blocks(
+                                Instance((x,), t), Execution((q_prime,))
+                            )
+                            block_ok[key] = cost <= 80 * qsize and maxpath <= 4 and block[-1] == x
+                        if not block_ok[key]:
+                            raise SuiteFailure(f"block violation at {shape_print(t)}, x={x}")
+                        after = substitute(t, q_prime)
+                        nxt[after] = nxt.get(after, 0) + ways
+                return nxt
+
+            for x_seq, counts in walk_sequences({t0: 1}, range(1, n + 1), 3, advance):
+                if x_seq:
                     executions_covered += sum(counts.values())
+            edges_checked += len(block_ok)
     # Random part: full end-to-end checks.
     for trial in range(1000):
         rng = trial_rng("suite", seed, "embed", trial)
@@ -401,48 +402,48 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
 
 
 def suite_window(seed: int = 0, **_: object) -> str:
-    def random_cases():
-        for trial in range(1000):
-            rng = trial_rng("suite", seed, "window", trial)
-            n = rng.randint(2, 8)
-            t = random_tree(n, rng)
-            x = rng.randint(1, n)
-            yield t, x, tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
-
-    exhaustive = (
-        (t, x, z_seq)
-        for n in range(2, 6)
-        for t in all_shapes(n)
-        for x in range(1, n + 1)
-        for m in range(0, 5)
-        for z_seq in itertools.product(range(1, n + 1), repeat=m)
-    )
-    runs = formula_checks = 0
-    for t, x, z_seq in itertools.chain(exhaustive, random_cases()):
+    runs, formula_checks = map(sum, zip(*(_window_walk(n, 4) for n in range(2, 6))))
+    for trial in range(1000):
+        rng = trial_rng("suite", seed, "window", trial)
+        n = rng.randint(2, 8)
+        t = random_tree(n, rng)
+        x = rng.randint(1, n)
+        z_seq = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
         try:
-            formula_checks += _window_run(t, x, z_seq)
-        except SuiteFailure as err:
+            formula_checks += validate_level_formulas(*window_decompose(t, x, z_seq), x)
+        except FormulaViolation as err:
             raise SuiteFailure(f"{shape_print(t)} x={x} Z={z_seq}: {err}") from None
         runs += 1
     return f"{runs} decompositions, {formula_checks} formula checks: zero violations"
 
 
-def _window_run(t: Node, x: int, z_seq: tuple[int, ...]) -> int:
-    """Check one window decomposition; the number of level formulas checked."""
-    steps, witnesses = window_decompose(t, x, z_seq)
-    for st in steps:
-        if st.zipped is not None and st.unzipped != move_to_root(st.zipped, x)[0]:
-            raise SuiteFailure(f"unzipped subtree mismatch at step {st.index}")
-        if st.index >= 1:
-            if st.s_tree.key != st.t_tree.key:
-                raise SuiteFailure(f"roots differ at step {st.index}")
-            for key in st.top_keys:
-                if parent_key(st.s_tree, key) != parent_key(st.t_tree, key):
-                    raise SuiteFailure(f"top-tree parent mismatch at step {st.index}")
-    report = validate_level_formulas(steps, witnesses, x)
-    if not report.ok:
-        raise SuiteFailure("; ".join(report.violations[:2]))
-    return report.checked
+def _window_walk(n: int, max_m: int) -> tuple[int, int]:
+    """Check the window decomposition of each shape on keys 1..n, key x and Z
+    with |Z| <= max_m as one trie walk: each node's state, witness and
+    summation identity (its gap read off ``_lift_tables``) once.  Returns the
+    decompositions and the formula checks one run per Z would count: a
+    witness at depth d stands for the sum of n**j over j <= max_m - d."""
+    keys = range(1, n + 1)
+    weight = [sum(n**j for j in range(max_m - d + 1)) for d in range(max_m + 1)]
+    runs = checks = 0
+    for t, x, here, lifted in _lift_tables(n, max_m):
+
+        def advance(state: tuple, z: int) -> tuple:
+            _, step, _, total = state
+            nxt, wit = window_advance(step, x, z, keys)
+            return step, nxt, wit, total + wit.delta_z
+
+        start = (None, window_start(t, x), None, 0)
+        for z_seq, (prev, step, wit, total) in walk_sequences(start, keys, max_m, advance):
+            try:
+                check_window_state(step, x)
+                if wit is not None:
+                    checks += weight[wit.index] * check_level_witness(prev, step, wit)
+                check_delta_sum(total, here[z_seq] - lifted[z_seq])
+            except FormulaViolation as err:
+                raise SuiteFailure(f"{shape_print(t)} x={x} Z={z_seq}: {err}") from None
+            runs += 1
+    return runs, checks
 
 
 # ---------------------------------------------------------------------------

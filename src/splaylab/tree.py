@@ -10,6 +10,7 @@ arrangement.  The empty tree is ``None``.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Iterable, Mapping, Optional
@@ -105,14 +106,6 @@ def contains(t: Tree, key: int) -> bool:
             return True
         t = t.left if key < t.key else t.right
     return False
-
-
-def find(t: Tree, key: int) -> Node:
-    while t is not None:
-        if key == t.key:
-            return t
-        t = t.left if key < t.key else t.right
-    raise KeyAbsentError(key)
 
 
 def path_nodes(t: Tree, key: int) -> list[Node]:
@@ -451,32 +444,42 @@ def shape_print(t: Tree) -> str:
     return "".join(parts)
 
 
+def parse_key(text: str) -> int:
+    """A key as the text formats write it: a plain decimal integer."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"key {text!r} is not a decimal integer")
+    return int(text)
+
+
 def parse_shape(text: str) -> Tree:
     """Inverse of :func:`shape_print`; iterative, so deep spines parse."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     pos = 0
     open_nodes: list[tuple[int, list[Tree]]] = []  # key, left subtree once parsed
-    while True:
-        tok = tokens[pos]
-        pos += 1
-        if tok == "(":
-            open_nodes.append((int(tokens[pos]), []))
+    try:
+        while True:
+            tok = tokens[pos]
             pos += 1
-            continue
-        if tok != ".":
-            raise ValueError(f"unexpected token {tok!r} in shape text")
-        # A finished subtree is its parent's left child, or its right child,
-        # which finishes the parent in turn.
-        sub: Tree = None
-        while open_nodes and open_nodes[-1][1]:
-            key, (left,) = open_nodes.pop()
-            if tokens[pos] != ")":
-                raise ValueError("unbalanced parentheses in shape text")
-            pos += 1
-            sub = Node(key, left, sub)
-        if not open_nodes:
-            break
-        open_nodes[-1][1].append(sub)
+            if tok == "(":
+                open_nodes.append((parse_key(tokens[pos]), []))
+                pos += 1
+                continue
+            if tok != ".":
+                raise ValueError(f"unexpected token {tok!r} in shape text")
+            # A finished subtree is its parent's left child, or its right
+            # child, which finishes the parent in turn.
+            sub: Tree = None
+            while open_nodes and open_nodes[-1][1]:
+                key, (left,) = open_nodes.pop()
+                if tokens[pos] != ")":
+                    raise ValueError("unbalanced parentheses in shape text")
+                pos += 1
+                sub = Node(key, left, sub)
+            if not open_nodes:
+                break
+            open_nodes[-1][1].append(sub)
+    except IndexError:
+        raise ValueError("shape text ends early") from None
     if pos != len(tokens):
         raise ValueError("trailing tokens in shape text")
     return sub

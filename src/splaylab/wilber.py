@@ -12,8 +12,8 @@ after-trees; it lower-bounds optimal execution cost up to a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import AbstractSet, Optional, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
 from .algorithms import move_to_root, run_totals
 from .model import Instance
@@ -24,6 +24,7 @@ from .tree import (
     Tree,
     bst_from_sequence,
     contains,
+    parent_key,
     path_nodes,
     postorder,
     size,
@@ -33,6 +34,8 @@ from .tree import (
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+S = TypeVar("S")
 
 
 @dataclass(frozen=True)
@@ -90,25 +93,30 @@ def crossing_bound(inst: Instance) -> int:
     return run_totals(inst.initial, inst.requests, "mtr").crossing
 
 
+def walk_sequences(
+    start: S, keys: Sequence[int], max_m: int, advance: Callable[[S, int], S]
+) -> Iterator[tuple[tuple[int, ...], S]]:
+    """Each request sequence over ``keys`` of length at most ``max_m``, in
+    lexicographic order, with the state ``advance`` folds along it from
+    ``start``: a depth-first trie walk, one ``advance`` per sequence."""
+    stack = [((), start)]
+    while stack:
+        seq, state = stack.pop()
+        yield seq, state
+        if len(seq) < max_m:
+            stack.extend((seq + (x,), advance(state, x)) for x in reversed(keys))
+
+
 def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int, ...], int]:
     """Crossing bound from ``t`` of every request sequence over ``keys`` of
-    length at most ``max_m``, the empty one included.
+    length at most ``max_m``, the empty one included: Move-to-Root's running
+    crossing sum, which is exactly :func:`crossing_bound`."""
 
-    Walks the trie of sequences depth-first, carrying Move-to-Root's tree and
-    the running crossing sum, so each sequence costs one access on top of its
-    prefix; exact because :func:`crossing_bound` is that sum.
-    """
-    out: dict[tuple[int, ...], int] = {(): 0}
-    stack: list[tuple[tuple[int, ...], Node, int]] = [((), t, 0)]
-    while stack:
-        seq, tree, total = stack.pop()
-        if len(seq) < max_m:
-            for x in keys:
-                after, rec = move_to_root(tree, x)
-                child, cost = seq + (x,), total + rec.crossing
-                out[child] = cost
-                stack.append((child, after, cost))
-    return out
+    def advance(state: tuple[Node, int], x: int) -> tuple[Node, int]:
+        after, rec = move_to_root(state[0], x)
+        return after, state[1] + rec.crossing
+
+    return {seq: state[1] for seq, state in walk_sequences((t, 0), keys, max_m, advance)}
 
 
 def splay_crossing_cost(inst: Instance) -> int:
@@ -242,8 +250,8 @@ class WindowStep:
     ``move_to_root(s, x)``.  Keys strictly inside the window (u, v) are
     arranged as one subtree in each run: zipped in the unlifted run, unzipped
     in the lifted one; everything else (the top tree) is arranged
-    identically in both.  A step keeps both runs' trees, the window bounds
-    and the four window subtrees; levels are left to the witnesses.
+    identically in both.  A step keeps both runs' trees, the window bounds,
+    the four window subtrees and ``k``; other levels are left to the witnesses.
     """
 
     index: int
@@ -256,6 +264,7 @@ class WindowStep:
     unzipped: Tree  # K
     zipped_aug: Tree  # J+, with the attachment boundary on top
     unzipped_aug: Tree  # K+
+    k: int  # crossing depth of x in the zipped subtree (0 when it is empty)
 
 
 @dataclass(frozen=True)
@@ -285,47 +294,50 @@ class LevelWitness:
     delta_z: int  # level of z in the previous s_tree minus in its t_tree
 
 
-def window_decompose(
-    s: Node, x: int, z_seq: Sequence[int]
-) -> tuple[list[WindowStep], list[LevelWitness]]:
+def window_start(s: Node, x: int) -> WindowStep:
+    """The state before any request: J+ = J is ``s``, K+ = K is its lift."""
     if not contains(s, x):
         raise KeyAbsentError(x)
-    keys = sorted(tree_keys(s))
-    s_tree = s
-    t_tree, _ = move_to_root(s, x)
-    u: float = NEG_INF
-    v: float = POS_INF
+    t, _ = move_to_root(s, x)
+    return WindowStep(0, NEG_INF, POS_INF, s, t, (), s, t, s, t, level(s, x))
 
-    def make_step(i: int) -> WindowStep:
-        window = frozenset(k for k in keys if u < k < v)
-        top = tuple(k for k in keys if not u < k < v)
-        if not window:
-            return WindowStep(i, u, v, s_tree, t_tree, top, None, None, None, None)
+
+def window_advance(
+    prev: WindowStep, x: int, z: int, keys: Sequence[int]
+) -> tuple[WindowStep, LevelWitness]:
+    """The state after request ``z`` and the witness of its level
+    difference; ``keys`` are the tree's keys in increasing order."""
+    u = z if prev.u <= z <= x else prev.u
+    v = z if x <= z <= prev.v else prev.v
+    s_tree, _ = move_to_root(prev.s_tree, z)
+    t_tree, _ = move_to_root(prev.t_tree, z)
+    i = prev.index + 1
+    window = frozenset(k for k in keys if u < k < v)
+    top = tuple(k for k in keys if not u < k < v)
+    if not window:
+        step = WindowStep(i, u, v, s_tree, t_tree, top, None, None, None, None, 0)
+    else:
         zipped, s_parent = _window_subtree(s_tree, window, u, v)
         unzipped, t_parent = _window_subtree(t_tree, window, u, v)
         if s_parent != t_parent:
             raise InvariantError("window attachment boundary must agree")
-        return WindowStep(
+        step = WindowStep(
             i, u, v, s_tree, t_tree, top, zipped, unzipped,
-            augment_top(zipped, s_parent), augment_top(unzipped, t_parent),
+            augment_top(zipped, s_parent), augment_top(unzipped, t_parent), level(zipped, x),
         )
+    return step, _witness(prev, x, z, step.k)
 
-    # Before any request the window holds every key and J+ = J, K+ = K.
-    steps = [WindowStep(0, u, v, s_tree, t_tree, (), s_tree, t_tree, s_tree, t_tree)]
-    witnesses: list[LevelWitness] = []
-    k_prev = level(s_tree, x)
-    for i, z in enumerate(z_seq, start=1):
-        if u <= z <= x:
-            u = z
-        if x <= z <= v:
-            v = z
-        s_tree, _ = move_to_root(s_tree, z)
-        t_tree, _ = move_to_root(t_tree, z)
-        step = make_step(i)
-        k_cur = level(step.zipped, x) if step.zipped is not None else 0
-        witnesses.append(_witness(steps[-1], x, z, i, k_prev, k_cur))
+
+def window_decompose(
+    s: Node, x: int, z_seq: Sequence[int]
+) -> tuple[list[WindowStep], list[LevelWitness]]:
+    """Fold :func:`window_advance` over ``z_seq``: every state, and every
+    request's witness."""
+    steps, witnesses, keys = [window_start(s, x)], [], sorted(tree_keys(s))
+    for z in z_seq:
+        step, wit = window_advance(steps[-1], x, z, keys)
         steps.append(step)
-        k_prev = k_cur
+        witnesses.append(wit)
     return steps, witnesses
 
 
@@ -378,18 +390,15 @@ def _extended_crossing(prev: WindowStep, path: Sequence[Node]) -> dict[int, Opti
     return out
 
 
-def _witness(
-    prev: WindowStep, x: int, z: int, i: int, k_prev: int, k_cur: int
-) -> LevelWitness:
+def _witness(prev: WindowStep, x: int, z: int, k_cur: int) -> LevelWitness:
+    i, k_prev = prev.index + 1, prev.k
     delta_z = level(prev.s_tree, z) - level(prev.t_tree, z)
     first = int(i > 1)
     j, j_aug = prev.zipped, prev.zipped_aug
     try:
         z_path = path_nodes(j_aug, z)
     except KeyAbsentError:
-        return LevelWitness(
-            i, z, z, False, k_prev, k_cur, 0, 0, first, 0, 0, 0, 0, 0, 0, delta_z
-        )
+        return LevelWitness(i, z, z, False, k_prev, k_cur, 0, 0, first, 0, 0, 0, 0, 0, 0, delta_z)
 
     # J hangs below the augmented root except before the first request,
     # where J+ is J itself.
@@ -443,129 +452,113 @@ def _reduce_to_path(z_path: Sequence[Node], path_keys: AbstractSet[int], x: int)
     return 0
 
 
-@dataclass
-class FormulaReport:
-    checked: int = 0
-    outside: int = 0
-    degenerate: int = 0
-    uncovered_decrease_rows: int = 0
-    violations: list[str] = field(default_factory=list)
+class FormulaViolation(ValueError):
+    """A window state or level witness breaks a lemma; the message names it."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+
+def check_window_state(step: WindowStep, x: int) -> None:
+    """After each request both runs share their root and their top tree, and
+    the unzipped subtree is the zipped one with x moved to its root."""
+    if step.zipped is not None and step.unzipped != move_to_root(step.zipped, x)[0]:
+        raise FormulaViolation(f"unzipped subtree mismatch at step {step.index}")
+    if step.index >= 1:
+        if step.s_tree.key != step.t_tree.key:
+            raise FormulaViolation(f"roots differ at step {step.index}")
+        for key in step.top_keys:
+            if parent_key(step.s_tree, key) != parent_key(step.t_tree, key):
+                raise FormulaViolation(f"top-tree parent mismatch at step {step.index}")
+
+
+def check_level_witness(prev: WindowStep, step: WindowStep, wit: LevelWitness) -> int:
+    """Check the level formulas, the crossing-depth decrease table and the
+    level-difference bounds of the request ``prev`` -> ``step``; 1 if so, 0
+    when the request falls outside the window or x already tops the zipped
+    subtree (the runs then coincide), where only a zero difference is due."""
+
+    def fail(problem: str) -> NoReturn:
+        raise FormulaViolation(f"step {wit.index}: {problem}")
+
+    if not wit.inside:
+        if wit.delta_z != 0:
+            fail(f"request outside window has delta {wit.delta_z}")
+        if prev.zipped_aug != step.zipped_aug or prev.unzipped_aug != step.unzipped_aug:
+            fail("outside request changed the window subtrees")
+        return 0
+    if wit.k_prev <= 1:
+        if wit.delta_z != 0:
+            fail(f"degenerate window has delta {wit.delta_z}")
+        return 0
+    c, l = wit.c, wit.zone
+    d, a, b, e, f = wit.first, wit.a, wit.b, wit.e, wit.f
+    if c == -1:
+        zipped_expect = l + e
+        unzipped_expect = 1 + d
+    elif c == 0:
+        zipped_expect = l + 1
+        unzipped_expect = 1
+    elif c == 1:
+        zipped_expect = l + (
+            (1 - a) * (1 - b) * d + b * (1 + a + e) + a * (1 - b) * (1 + d * (1 - e))
+        )
+        unzipped_expect = 2 + f + b * (1 + a)
+    elif c == 2:
+        zipped_expect = l + b * (1 + a) + e
+        unzipped_expect = 2 + f + b * (1 + a)
+    else:
+        zipped_expect = l + b * (1 + a) + e
+        unzipped_expect = 3 + f + a
+    if wit.zipped_level != zipped_expect:
+        fail(f"zipped level {wit.zipped_level} != {zipped_expect} "
+             f"(c={c} l={l} a={a} b={b} e={e} d={d}, z={wit.z}, zbar={wit.z_bar})")
+    if wit.unzipped_level != unzipped_expect:
+        fail(f"unzipped level {wit.unzipped_level} != {unzipped_expect} "
+             f"(c={c} l={l} a={a} b={b} f={f} d={d}, z={wit.z}, zbar={wit.z_bar})")
+    measured = wit.zipped_level - wit.unzipped_level
+    if wit.delta_z != measured:
+        fail(f"delta {wit.delta_z} != level difference {measured}")
+    # Crossing-depth decrease table.  The printed table misses c >= 3 with a
+    # small new crossing depth; the weaker row l - 3 is what holds there.
+    k_prev, k_cur = wit.k_prev, wit.k_cur
+    if c == -1:
+        decrease: int = k_prev
+    elif 0 <= c <= 2:
+        decrease = 0
+    elif 3 <= c <= k_cur:
+        decrease = l - 2
+    else:
+        decrease = l - 3
+    if k_cur > k_prev - decrease:
+        fail(f"crossing depth {k_cur} exceeds {k_prev} - {decrease} (c={c} l={l})")
+    # Telescoping bound consumed by the summation argument; holds for
+    # every request including the terminal access to x.
+    shrank = int(k_cur < k_prev)
+    if wit.delta_z > k_prev - k_cur + 3 * shrank:
+        fail(f"delta {wit.delta_z} above telescoping bound {k_prev} - {k_cur} + {3 * shrank}")
+    # Zone bound on the level difference; the terminal access to x is
+    # covered by the telescoping bound instead.
+    bound = 0 if 1 <= l <= 2 else l
+    if c >= 0 and wit.delta_z > bound:
+        fail(f"delta {wit.delta_z} above bound {bound} (l={l})")
+    return 1
+
+
+def check_delta_sum(total: int, gap: int) -> None:
+    """Summation identity: the level differences add up to the gap."""
+    if total != gap:
+        raise FormulaViolation(f"delta sum {total} != measured gap {gap}")
 
 
 def validate_level_formulas(
     steps: Sequence[WindowStep], witnesses: Sequence[LevelWitness], x: int
-) -> FormulaReport:
-    """Check the case formulas for zipped and unzipped levels, the decrease
-    table for the crossing depth, the per-step bound on level differences,
-    and the summation identity against the measured gap.
-
-    Requests landing outside the window must leave the window subtrees
-    untouched and have zero level difference.  Steps where x already tops
-    the zipped subtree are degenerate (the two runs coincide from there on)
-    and only the zero-difference consequence is checked.
-    """
-    report = FormulaReport()
-    for wit in witnesses:
-        prev = steps[wit.index - 1]
-        if not wit.inside:
-            report.outside += 1
-            if wit.delta_z != 0:
-                report.violations.append(
-                    f"step {wit.index}: request outside window has delta {wit.delta_z}"
-                )
-            nxt = steps[wit.index]
-            if prev.zipped_aug != nxt.zipped_aug or prev.unzipped_aug != nxt.unzipped_aug:
-                report.violations.append(
-                    f"step {wit.index}: outside request changed the window subtrees"
-                )
-            continue
-        if wit.k_prev <= 1:
-            report.degenerate += 1
-            if wit.delta_z != 0:
-                report.violations.append(
-                    f"step {wit.index}: degenerate window has delta {wit.delta_z}"
-                )
-            continue
-        report.checked += 1
-        c, l = wit.c, wit.zone
-        d, a, b, e, f = wit.first, wit.a, wit.b, wit.e, wit.f
-        if c == -1:
-            zipped_expect = l + e
-            unzipped_expect = 1 + d
-        elif c == 0:
-            zipped_expect = l + 1
-            unzipped_expect = 1
-        elif c == 1:
-            zipped_expect = l + (
-                (1 - a) * (1 - b) * d + b * (1 + a + e) + a * (1 - b) * (1 + d * (1 - e))
-            )
-            unzipped_expect = 2 + f + b * (1 + a)
-        elif c == 2:
-            zipped_expect = l + b * (1 + a) + e
-            unzipped_expect = 2 + f + b * (1 + a)
-        else:
-            zipped_expect = l + b * (1 + a) + e
-            unzipped_expect = 3 + f + a
-        if wit.zipped_level != zipped_expect:
-            report.violations.append(
-                f"step {wit.index}: zipped level {wit.zipped_level} != {zipped_expect} "
-                f"(c={c} l={l} a={a} b={b} e={e} d={d}, z={wit.z}, zbar={wit.z_bar})"
-            )
-        if wit.unzipped_level != unzipped_expect:
-            report.violations.append(
-                f"step {wit.index}: unzipped level {wit.unzipped_level} != {unzipped_expect} "
-                f"(c={c} l={l} a={a} b={b} f={f} d={d}, z={wit.z}, zbar={wit.z_bar})"
-            )
-        measured = wit.zipped_level - wit.unzipped_level
-        if wit.delta_z != measured:
-            report.violations.append(
-                f"step {wit.index}: delta {wit.delta_z} != level difference {measured}"
-            )
-        # Crossing-depth decrease table.
-        k_prev, k_cur = wit.k_prev, wit.k_cur
-        if c == -1:
-            decrease: int = k_prev
-        elif 0 <= c <= 2:
-            decrease = 0
-        elif 3 <= c <= k_cur:
-            decrease = l - 2
-        elif 2 < k_cur < c:
-            decrease = l - 3
-        else:
-            # The printed table misses c >= 3 with a small new crossing
-            # depth; the weaker row is what holds there.
-            report.uncovered_decrease_rows += 1
-            decrease = l - 3
-        if k_cur > k_prev - decrease:
-            report.violations.append(
-                f"step {wit.index}: crossing depth {k_cur} exceeds"
-                f" {k_prev} - {decrease} (c={c} l={l})"
-            )
-        # Telescoping bound consumed by the summation argument; holds for
-        # every request including the terminal access to x.
-        shrank = int(k_cur < k_prev)
-        if wit.delta_z > k_prev - k_cur + 3 * shrank:
-            report.violations.append(
-                f"step {wit.index}: delta {wit.delta_z} above telescoping bound"
-                f" {k_prev} - {k_cur} + {3 * shrank}"
-            )
-        # Zone bound on the level difference; the terminal access to x is
-        # covered by the telescoping bound instead.
-        bound = 0 if 1 <= l <= 2 else l
-        if c >= 0 and wit.delta_z > bound:
-            report.violations.append(
-                f"step {wit.index}: delta {wit.delta_z} above bound {bound} (l={l})"
-            )
-    # Summation identity.
+) -> int:
+    """Check one decomposition: every state, every witness, and the summation
+    identity against :func:`remove_one_gap`.  Raises :class:`FormulaViolation`
+    at the first failure; returns the number of witnesses whose level
+    formulas were checked."""
+    for step in steps:
+        check_window_state(step, x)
+    checked = sum(check_level_witness(steps[w.index - 1], steps[w.index], w) for w in witnesses)
     if witnesses:
-        s0 = steps[0].s_tree
-        z_seq = [w.z for w in witnesses]
-        total = sum(w.delta_z for w in witnesses)
-        gap = remove_one_gap(s0, x, z_seq)
-        if total != gap:
-            report.violations.append(f"delta sum {total} != measured gap {gap}")
-    return report
+        gap = remove_one_gap(steps[0].s_tree, x, [w.z for w in witnesses])
+        check_delta_sum(sum(w.delta_z for w in witnesses), gap)
+    return checked

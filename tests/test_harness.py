@@ -16,7 +16,7 @@ from splaylab.families import UnknownFamilyError, generate
 from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
 from splaylab.tree import KeyAbsentError, all_shapes, left_spine_tree, shape_print, size
-from splaylab.wilber import FormulaReport
+from splaylab.wilber import FormulaViolation
 
 
 class TestFamilies:
@@ -105,6 +105,7 @@ BAD_INSTANCES = {
     "unparsable-tree-line": "tree: 2 x\nrequests: 2\n",
     "request-key-absent": "tree: 2 1 3\nrequests: 1 5\n",
     "duplicate-tree-key": "tree: 2 1 2\nrequests: 1\n",
+    "non-decimal-keys": "tree: \u0663 1_0 +2\nrequests: 3 10\n",
 }
 
 # Numeric options below their accepted range, one per bound.
@@ -465,12 +466,14 @@ class TestSuiteFailures:
     def test_window_reports_a_formula_violation(self, monkeypatch):
         calls = []
 
-        def planted(steps, witnesses, x):
-            calls.append(x)
-            return FormulaReport(checked=1, violations=["planted violation"])
+        def planted(prev, step, wit):
+            calls.append(wit)
+            raise FormulaViolation(f"step {wit.index}: planted violation")
 
-        monkeypatch.setattr(suites, "validate_level_formulas", planted)
+        monkeypatch.setattr(suites, "check_level_witness", planted)
         [result] = suites.run_suite("window")
         assert not result.passed
         assert len(calls) == 1
-        assert "planted violation" in result.detail
+        # The first trie node with a witness: the first shape, x = 1, Z = (1,).
+        first = shape_print(all_shapes(2)[0])
+        assert result.detail == f"{first} x=1 Z=(1,): step 1: planted violation"

@@ -2,7 +2,10 @@
 conversions, and the plain-text formats."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from splaylab.algorithms import parse_deque_script
 from splaylab.families import generate
 from splaylab.model import (
     Execution,
@@ -31,6 +34,7 @@ from splaylab.tree import (
     SymmetricOrderError,
     bst_from_sequence,
     left_spine_tree,
+    parse_key,
     parse_shape,
     path_nodes,
     right_spine_tree,
@@ -40,6 +44,15 @@ from splaylab.tree import (
 )
 
 from conftest import make_random_execution, make_random_instance
+
+# Arbitrary text, and text assembled from the formats' own tokens and from
+# near-miss keys, so the parsers get past their first token.
+_TOKENS = [
+    "(", ")", ".", " ", "\n", "1", "2", "-3", "0", "17", "x", "+2", "1_0", "\u0663", "\uff11",
+    "tree:", "requests:", "subsequence:", "push", "inject", "pop", "eject", "#",
+]
+TEXTS = st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
+KEY_LISTS = st.lists(st.integers(-50, 50), unique=True, min_size=1, max_size=12)
 
 
 def cost8_instance():
@@ -302,3 +315,58 @@ class TestTextFormats:
     def test_duplicate_tree_key_rejected(self):
         with pytest.raises(ValueError, match="key 2 appears more than once"):
             parse_instance("tree: 2 1 2\nrequests: 1\n")
+
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "+2", "1.0", "--1", "-", "\uff11", "0x1"])
+    def test_keys_are_plain_decimal_integers(self, text):
+        with pytest.raises(ValueError, match="is not a decimal integer"):
+            parse_key(text)
+        with pytest.raises(ValueError):
+            parse_instance(f"tree: 2 1 3\nrequests: 1 {text}\n")
+        with pytest.raises(ValueError):
+            parse_deque_script(f"push {text}")
+
+    def test_keys_read_back(self):
+        assert [parse_key(k) for k in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
+        for text in ("", " 1", "1\n"):
+            with pytest.raises(ValueError):
+                parse_key(text)
+        inst, sub = parse_instance("tree: -1 -3 4\nrequests: -3 4\nsubsequence: 4\n")
+        assert (inst.initial, inst.requests, sub) == (bst_from_sequence([-1, -3, 4]), (-3, 4), (4,))
+
+    @pytest.mark.parametrize("text", ["", "(", "(3", "(3 .", "(3 . .", "(3 (1 . .)", ")", "((3 . .)"])
+    def test_truncated_shape_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            parse_shape(text)
+
+    @pytest.mark.parametrize(
+        "parse", [parse_instance, parse_shape, parse_execution, parse_deque_script]
+    )
+    @given(text=TEXTS)
+    @settings(max_examples=300, deadline=None)
+    def test_parsers_return_a_value_or_raise_value_error(self, parse, text):
+        # parse_instance also names a requested key that the tree lacks.
+        allowed = (ValueError, KeyAbsentError) if parse is parse_instance else ValueError
+        try:
+            parse(text)
+        except allowed:
+            pass
+
+    @given(st.lists(st.integers(-50, 50), unique=True, max_size=20))
+    def test_shape_print_round_trip(self, keys):
+        t = bst_from_sequence(keys)
+        assert parse_shape(shape_print(t)) == t
+
+    @given(KEY_LISTS.flatmap(lambda keys: st.tuples(
+        st.just(keys),
+        st.lists(st.sampled_from(keys), max_size=10),
+        st.none() | st.lists(st.sampled_from(keys), max_size=5).map(tuple),
+    )))
+    def test_instance_round_trip(self, case):
+        keys, requests, subsequence = case
+        inst = Instance(tuple(requests), bst_from_sequence(keys))
+        assert parse_instance(format_instance(inst, subsequence)) == (inst, subsequence)
+
+    @given(st.lists(KEY_LISTS.map(bst_from_sequence), max_size=6))
+    def test_execution_round_trip(self, trees):
+        e = Execution(tuple(trees))
+        assert parse_execution(format_execution(e)) == e

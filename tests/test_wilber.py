@@ -1,13 +1,14 @@
 """Crossing-node machinery: levels, the crossing bound and its two
 formulations, the splay cost decomposition, and the window decomposition."""
 
+import dataclasses
 import itertools
 
 import pytest
 from splaylab.algorithms import move_to_root
 from splaylab.families import random_tree
 from splaylab.model import Instance
-from splaylab.suites import _lift_tables
+from splaylab.suites import SuiteFailure, _lift_tables, _window_walk
 from splaylab.tree import (
     Node,
     all_shapes,
@@ -19,7 +20,9 @@ from splaylab.tree import (
     tree_keys,
 )
 from splaylab.wilber import (
+    FormulaViolation,
     _reduce_to_path,
+    check_level_witness,
     crossing_bound,
     crossing_bounds,
     crossing_keys_graphical,
@@ -32,6 +35,7 @@ from splaylab.wilber import (
     splay_bookkeeping_cost,
     splay_crossing_cost,
     validate_level_formulas,
+    walk_sequences,
     wilber_score,
     window_decompose,
 )
@@ -158,6 +162,12 @@ class TestCrossingBounds:
     def test_zero_length(self):
         assert crossing_bounds(bst_from_sequence([2, 1, 3]), (1, 2, 3), 0) == {(): 0}
 
+    def test_walk_visits_each_sequence_once_in_lexicographic_order(self):
+        walk = list(walk_sequences(0, (1, 2), 2, lambda state, x: 10 * state + x))
+        assert walk == [
+            ((), 0), ((1,), 1), ((1, 1), 11), ((1, 2), 12), ((2,), 2), ((2, 1), 21), ((2, 2), 22),
+        ]
+
 
 class TestRemoveOneGap:
     def test_empty_sequence_gap_zero(self):
@@ -266,8 +276,36 @@ class TestWindowDecomposition:
             x = rng.randint(1, n)
             z = tuple(rng.randint(1, n) for _ in range(rng.randint(0, 6)))
             steps, wits = window_decompose(s, x, z)
-            report = validate_level_formulas(steps, wits, x)
-            assert report.ok, report.violations[:3]
+            # The witnesses whose level formulas applied; the rest are
+            # outside the window or degenerate.
+            assert 0 <= validate_level_formulas(steps, wits, x) <= len(wits)
+
+    def test_trie_walk_counts_match_one_validation_per_sequence(self):
+        # The window suite's walk checks each prefix once, yet reports what
+        # validating every sequence on its own counts.
+        for n in range(1, 5):
+            runs = checks = 0
+            for t in all_shapes(n):
+                for x in range(1, n + 1):
+                    for m in range(4):
+                        for z_seq in itertools.product(range(1, n + 1), repeat=m):
+                            checks += validate_level_formulas(*window_decompose(t, x, z_seq), x)
+                            runs += 1
+            assert _window_walk(n, 3) == (runs, checks)
+            assert checks > 0 or n < 3
+
+    def test_tampered_witness_fails_its_check(self):
+        s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
+        steps, wits = window_decompose(s, 4, (5, 3))
+        checked = [w for w in wits if check_level_witness(steps[w.index - 1], steps[w.index], w)]
+        assert checked
+        wit = checked[0]
+        bad = dataclasses.replace(wit, zipped_level=wit.zipped_level + 1)
+        message = f"^step {wit.index}: zipped level {wit.zipped_level + 1} != "
+        with pytest.raises(FormulaViolation, match=message):
+            check_level_witness(steps[wit.index - 1], steps[wit.index], bad)
+        with pytest.raises(FormulaViolation, match=message):
+            validate_level_formulas(steps, [bad if w is wit else w for w in wits], 4)
 
     def test_absent_key_rejected(self):
         with pytest.raises(KeyError):
