@@ -1,10 +1,10 @@
-"""Self-adjusting algorithms as pure tree-to-tree functions: bottom-up Splay
-with step classification, Move-to-Root, Top-Down Splay, insertion splaying,
-and splay-based deque operations.
+"""Self-adjusting algorithms as pure tree-to-tree functions: bottom-up Splay,
+Move-to-Root, Top-Down Splay, insertion splaying, and splay-based deque
+operations.
 
 Each access returns the new tree together with an :class:`AccessRecord`
-carrying the path encoding, splay-step classification, and the crossing /
-bookkeeping split of its cost.
+carrying the path encoding, the cost and the crossing count; the splay-step
+kinds and the bookkeeping cost derive from those.
 
 The three algorithms are path-based: the rearranged top of the tree is a
 function of the access path's binary encoding alone, and subtrees hanging
@@ -13,82 +13,73 @@ off the path are re-attached wherever symmetric order forces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .tree import (
-    KeyAbsentError,
-    Node,
-    Tree,
-    insert_leaf,
-    parse_key,
-    path_nodes,
-)
+from .tree import KeyAbsentError, Node, Tree, insert_leaf, parse_key
 
 
-@dataclass(frozen=True)
-class AccessRecord:
+class AccessRecord(NamedTuple):
     """Bookkeeping for one access."""
 
     key: int
-    encoding: str
-    steps: tuple[str, ...]  # splay-step kinds, bottom-up (empty for MTR/TDS)
+    encoding: str  # access path from the root: 0 = left, 1 = right
     cost: int  # depth + 1
     crossing: int  # crossing nodes on the access path (the level)
-    bookkeeping: int  # cost - crossing
+
+    @property
+    def bookkeeping(self) -> int:
+        return self.cost - self.crossing
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        """Splay-step kinds of bottom-up Splay on this path, in execution
+        order: same-side pairs from the accessed node up, then a lone zig."""
+        e = self.encoding
+        pairs = tuple(
+            "zig-zig" if e[i] == e[i - 1] else "zig-zag" for i in range(len(e) - 1, 0, -2)
+        )
+        return pairs + ("zig",) if len(e) % 2 else pairs
 
 
-def crossing_count(encoding: str) -> int:
-    """Number of crossing nodes on a path with the given encoding: both
-    endpoints plus every direction alternation strictly between them."""
-    d = len(encoding)
-    if d == 0:
-        return 1
-    alternations = sum(
-        1 for i in range(d - 1) if encoding[i] != encoding[i + 1]
-    )
-    return 2 + alternations
-
-
-def classify_steps(encoding: str) -> tuple[str, ...]:
-    """Splay-step kinds for a path, in bottom-up execution order."""
-    steps = []
-    i = len(encoding)
-    while i >= 2:
-        steps.append("zig-zag" if encoding[i - 1] != encoding[i - 2] else "zig-zig")
-        i -= 2
-    if i == 1:
-        steps.append("zig")
-    return tuple(steps)
-
-
-def _record(key: int, encoding: str, steps: tuple[str, ...]) -> AccessRecord:
-    cost = len(encoding) + 1
-    crossing = crossing_count(encoding)
-    return AccessRecord(key, encoding, steps, cost, crossing, cost - crossing)
-
-
-def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Node, str]:
+def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Node, str, int]:
     """The path kernel shared by Splay, Move-to-Root and Top-Down Splay.
 
-    Walks the access path p[0] (root) .. p[d] = ``key`` once, bottom-up, and
-    unzips each node onto its side of ``key``: smaller nodes onto the right
-    spine of the new left subtree, larger ones onto the left spine of the new
-    right subtree, each keeping its hanging subtree on the outside.  The one
-    exception is a fold.  With s = ``pair_start(d)``, a pair (p[i], p[i+1])
-    with s <= i, i = s (mod 2) and i+1 < d is folded when both nodes lie on
-    one side: p[i+1] takes the pair's place on the spine, p[i] becomes its
-    outer child and keeps its hanging subtree outside, and p[i+1]'s hanging
-    subtree goes between them.  Returns the new tree, built from d+1 new
-    nodes, and the path encoding.
+    Descends the access path p[0] (root) .. p[d] = ``key`` once, one
+    same-side run at a time, then rebuilds bottom-up, unzipping each node
+    onto its side of ``key``: smaller nodes onto the right spine of the new
+    left subtree, larger ones onto the left spine of the new right subtree,
+    each keeping its hanging subtree on the outside.  The one exception is a
+    fold.  With s = ``pair_start(d)``, a pair (p[i], p[i+1]) with s <= i,
+    i = s (mod 2) and i+1 < d is folded when both nodes lie on one side:
+    p[i+1] takes the pair's place on the spine, p[i] becomes its outer child
+    and keeps its hanging subtree outside, and p[i+1]'s hanging subtree goes
+    between them.  Returns the new tree, built from d+1 new nodes, the path
+    encoding, and the crossing count: both ends of the path plus one node
+    per change of direction, so one more than the number of runs.
     """
-    path = path_nodes(t, key)
-    encoding = "".join("1" if p.key < key else "0" for p in path[:-1])
-    d = len(path) - 1
+    path: list[Node] = []
+    runs: list[str] = []
+    node = t
+    while node is not None and key != node.key:
+        top = len(path)
+        if key < node.key:
+            while node is not None and key < node.key:
+                path.append(node)
+                node = node.left
+            runs.append("0" * (len(path) - top))
+        else:
+            while node is not None and key > node.key:
+                path.append(node)
+                node = node.right
+            runs.append("1" * (len(path) - top))
+    if node is None:
+        raise KeyAbsentError(key)
+    d = len(path)
     if d == 0:
-        return path[0], encoding
+        return node, "", 1
+    encoding = "".join(runs)
     s = pair_start(d)
-    left, right = path[-1].left, path[-1].right
+    left, right = node.left, node.right
     i = d - 1
     while i >= 0:
         p = path[i]
@@ -105,7 +96,27 @@ def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Nod
             else:
                 right = Node(p.key, right, p.right)
             i -= 1
-    return Node(key, left, right), encoding
+    return Node(key, left, right), encoding, len(runs) + 1
+
+
+# Each path algorithm by name, given as where its folded pairs start on an
+# access path of depth d (see ``_rearrange``).
+ALGORITHMS: dict[str, Callable[[int], int]] = {
+    "splay": lambda d: d % 2,  # pairs from the accessed node upward
+    "mtr": lambda d: d,  # no pair fits: nothing folds
+    "tds": lambda d: 0,  # pairs from the root downward
+}
+
+
+def access(t: Tree, key: int, algo: str = "splay") -> tuple[Node, AccessRecord]:
+    """One access by the named algorithm: the new tree and its record."""
+    out, encoding, crossing = _rearrange(t, key, ALGORITHMS[algo])
+    return out, AccessRecord(key, encoding, len(encoding) + 1, crossing)
+
+
+def access_tree(t: Tree, key: int, algo: str = "splay") -> Node:
+    """The tree after one access by the named algorithm, with no record."""
+    return _rearrange(t, key, ALGORITHMS[algo])[0]
 
 
 def splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
@@ -113,8 +124,7 @@ def splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     accessed node upward, and a lone zig finishes the access.  A zig-zig
     step is a fold of the path kernel; a zig-zag step leaves both nodes
     unzipped, as Move-to-Root does."""
-    out, encoding = _rearrange(t, key, lambda d: d % 2)
-    return out, _record(key, encoding, classify_steps(encoding))
+    return access(t, key, "splay")
 
 
 def move_to_root(t: Tree, key: int) -> tuple[Node, AccessRecord]:
@@ -125,8 +135,7 @@ def move_to_root(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     spine of its new right subtree in decreasing order; every path node keeps
     its off-path subtree on the outside.
     """
-    out, encoding = _rearrange(t, key, lambda d: d)  # no pair fits: nothing folds
-    return out, _record(key, encoding, ())
+    return access(t, key, "mtr")
 
 
 def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
@@ -135,24 +144,12 @@ def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     bottom-up variant on access paths with an odd number of nodes, different
     on even paths longer than two.
     """
-    out, encoding = _rearrange(t, key, lambda d: 0)
-    return out, _record(key, encoding, ())
+    return access(t, key, "tds")
 
 
 def insertion_splay(t: Tree, key: int) -> Node:
     """Insert a key at a leaf, then splay the new node to the root."""
-    grown = insert_leaf(t, key)
-    out, _ = splay(grown, key)
-    return out
-
-
-AccessFn = Callable[[Tree, int], tuple[Node, AccessRecord]]
-
-ALGORITHMS: dict[str, AccessFn] = {
-    "splay": splay,
-    "mtr": move_to_root,
-    "tds": top_down_splay,
-}
+    return access_tree(insert_leaf(t, key), key, "splay")
 
 
 def run_accesses(
@@ -160,10 +157,9 @@ def run_accesses(
 ) -> tuple[Tree, list[AccessRecord]]:
     """Apply one algorithm along a request sequence; returns the final tree
     and the per-access records."""
-    fn = ALGORITHMS[algo]
     records = []
     for k in keys:
-        t, rec = fn(t, k)
+        t, rec = access(t, k, algo)
         records.append(rec)
     return t, records
 
@@ -183,12 +179,12 @@ class RunTotals(NamedTuple):
 def run_totals(t: Tree, keys: Iterable[int], algo: str = "splay") -> RunTotals:
     """Apply one algorithm along a request sequence, keeping no per-access
     records; the one place that sums a run's costs."""
-    fn = ALGORITHMS[algo]
+    pair_start = ALGORITHMS[algo]
     cost = crossing = 0
     for k in keys:
-        t, rec = fn(t, k)
-        cost += rec.cost
-        crossing += rec.crossing
+        t, encoding, c = _rearrange(t, k, pair_start)
+        cost += len(encoding) + 1
+        crossing += c
     return RunTotals(t, cost, crossing)
 
 

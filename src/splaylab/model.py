@@ -228,9 +228,8 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     """Execution trace of a path-based algorithm: each transition tree is
     the rearranged access path, so the trace cost equals the request count
     plus the summed access depths."""
-    from .algorithms import ALGORITHMS
+    from .algorithms import access, access_tree
 
-    fn = ALGORITHMS[algo]
     t = inst.initial
     steps = []
     cost = 0
@@ -238,8 +237,8 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
         q = Node(x)  # Q is the access path itself
         for p in reversed(path_nodes(t, x)[:-1]):
             q = Node(p.key, q, None) if x < p.key else Node(p.key, None, q)
-        after, record = fn(t, x)
-        q_prime, _ = fn(q, x)  # path-based: Q' is the rearranged bare path
+        after, record = access(t, x, algo)
+        q_prime = access_tree(q, x, algo)  # path-based: Q' is the rearranged bare path
         steps.append(AccessStep(i, x, q, q_prime, after, record.encoding))
         cost += record.cost
         t = after

@@ -32,8 +32,6 @@ from .tree import (
     shape_key,
     shape_print,
     shapes_on_keys,
-    size,
-    tree_keys,
 )
 
 DEFAULT_GUARD_N = 7
@@ -283,16 +281,3 @@ def opt_cost(
     return OptResult(
         total, execution, sum(per_layer), tuple(per_layer), tuple(groups_per_layer), trace
     )
-
-
-def initial_tree_shift(x_seq: tuple[int, ...], t: Node, t_prime: Node) -> int:
-    """Difference in optimum cost from swapping the initial tree; its
-    magnitude never exceeds the tree size."""
-    if tree_keys(t) != tree_keys(t_prime):
-        raise ValueError("initial trees must hold the same keys")
-    a = opt_cost(Instance(x_seq, t)).cost
-    b = opt_cost(Instance(x_seq, t_prime)).cost
-    shift = a - b
-    if abs(shift) > size(t):
-        raise InvariantError(f"initial-tree shift {shift} exceeds the tree size {size(t)}")
-    return shift

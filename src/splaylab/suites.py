@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .algorithms import access_cost, move_to_root, run_totals
+from .algorithms import access_cost, access_tree, run_totals
 from .families import generate, random_tree, trial_rng
 from .model import (
     Execution,
@@ -362,7 +362,7 @@ def _lift_tables(n: int, max_m: int):
     tables = {shape_key(t): crossing_bounds(t, keys, max_m) for t in shapes}
     for t in shapes:
         for x in keys:
-            yield t, x, tables[shape_key(t)], tables[shape_key(move_to_root(t, x)[0])]
+            yield t, x, tables[shape_key(t)], tables[shape_key(access_tree(t, x, "mtr"))]
 
 
 # ---------------------------------------------------------------------------

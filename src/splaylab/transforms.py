@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .algorithms import ALGORITHMS, access_cost, run_accesses, run_totals
+from .algorithms import access_cost, access_tree, run_accesses, run_totals
 from .model import Execution, Instance, _closure_both, validate
 from .tree import (
     InvariantError,
@@ -60,17 +60,13 @@ class TransitionDigraph:
 def build_digraph(n: int, algo: str = "splay") -> TransitionDigraph:
     if not 1 <= n <= MAX_DIGRAPH_N:
         raise ValueError(f"digraph size {n} outside 1..{MAX_DIGRAPH_N}")
-    fn = ALGORITHMS[algo]
     vertices = tuple(all_shapes(n))
     index = {shape_key(v): i for i, v in enumerate(vertices)}
-    arcs = []
-    for v in vertices:
-        row = []
-        for key in range(1, n + 1):
-            after, _ = fn(v, key)
-            row.append(index[shape_key(after)])
-        arcs.append(tuple(row))
-    return TransitionDigraph(n, algo, vertices, index, tuple(arcs))
+    arcs = tuple(
+        tuple(index[shape_key(access_tree(v, key, algo))] for key in range(1, n + 1))
+        for v in vertices
+    )
+    return TransitionDigraph(n, algo, vertices, index, arcs)
 
 
 def _bfs(g: TransitionDigraph, src: int) -> tuple[list[int], list[Optional[tuple[int, int]]]]:

@@ -140,18 +140,6 @@ def path_encoding(t: Tree, key: int) -> str:
     raise KeyAbsentError(key)
 
 
-def decode_path(t: Tree, encoding: str) -> int:
-    """Follow an encoding from the root; the landing node must exist."""
-    node = t
-    for bit in encoding:
-        if node is None:
-            break
-        node = node.left if bit == "0" else node.right
-    if node is None:
-        raise KeyAbsentError(f"encoding {encoding!r} leaves the tree")
-    return node.key
-
-
 def preorder(t: Tree) -> tuple[int, ...]:
     out: list[int] = []
     stack = [t]
@@ -256,11 +244,6 @@ def rotate(t: Tree, key: int) -> Node:
     return new
 
 
-def parent_key(t: Tree, key: int) -> Optional[int]:
-    path = path_nodes(t, key)
-    return path[-2].key if len(path) >= 2 else None
-
-
 def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
     """The induced subtree on ``keys``, which must form a connected subtree
     containing the root.  Visits only those nodes and their children."""
@@ -274,12 +257,6 @@ def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
         right = built.pop() if node.right is not None and node.right.key in want else None
         built.append(Node(node.key, left, right))
     return built[0]
-
-
-def hanging_subtrees(t: Tree, keys: frozenset[int]) -> list[Tree]:
-    """Subtrees of ``t`` hanging off the root subtree induced by ``keys``
-    (which must be connected and hold the root), in symmetric order."""
-    return [sub for sub in _root_walk(t, keys)[1] if sub is not None]
 
 
 def substitute(t: Tree, q_prime: Tree) -> Node:
@@ -360,13 +337,6 @@ def frontier(t: Node, keys: AbstractSet[int]) -> list[tuple[int, int]]:
                 else:
                     out.append((d + 1, child.key))
     return out
-
-
-def catalan(n: int) -> int:
-    c = 1
-    for i in range(n):
-        c = c * 2 * (2 * i + 1) // (i + 2)
-    return c
 
 
 def all_shapes(n: int) -> tuple[Tree, ...]:
@@ -510,27 +480,3 @@ def relabel(t: Tree, mapping: Mapping[int, int]) -> Tree:
         right = built.pop() if node.right is not None else None
         built.append(Node(mapping[node.key], left, right))
     return built[0] if built else None
-
-
-def child_pointer_diff(a: Tree, b: Tree) -> int:
-    """Number of child pointers that differ between two trees on the same
-    keys, counting the root handle as one pointer."""
-
-    def pointers(t: Tree) -> dict[tuple[int, str], Optional[int]]:
-        out: dict[tuple[int, str], Optional[int]] = {}
-        stack = [t]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                continue
-            out[(node.key, "L")] = node.left.key if node.left else None
-            out[(node.key, "R")] = node.right.key if node.right else None
-            stack.append(node.left)
-            stack.append(node.right)
-        return out
-
-    pa, pb = pointers(a), pointers(b)
-    diff = sum(1 for slot in pa if pa[slot] != pb.get(slot))
-    root_a = a.key if a else None
-    root_b = b.key if b else None
-    return diff + (1 if root_a != root_b else 0)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
-from .algorithms import move_to_root, run_totals
+from .algorithms import access_tree, move_to_root, run_totals
 from .model import Instance
 from .tree import (
     InvariantError,
@@ -24,7 +24,6 @@ from .tree import (
     Tree,
     bst_from_sequence,
     contains,
-    parent_key,
     path_nodes,
     postorder,
     size,
@@ -69,22 +68,6 @@ def crossing_keys_on_path(path: Sequence[Node]) -> tuple[int, ...]:
         if above != below:
             out.append(path[i].key)
     out.append(path[-1].key)
-    return tuple(out)
-
-
-def crossing_keys_graphical(t: Tree, key: int) -> tuple[int, ...]:
-    """Independent oracle: an inner path node is crossing when the edge from
-    its parent crosses the vertical line through the accessed key's
-    symmetric-order position."""
-    path = path_nodes(t, key)
-    if len(path) == 1:
-        return (path[0].key,)
-    out = [path[0].key]
-    for i in range(1, len(path) - 1):
-        lo, hi = sorted((path[i - 1].key, path[i].key))
-        if lo < key < hi or path[i].key == key:
-            out.append(path[i].key)
-    out.append(key)
     return tuple(out)
 
 
@@ -225,9 +208,8 @@ def remove_one_gap(s: Node, x: int, z_seq: Sequence[int]) -> int:
         raise KeyAbsentError(x)
     if not z_seq:
         return 0
-    lifted, _ = move_to_root(s, x)
     return crossing_bound(Instance(tuple(z_seq), s)) - crossing_bound(
-        Instance(tuple(z_seq), lifted)
+        Instance(tuple(z_seq), access_tree(s, x, "mtr"))
     )
 
 
@@ -298,7 +280,7 @@ def window_start(s: Node, x: int) -> WindowStep:
     """The state before any request: J+ = J is ``s``, K+ = K is its lift."""
     if not contains(s, x):
         raise KeyAbsentError(x)
-    t, _ = move_to_root(s, x)
+    t = access_tree(s, x, "mtr")
     return WindowStep(0, NEG_INF, POS_INF, s, t, (), s, t, s, t, level(s, x))
 
 
@@ -309,8 +291,8 @@ def window_advance(
     difference; ``keys`` are the tree's keys in increasing order."""
     u = z if prev.u <= z <= x else prev.u
     v = z if x <= z <= prev.v else prev.v
-    s_tree, _ = move_to_root(prev.s_tree, z)
-    t_tree, _ = move_to_root(prev.t_tree, z)
+    s_tree = access_tree(prev.s_tree, z, "mtr")
+    t_tree = access_tree(prev.t_tree, z, "mtr")
     i = prev.index + 1
     window = frozenset(k for k in keys if u < k < v)
     top = tuple(k for k in keys if not u < k < v)
@@ -459,14 +441,27 @@ class FormulaViolation(ValueError):
 def check_window_state(step: WindowStep, x: int) -> None:
     """After each request both runs share their root and their top tree, and
     the unzipped subtree is the zipped one with x moved to its root."""
-    if step.zipped is not None and step.unzipped != move_to_root(step.zipped, x)[0]:
+    if step.zipped is not None and step.unzipped != access_tree(step.zipped, x, "mtr"):
         raise FormulaViolation(f"unzipped subtree mismatch at step {step.index}")
     if step.index >= 1:
         if step.s_tree.key != step.t_tree.key:
             raise FormulaViolation(f"roots differ at step {step.index}")
-        for key in step.top_keys:
-            if parent_key(step.s_tree, key) != parent_key(step.t_tree, key):
-                raise FormulaViolation(f"top-tree parent mismatch at step {step.index}")
+        if _top_parents(step.s_tree, step.u, step.v) != _top_parents(step.t_tree, step.u, step.v):
+            raise FormulaViolation(f"top-tree parent mismatch at step {step.index}")
+
+
+def _top_parents(t: Node, u: float, v: float) -> dict[int, Optional[int]]:
+    """Parent key of each key of the top tree, the root subtree of the keys
+    outside the window (u, v), from one walk of it."""
+    out: dict[int, Optional[int]] = {t.key: None}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if child is not None and not u < child.key < v:
+                out[child.key] = node.key
+                stack.append(child)
+    return out
 
 
 def check_level_witness(prev: WindowStep, step: WindowStep, wit: LevelWitness) -> int:

@@ -13,7 +13,7 @@ from splaylab.algorithms import (
     ALGORITHMS,
     EmptyDequeError,
     access_cost,
-    classify_steps,
+    access_tree,
     deque_run,
     insertion_splay,
     move_to_root,
@@ -89,6 +89,30 @@ def top_down_splay_by_rotations(t, key):
     return _arm_pair_rotations(move_to_root_by_rotations(t, key), key, pairs, False)
 
 
+def crossing_count(encoding):
+    """Number of crossing nodes on a path with the given encoding: both
+    endpoints plus every direction alternation strictly between them."""
+    d = len(encoding)
+    if d == 0:
+        return 1
+    alternations = sum(
+        1 for i in range(d - 1) if encoding[i] != encoding[i + 1]
+    )
+    return 2 + alternations
+
+
+def classify_steps(encoding):
+    """Splay-step kinds for a path, in bottom-up execution order."""
+    steps = []
+    i = len(encoding)
+    while i >= 2:
+        steps.append("zig-zag" if encoding[i - 1] != encoding[i - 2] else "zig-zig")
+        i -= 2
+    if i == 1:
+        steps.append("zig")
+    return tuple(steps)
+
+
 def _inorder(t):
     out, stack = [], []
     while stack or t is not None:
@@ -101,13 +125,19 @@ def _inorder(t):
     return out
 
 
-def assert_matches_reference_exhaustive(fn, reference):
+def assert_matches_reference_exhaustive(fn, algo, reference):
     for n in range(1, 8):
         for t in all_shapes(n):
             for key in range(1, n + 1):
                 out, rec = fn(t, key)
                 assert out == reference(t, key)
-                assert rec.encoding == path_encoding(t, key)
+                assert access_tree(t, key, algo) == out
+                encoding = path_encoding(t, key)
+                assert rec.key == key and rec.encoding == encoding
+                assert rec.cost == len(encoding) + 1
+                assert rec.crossing == crossing_count(encoding)
+                assert rec.steps == classify_steps(encoding)
+                assert rec.bookkeeping == rec.cost - rec.crossing
 
 
 class TestSplay:
@@ -134,7 +164,7 @@ class TestSplay:
             splay(bst_from_sequence([2, 1, 3]), 4)
 
     def test_agrees_with_encoding_reference_exhaustive(self):
-        assert_matches_reference_exhaustive(splay, splay_by_encoding)
+        assert_matches_reference_exhaustive(splay, "splay", splay_by_encoding)
 
     def test_step_arities_sum_to_depth(self):
         for encoding in ("", "0", "01", "001", "0110", "11111"):
@@ -154,7 +184,7 @@ class TestMoveToRoot:
         assert shape_print(out) == "(1 . (3 (2 . .) .))"
 
     def test_agrees_with_rotation_reference_exhaustive(self):
-        assert_matches_reference_exhaustive(move_to_root, move_to_root_by_rotations)
+        assert_matches_reference_exhaustive(move_to_root, "mtr", move_to_root_by_rotations)
 
     def test_treap_law_exhaustive(self):
         # After any prefix, the tree is the unique treap whose priorities
@@ -187,7 +217,7 @@ class TestTopDownSplay:
         assert top_down_splay(t, 2)[0] == t
 
     def test_agrees_with_rotation_reference_exhaustive(self):
-        assert_matches_reference_exhaustive(top_down_splay, top_down_splay_by_rotations)
+        assert_matches_reference_exhaustive(top_down_splay, "tds", top_down_splay_by_rotations)
 
     def test_20000_key_spine(self):
         # Sequential access of a left spine: the first access has depth
@@ -386,6 +416,17 @@ class TestRunTotals:
         assert totals.cost == sum(r.cost for r in records)
         assert totals.crossing == sum(r.crossing for r in records)
         assert totals.bookkeeping == sum(r.bookkeeping for r in records)
+
+    def test_20000_key_spine_costs_pinned(self):
+        # Sequential access of a left spine: the first access has depth
+        # 19999, so the kernel must not recurse on depth.  Move-to-Root pays
+        # about n per access on this input, so it serves three requests.
+        inst = generate("sequential", n=20_000).instance
+        got = {
+            algo: run_totals(inst.initial, inst.requests[:m], algo)[1:]
+            for algo, m in (("splay", None), ("tds", None), ("mtr", 3))
+        }
+        assert got == {"splay": (108248, 52815), "tds": (126328, 59997), "mtr": (59999, 8)}
 
 
 class TestDeque:

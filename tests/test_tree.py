@@ -18,10 +18,6 @@ from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
     canonical_relabel,
-    catalan,
-    child_pointer_diff,
-    decode_path,
-    hanging_subtrees,
     insert_leaf,
     left_spine_tree,
     frontier,
@@ -38,7 +34,57 @@ from splaylab.tree import (
     size,
     substitute,
     tree_keys,
+    _root_walk,
 )
+
+
+def decode_path(t, encoding):
+    """Follow an encoding from the root; the landing node must exist."""
+    node = t
+    for bit in encoding:
+        if node is None:
+            break
+        node = node.left if bit == "0" else node.right
+    if node is None:
+        raise KeyAbsentError(f"encoding {encoding!r} leaves the tree")
+    return node.key
+
+
+def hanging_subtrees(t, keys):
+    """Subtrees of ``t`` hanging off the root subtree induced by ``keys``
+    (which must be connected and hold the root), in symmetric order."""
+    return [sub for sub in _root_walk(t, keys)[1] if sub is not None]
+
+
+def catalan(n):
+    c = 1
+    for i in range(n):
+        c = c * 2 * (2 * i + 1) // (i + 2)
+    return c
+
+
+def child_pointer_diff(a, b):
+    """Number of child pointers that differ between two trees on the same
+    keys, counting the root handle as one pointer."""
+
+    def pointers(t):
+        out = {}
+        stack = [t]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                continue
+            out[(node.key, "L")] = node.left.key if node.left else None
+            out[(node.key, "R")] = node.right.key if node.right else None
+            stack.append(node.left)
+            stack.append(node.right)
+        return out
+
+    pa, pb = pointers(a), pointers(b)
+    diff = sum(1 for slot in pa if pa[slot] != pb.get(slot))
+    root_a = a.key if a else None
+    root_b = b.key if b else None
+    return diff + (1 if root_a != root_b else 0)
 
 
 def naive_insertion_tree(keys):

@@ -15,6 +15,7 @@ from splaylab.tree import (
     bst_from_sequence,
     contains,
     path_nodes,
+    rotate,
     shape_print,
     size,
     tree_keys,
@@ -23,9 +24,9 @@ from splaylab.wilber import (
     FormulaViolation,
     _reduce_to_path,
     check_level_witness,
+    check_window_state,
     crossing_bound,
     crossing_bounds,
-    crossing_keys_graphical,
     crossing_keys_on_path,
     generalized_path_keys,
     level,
@@ -41,6 +42,22 @@ from splaylab.wilber import (
 )
 
 from conftest import make_random_instance
+
+
+def crossing_keys_graphical(t, key):
+    """Independent oracle: an inner path node is crossing when the edge from
+    its parent crosses the vertical line through the accessed key's
+    symmetric-order position."""
+    path = path_nodes(t, key)
+    if len(path) == 1:
+        return (path[0].key,)
+    out = [path[0].key]
+    for i in range(1, len(path) - 1):
+        lo, hi = sorted((path[i - 1].key, path[i].key))
+        if lo < key < hi or path[i].key == key:
+            out.append(path[i].key)
+    out.append(key)
+    return tuple(out)
 
 
 class TestLevel:
@@ -306,6 +323,17 @@ class TestWindowDecomposition:
             check_level_witness(steps[wit.index - 1], steps[wit.index], bad)
         with pytest.raises(FormulaViolation, match=message):
             validate_level_formulas(steps, [bad if w is wit else w for w in wits], 4)
+
+    def test_top_tree_parent_mismatch_fails_the_state_check(self):
+        s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
+        steps, _ = window_decompose(s, 4, (5, 3))
+        step = steps[2]
+        assert step.top_keys == (1, 2, 3, 5, 6, 7)
+        check_window_state(step, 4)
+        # Same root and window; top key 6 hangs from 5 instead of 7.
+        bad = dataclasses.replace(step, t_tree=rotate(step.t_tree, 6))
+        with pytest.raises(FormulaViolation, match="^top-tree parent mismatch at step 2$"):
+            check_window_state(bad, 4)
 
     def test_absent_key_rejected(self):
         with pytest.raises(KeyError):
