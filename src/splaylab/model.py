@@ -25,7 +25,6 @@ from .tree import (
     SymmetricOrderError,
     Tree,
     bst_from_sequence,
-    contains,
     depth,
     parse_key,
     parse_shape,
@@ -271,25 +270,52 @@ class RotationTrace:
 def rotation_trace(inst: Instance, r: RotationExecution) -> RotationTrace:
     """Validate a rotation execution; cost is one per search plus one per
     rotation plus the search depth."""
-    if len(r.accesses) != inst.m:
-        raise InvalidExecutionError(0, "rotation access count mismatch")
     t = inst.initial
     cost = 0
     depths = []
-    for i, (x, acc) in enumerate(zip(inst.requests, r.accesses), start=1):
-        for k in acc.rotations:
-            try:
-                t = rotate(t, k)
-            except KeyAbsentError as err:
-                raise InvalidExecutionError(i, f"rotation at absent key {k}") from err
-            except RotationAtRootError as err:
-                raise InvalidExecutionError(i, f"rotation at root key {k}") from err
-        if not contains(t, x):
-            raise InvalidExecutionError(i, f"search key {x} absent")
-        d = depth(t, x)
-        cost += 1 + len(acc.rotations) + d
+    for i, x, rotations in _rotation_accesses(inst, r):
+        t, d = _rotate_listed(t, i, x, rotations)
+        cost += 1 + len(rotations) + d
         depths.append(d)
     return RotationTrace(inst, cost, tuple(depths))
+
+
+def _rotation_accesses(
+    inst: Instance, r: RotationExecution
+) -> Iterable[tuple[int, int, tuple[int, ...]]]:
+    """(i, requested key, listed rotations) of each access of ``r``, from
+    i = 1, once ``r`` is checked to hold one access per request."""
+    if len(r.accesses) != inst.m:
+        raise InvalidExecutionError(0, "rotation access count mismatch")
+    pairs = zip(inst.requests, r.accesses)
+    return ((i, x, acc.rotations) for i, (x, acc) in enumerate(pairs, start=1))
+
+
+def _rotate_listed(
+    t: Tree,
+    i: int,
+    x: int,
+    rotations: Iterable[int],
+    edges: Optional[list[tuple[int, int]]] = None,
+) -> tuple[Tree, int]:
+    """Apply access ``i``'s listed rotations to ``t``: the rotated tree and
+    the depth of the search key ``x`` in it.  A rotation at an absent or
+    root key, or an absent search key, raises :class:`InvalidExecutionError`.
+    With ``edges``, each rotation's (key, parent key) is appended to it."""
+    for k in rotations:
+        try:
+            rotated = rotate(t, k)
+        except KeyAbsentError as err:
+            raise InvalidExecutionError(i, f"rotation at absent key {k}") from err
+        except RotationAtRootError as err:
+            raise InvalidExecutionError(i, f"rotation at root key {k}") from err
+        if edges is not None:
+            edges.append((k, path_nodes(t, k)[-2].key))
+        t = rotated
+    try:
+        return t, depth(t, x)
+    except KeyAbsentError as err:
+        raise InvalidExecutionError(i, f"search key {x} absent") from err
 
 
 def _vine_rotations(q: Node) -> list[tuple[int, int]]:
@@ -345,20 +371,22 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
     the root.  Stage three reads off that subtree and its rearrangement as
     the (Q_i, Q'_i) pair; |Q_i| is at most twice the kept rotations plus one.
     """
-    rotation_trace(inst, r)  # validate up front
     t = inst.initial
     transition_trees: list[Node] = []
     pending: list[int] = []  # deferred rotation keys, in order
     last = inst.m
-    for i, (x, acc) in enumerate(zip(inst.requests, r.accesses), start=1):
+    for i, x, rotations in _rotation_accesses(inst, r):
         # Replay the pending and listed rotations, then lift the requested
         # key to the root, remembering how to undo it; every rotation's
-        # (key, parent key) edge is recorded in execution order.
+        # (key, parent key) edge is recorded in execution order.  After the
+        # pending rotations, work is the tree rotation_trace checks the
+        # listed ones on, so they are checked here with its errors.
         work = t
         edges: list[tuple[int, int]] = []
-        for k in pending + list(acc.rotations):
+        for k in pending:
             edges.append((k, path_nodes(work, k)[-2].key))
             work = rotate(work, k)
+        work, _ = _rotate_listed(work, i, x, rotations, edges)
         undo: list[int] = []
         while work.key != x:
             p = path_nodes(work, x)[-2].key
@@ -438,26 +466,34 @@ def format_instance(inst: Instance, subsequence: Optional[tuple[int, ...]] = Non
 
 
 def parse_instance(text: str) -> tuple[Instance, Optional[tuple[int, ...]]]:
-    tree_line = requests_line = None
-    subsequence = None
-    for line in text.splitlines():
-        line = line.strip()
-        if line.startswith("tree:"):
-            tree_line = line[len("tree:"):].split()
-        elif line.startswith("requests:"):
-            requests_line = line[len("requests:"):].split()
-        elif line.startswith("subsequence:"):
-            subsequence = tuple(map(parse_key, line[len("subsequence:"):].split()))
-    if tree_line is None or requests_line is None:
+    """The instance and optional subsequence of a :func:`format_instance`
+    text.  Blank lines are skipped; any other line that is not a first
+    ``tree:``, ``requests:`` or ``subsequence:`` line raises ``ValueError``."""
+    fields: dict[str, list[str]] = {}
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        label, colon, rest = line.strip().partition(":")
+        if not colon or label not in ("tree", "requests", "subsequence"):
+            raise ValueError(
+                f"line {number} is not a 'tree:', 'requests:' or 'subsequence:' line: {line!r}"
+            )
+        if label in fields:
+            raise ValueError(f"line {number} repeats the '{label}:' line")
+        fields[label] = rest.split()
+    if "tree" not in fields or "requests" not in fields:
         raise ValueError("instance file needs 'tree:' and 'requests:' lines")
-    keys = [parse_key(k) for k in tree_line]
+    subsequence = None
+    if "subsequence" in fields:
+        subsequence = tuple(map(parse_key, fields["subsequence"]))
+    keys = [parse_key(k) for k in fields["tree"]]
     seen: set[int] = set()
     for k in keys:
         if k in seen:
             raise DuplicateKeyError(f"key {k} appears more than once on the 'tree:' line")
         seen.add(k)
     initial = bst_from_sequence(keys)
-    return Instance(tuple(map(parse_key, requests_line)), initial), subsequence
+    return Instance(tuple(map(parse_key, fields["requests"])), initial), subsequence
 
 
 def format_execution(e: Execution) -> str:

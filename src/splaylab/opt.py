@@ -1,12 +1,14 @@
 """Exact brute-force optimal execution cost by layered dynamic programming
 over tree shapes.
 
-State after i requests is the whole tree arrangement.  A request x is served
-by replacing a connected root subtree Q holding x with an arrangement Q' of
-its keys, x at the root, at cost |Q|; the after-tree depends only on Q' and
-Q's hanging subtrees.  So each layer's (state, Q) pairs are grouped by
-(Q's keys, hanging-subtree preorders): a group keeps its least distance and
-relaxes its moves once (see :func:`_groups`).  The arrangements are (x L R)
+State after i requests is the whole tree arrangement, kept as its preorder.
+A request x is served by replacing a connected root subtree Q holding x with
+an arrangement Q' of its keys, x at the root, at cost |Q|; the after-tree
+depends only on Q' and Q's hanging subtrees.  So each layer's (state, Q)
+pairs are grouped by (Q's keys, hanging-subtree preorders): a group keeps its
+least distance and relaxes its moves once.  One pass over a state's preorder
+yields every such pair, the hanging preorders as slices of it, with no tree
+built for the state (see :func:`_groups`).  The arrangements are (x L R)
 for every L on Q's keys below x and every R on those above, left-major,
 shared through :func:`splaylab.tree.rooted_shapes`.  No after-tree is built
 for a move: its state key, a preorder, is spliced from the preorders of L, R
@@ -25,9 +27,6 @@ from .model import Execution, ExecutionTrace, Instance, validate
 from .tree import (
     InvariantError,
     Node,
-    bst_from_sequence,
-    contains,
-    path_nodes,
     rooted_shapes,
     shape_key,
     shape_print,
@@ -71,26 +70,45 @@ _Group = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]
 @lru_cache(maxsize=200_000)
 def _groups(shape: tuple[int, ...], x: int) -> tuple[_Group, ...]:
     """The (Q's keys, fill) pair of every connected root subtree Q of the
-    state containing ``x``, in sorted key-set order: ``fill`` holds the
-    preorders of Q's hanging subtrees in symmetric order.
+    state with preorder ``shape`` containing ``x``, in sorted key-set order:
+    ``fill`` holds the preorders of Q's hanging subtrees in symmetric order.
 
     The pair fixes the request's moves through Q (see :func:`_group_moves`),
     so states sharing a pair share them.
     """
-    t = _tree_from_shape(shape)
-    below, above = _child_preorders(t, shape)
-    position = {k: p for p, k in enumerate(shape)}
-    out = []
-    for q_keys in _root_subtree_keysets(t, x):
-        # Of two consecutive keys of Q one is the other's ancestor, so it
-        # comes first in preorder, and the gap between them holds the inner
-        # child of the other.
-        fill = [below[q_keys[0]]]
-        for lo, hi in zip(q_keys, q_keys[1:]):
-            fill.append(below[hi] if position[hi] > position[lo] else above[lo])
-        fill.append(above[q_keys[-1]])
-        out.append((q_keys, tuple(fill)))
-    return tuple(out)
+    n = len(shape)
+    # mid[p]: where p's right subtree starts, the first later key above
+    # p's; end[p]: where p's subtree ends, which is where the right subtree
+    # of its nearest ancestor above it starts.  Keys on the stack await
+    # their right subtree, so they are the ancestors above the current key.
+    mid = [n] * n
+    up: list[int | None] = []
+    stack: list[int] = []
+    for p, key in enumerate(shape):
+        while stack and shape[stack[-1]] < key:
+            mid[stack.pop()] = p
+        up.append(stack[-1] if stack else None)
+        stack.append(p)
+    end = [n if a is None else mid[a] for a in up]
+    at = shape.index(x)
+    # Children before parents: kept[p] lists the (keys, fill) pairs of the
+    # connected subtrees at p that hold p and, if p is on x's access path,
+    # x.  An absent child leaves one empty slot; a child off the path may
+    # also hang whole.  Left keys and slots precede the node's and right
+    # ones follow, so keys and fill come out in symmetric order.
+    kept: list[list[_Group]] = [[]] * n
+    for p in range(n - 1, -1, -1):
+        sides = []
+        for c, stop in ((p + 1, mid[p]), (mid[p], end[p])):
+            if c == stop:
+                sides.append([((), ((),))])
+            elif c <= at < stop:
+                sides.append(kept[c])
+            else:
+                sides.append([((), (shape[c:stop],))] + kept[c])
+        key = (shape[p],)
+        kept[p] = [(lk + key + rk, lf + rf) for lk, lf in sides[0] for rk, rf in sides[1]]
+    return tuple(sorted(kept[0]))
 
 
 @lru_cache(maxsize=200_000)
@@ -155,71 +173,6 @@ def _slot_runs(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]
                 stack.append(node.left)
         out.append(tuple(runs))
     return tuple(out)
-
-
-def _child_preorders(
-    t: Node, shape: tuple[int, ...]
-) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """For each key of ``t``, whose preorder is ``shape``: the preorders of
-    its left and right subtrees, as slices of ``shape``."""
-    nodes = _preorder_nodes(t)
-    # A subtree's preorder ends where its right subtree's ends, or else its
-    # left subtree's; the right subtree starts where the left one ends.
-    ends: dict[int, int] = {}
-    below: dict[int, tuple[int, ...]] = {}
-    above: dict[int, tuple[int, ...]] = {}
-    for p in range(len(nodes) - 1, -1, -1):
-        node = nodes[p]
-        mid = ends[node.left.key] if node.left is not None else p + 1
-        end = ends[node.right.key] if node.right is not None else mid
-        ends[node.key] = end
-        below[node.key] = shape[p + 1:mid]
-        above[node.key] = shape[mid:end]
-    return below, above
-
-
-def _preorder_nodes(t: Node) -> list[Node]:
-    nodes: list[Node] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if node.right is not None:
-            stack.append(node.right)
-        if node.left is not None:
-            stack.append(node.left)
-    return nodes
-
-
-@lru_cache(maxsize=50_000)
-def _tree_from_shape(shape: tuple[int, ...]) -> Node:
-    t = bst_from_sequence(shape)
-    if t is None:
-        raise InvariantError("a state's shape holds no keys")
-    return t
-
-
-def _root_subtree_keysets(t: Node, x: int) -> list[tuple[int, ...]]:
-    """Key sets of connected root subtrees of ``t`` containing ``x``, each a
-    sorted tuple, in sorted order."""
-    if not contains(t, x):
-        return []
-    on_path = {node.key for node in path_nodes(t, x)}
-    # Children before parents: kept[k] lists the key sets of the subtree at
-    # k that hold k and, if k is on x's access path, x.  Left keys precede
-    # the node's key and right keys follow it, so each set comes out sorted.
-    kept: dict[int, list[tuple[int, ...]]] = {}
-    for node in reversed(_preorder_nodes(t)):
-        sides = []
-        for child in (node.left, node.right):
-            if child is None:
-                sides.append([()])
-            else:
-                sets = kept.pop(child.key)
-                sides.append(sets if child.key in on_path else [()] + sets)
-        mid = (node.key,)
-        kept[node.key] = [lo + mid + ro for lo in sides[0] for ro in sides[1]]
-    return sorted(kept[t.key])
 
 
 def opt_cost(

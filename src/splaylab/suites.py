@@ -30,7 +30,7 @@ from .model import (
     to_rotation_model,
     validate,
 )
-from .opt import _root_subtree_keysets, opt_cost
+from .opt import _groups, opt_cost
 from .probes import probe
 from .transforms import (
     TransformUnreachableError,
@@ -122,7 +122,7 @@ def random_execution(rng: random.Random, inst: Instance) -> Execution:
 
 
 def _all_transitions(t: Node, x: int):
-    for q_keys in _root_subtree_keysets(t, x):
+    for q_keys, _ in _groups(shape_key(t), x):
         yield from rooted_shapes(q_keys, x)
 
 

@@ -106,6 +106,8 @@ BAD_INSTANCES = {
     "request-key-absent": "tree: 2 1 3\nrequests: 1 5\n",
     "duplicate-tree-key": "tree: 2 1 2\nrequests: 1\n",
     "non-decimal-keys": "tree: \u0663 1_0 +2\nrequests: 3 10\n",
+    "unrecognised-line": "tree: 2 1 3\nrequests: 1 2\nbogus line\n",
+    "repeated-lines": "tree: 2 1 3\nrequests: 1 2\nrequests: 3\ntree: 5 4\n",
 }
 
 # Numeric options below their accepted range, one per bound.

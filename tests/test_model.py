@@ -271,6 +271,46 @@ class TestRotationModel:
         e = from_rotation_model(inst, r)
         assert validate(inst, e).cost == 2
 
+    @pytest.mark.parametrize(
+        "requests, rotations, step, reason",
+        [
+            ((1, 3), ((1,), (9,)), 2, "rotation at absent key 9"),
+            ((1, 3), ((1,), (3, 1)), 2, "rotation at root key 1"),
+            ((2,), ((2,),), 1, "rotation at root key 2"),
+            ((1, 3), ((1,),), 0, "rotation access count mismatch"),
+            ((1, 3), ((1,), (), ()), 0, "rotation access count mismatch"),
+        ],
+    )
+    def test_invalid_rotation_execution_errors_match(self, requests, rotations, step, reason):
+        # An absent key, a rotation at the root and a wrong access count
+        # raise the same error from both functions.
+        inst = Instance(requests, bst_from_sequence([2, 1, 3]))
+        r = RotationExecution(tuple(RotationAccess(rots) for rots in rotations))
+        for convert in (rotation_trace, from_rotation_model):
+            with pytest.raises(InvalidExecutionError) as info:
+                convert(inst, r)
+            assert (info.value.step, info.value.reason) == (step, reason)
+
+    def test_invalid_rotation_execution_errors_match_random(self, rng):
+        # from_rotation_model checks each listed rotation inside its own
+        # replay, on the tree rotation_trace checks it on, so an inserted
+        # rotation fails at the same step for the same reason, or at neither.
+        for _ in range(300):
+            inst = make_random_instance(rng, rng.randint(1, 6), rng.randint(1, 4))
+            r = to_rotation_model(inst, make_random_execution(rng, inst))
+            accesses = [list(acc.rotations) for acc in r.accesses]
+            i = rng.randrange(inst.m)
+            accesses[i].insert(rng.randint(0, len(accesses[i])), rng.randint(0, inst.n + 1))
+            r = RotationExecution(tuple(RotationAccess(tuple(a)) for a in accesses))
+            outcomes = []
+            for convert in (rotation_trace, from_rotation_model):
+                try:
+                    convert(inst, r)
+                    outcomes.append(None)
+                except InvalidExecutionError as err:
+                    outcomes.append((err.step, err.reason))
+            assert outcomes[0] == outcomes[1]
+
     def test_single_connected_group_size_bound(self, rng):
         # One access whose rotations form a connected root group collapses
         # to a single transition with at most 2e + 1 keys.
@@ -311,6 +351,23 @@ class TestTextFormats:
     def test_missing_lines_rejected(self):
         with pytest.raises(ValueError):
             parse_instance("tree: 1 2 3\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tree: 2 1 3\nrequests: 1 2\nbogus line\n", "line 3 is not a 'tree:'"),
+            ("tree: 2 1 3\nrequests: 1 2\nrequests: 3\ntree: 5 4\n", "line 3 repeats the 'requests:'"),
+            ("tree: 2 1 3\nsubsequence: 1\nrequests: 1\nsubsequence: 2\n", "line 4 repeats"),
+            ("tree 2 1 3\nrequests: 1\n", "line 1 is not"),
+        ],
+    )
+    def test_unrecognised_and_repeated_lines_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_instance(text)
+
+    def test_blank_lines_allowed(self):
+        inst, sub = parse_instance("\n  \ntree: 2 1 3\n\nrequests: 1 3\n\t\n")
+        assert (inst.initial, inst.requests, sub) == (bst_from_sequence([2, 1, 3]), (1, 3), None)
 
     def test_duplicate_tree_key_rejected(self):
         with pytest.raises(ValueError, match="key 2 appears more than once"):

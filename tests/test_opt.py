@@ -17,14 +17,11 @@ from splaylab.model import (
 )
 from splaylab.opt import (
     GuardExceededError,
-    _child_preorders,
     _group_moves,
     _groups,
     _printed_rooted_shapes,
-    _root_subtree_keysets,
     _slot_runs,
     _splice,
-    _tree_from_shape,
     opt_cost,
 )
 from splaylab.tree import (
@@ -32,6 +29,7 @@ from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
     left_spine_tree,
+    path_nodes,
     rooted_shapes,
     shape_key,
     shape_print,
@@ -104,21 +102,82 @@ def reference_opt_cost(inst):
     return total, Execution(tuple(reversed(trees))), expanded
 
 
-def per_state_transitions(shape, x):
-    """The oracle's moves for one state, spliced per state and reduced to
-    the cheapest (transition tree, print) pair per after-shape, ties to the
-    smaller print: the move enumeration the grouped DP replaced."""
-    t = _tree_from_shape(shape)
-    below, above = _child_preorders(t, shape)
+def preorder_nodes(t):
+    nodes = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if node.right is not None:
+            stack.append(node.right)
+        if node.left is not None:
+            stack.append(node.left)
+    return nodes
+
+
+def child_preorders(t, shape):
+    """For each key of ``t``, whose preorder is ``shape``: the preorders of
+    its left and right subtrees, as slices of ``shape``."""
+    nodes = preorder_nodes(t)
+    # A subtree's preorder ends where its right subtree's ends, or else its
+    # left subtree's; the right subtree starts where the left one ends.
+    ends, below, above = {}, {}, {}
+    for p in range(len(nodes) - 1, -1, -1):
+        node = nodes[p]
+        mid = ends[node.left.key] if node.left is not None else p + 1
+        end = ends[node.right.key] if node.right is not None else mid
+        ends[node.key] = end
+        below[node.key] = shape[p + 1:mid]
+        above[node.key] = shape[mid:end]
+    return below, above
+
+
+def root_subtree_keysets(t, x):
+    """Key sets of connected root subtrees of ``t`` containing ``x``, each a
+    sorted tuple, in sorted order, from the tree and x's access path."""
+    on_path = {node.key for node in path_nodes(t, x)}
+    # Children before parents: kept[k] lists the key sets of the subtree at
+    # k that hold k and, if k is on x's access path, x.
+    kept = {}
+    for node in reversed(preorder_nodes(t)):
+        sides = []
+        for child in (node.left, node.right):
+            if child is None:
+                sides.append([()])
+            else:
+                sets = kept.pop(child.key)
+                sides.append(sets if child.key in on_path else [()] + sets)
+        kept[node.key] = [lo + (node.key,) + ro for lo in sides[0] for ro in sides[1]]
+    return sorted(kept[t.key])
+
+
+def reference_groups(shape, x):
+    """The (keys, fill) pairs of :func:`_groups` read off a ``Node`` tree:
+    each hanging subtree found by the consecutive-key rule."""
+    t = bst_from_sequence(shape)
+    below, above = child_preorders(t, shape)
     position = {k: p for p, k in enumerate(shape)}
-    best = {}
-    for q_keys in _root_subtree_keysets(t, x):
-        cost = len(q_keys)
-        i = q_keys.index(x)
+    out = []
+    for q_keys in root_subtree_keysets(t, x):
+        # Of two consecutive keys of Q one is the other's ancestor, so it
+        # comes first in preorder, and the gap between them holds the inner
+        # child of the other.
         fill = [below[q_keys[0]]]
         for lo, hi in zip(q_keys, q_keys[1:]):
             fill.append(below[hi] if position[hi] > position[lo] else above[lo])
         fill.append(above[q_keys[-1]])
+        out.append((q_keys, tuple(fill)))
+    return tuple(out)
+
+
+def per_state_transitions(shape, x):
+    """The oracle's moves for one state, spliced per state and reduced to
+    the cheapest (transition tree, print) pair per after-shape, ties to the
+    smaller print: the move enumeration the grouped DP replaced."""
+    best = {}
+    for q_keys, fill in reference_groups(shape, x):
+        cost = len(q_keys)
+        i = q_keys.index(x)
         heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
         tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
         rooted = iter(_printed_rooted_shapes(q_keys, x))
@@ -187,8 +246,18 @@ class TestTransitions:
     def test_keysets_match_reference(self):
         for n in range(1, 7):
             for t in all_shapes(n):
-                for x in range(1, n + 2):
-                    assert _root_subtree_keysets(t, x) == reference_keysets(t, x)
+                for x in range(1, n + 1):
+                    keysets = [q_keys for q_keys, _ in _groups(shape_key(t), x)]
+                    assert keysets == reference_keysets(t, x)
+
+    def test_groups_match_tree_reference_exhaustive(self):
+        # Key sets and fills from the one preorder pass equal those read off
+        # a Node tree, for every shape with n <= 7 and every request.
+        for n in range(1, 8):
+            for t in all_shapes(n):
+                shape = shape_key(t)
+                for x in range(1, n + 1):
+                    assert _groups(shape, x) == reference_groups(shape, x)
 
     def test_match_reference_exhaustive(self):
         # The grouped moves, reduced per after-shape, are the reference moves
@@ -197,7 +266,6 @@ class TestTransitions:
         for n in range(1, 7):
             for t in all_shapes(n):
                 shape = shape_key(t)
-                assert _tree_from_shape(shape) == t
                 for x in range(1, n + 1):
                     assert cheapest_group_moves(shape, x) == list(
                         reference_transitions(shape, x)
@@ -279,7 +347,7 @@ class TestTransitions:
             assert result.states_per_layer[:1] in ((), (1,))
 
     def test_groups_per_layer(self, rng):
-        # At most one group per (state, kept set) pair of the layer, whose
+        # One group per distinct (kept set, fill) pair of the layer, whose
         # states are those the reference moves reach.
         for _ in range(20):
             inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
@@ -287,8 +355,7 @@ class TestTransitions:
             assert len(result.groups_per_layer) == inst.m
             layer = {shape_key(inst.initial)}
             for x, groups in zip(inst.requests, result.groups_per_layer):
-                pairs = sum(len(_root_subtree_keysets(_tree_from_shape(s), x)) for s in layer)
-                assert 1 <= groups <= pairs
+                assert groups == len({g for s in layer for g in reference_groups(s, x)})
                 layer = {k for s in layer for k, _, _ in per_state_transitions(s, x)}
 
 

@@ -303,9 +303,9 @@ class TestRootSubtreeAgainstReference:
 
 
 def all_root_subtree_keysets(t):
-    from splaylab.opt import _root_subtree_keysets
+    from splaylab.opt import _groups
 
-    return _root_subtree_keysets(t, t.key)
+    return [q_keys for q_keys, _ in _groups(preorder(t), t.key)]
 
 
 class TestSubstitute:
