@@ -15,6 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .algorithms import access, access_tree
 from .tree import (
     DisconnectedSubtreeError,
     DuplicateKeyError,
@@ -160,8 +161,6 @@ def elide(inst: Instance, e: Execution, deleted: Iterable[int]) -> Execution:
     any index is deleted.
     """
     gone = set(deleted)
-    if not gone:
-        return e
     bad = [i for i in gone if not 1 <= i <= inst.m]
     if bad:
         raise IndexError(f"deleted indices out of range: {sorted(bad)}")
@@ -185,10 +184,7 @@ def _elide_trace(trace: ExecutionTrace, gone: set[int]) -> Execution:
             k += 1
         if k > inst.m:
             break  # trailing run: drop the remaining transition trees
-        before = trace.steps[j - 1].subtree  # arranged in T_{j-1}
-        merged_keys = set(tree_keys(before))
-        for idx in range(j, k + 1):
-            merged_keys |= tree_keys(trace.steps[idx - 1].subtree)
+        merged_keys = set().union(*(tree_keys(step.subtree) for step in trace.steps[j - 1 : k]))
         t_prev = inst.initial if j == 1 else trace.steps[j - 2].after
         q = root_subtree(t_prev, _connect_keys(t_prev, merged_keys))
         for idx in range(j, k + 1):
@@ -227,8 +223,6 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     """Execution trace of a path-based algorithm: each transition tree is
     the rearranged access path, so the trace cost equals the request count
     plus the summed access depths."""
-    from .algorithms import access, access_tree
-
     t = inst.initial
     steps = []
     cost = 0
@@ -320,21 +314,17 @@ def _rotate_listed(
 
 def _vine_rotations(q: Node) -> list[tuple[int, int]]:
     """Rotations (key, parent key) that comb a tree into a right spine by
-    repeatedly rotating left children up onto the spine."""
+    repeatedly rotating left children up onto the spine.  Each rotation
+    rebuilds only the working node's subtree, with two new nodes."""
     out: list[tuple[int, int]] = []
-    t: Tree = q
-    steps = 0  # right-steps from the root to the working position
-    while True:
-        node: Tree = t
-        for _ in range(steps):
+    node: Tree = q
+    while node is not None:
+        up = node.left
+        if up is None:
             node = node.right
-        if node is None:
-            break
-        if node.left is not None:
-            out.append((node.left.key, node.key))
-            t = rotate(t, node.left.key)
         else:
-            steps += 1
+            out.append((up.key, node.key))
+            node = Node(up.key, up.left, Node(node.key, up.right, node.right))
     return out
 
 
@@ -367,75 +357,65 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
     rotating the key up and undoing those rotations before the next access.
     Stage two defers, per access, every rotation not connected to the
     searched key's component until after the search; disjoint-edge rotations
-    commute, so each access's kept rotations act on a connected subtree of
-    the root.  Stage three reads off that subtree and its rearrangement as
-    the (Q_i, Q'_i) pair; |Q_i| is at most twice the kept rotations plus one.
+    commute, so undoing the deferred ones, last first, leaves the kept
+    rotations acting on a connected subtree of the root.  Stage three reads
+    off that subtree and its rearrangement as the (Q_i, Q'_i) pair; |Q_i| is
+    at most twice the kept rotations plus one.
     """
     t = inst.initial
     transition_trees: list[Node] = []
     pending: list[int] = []  # deferred rotation keys, in order
     last = inst.m
     for i, x, rotations in _rotation_accesses(inst, r):
-        # Replay the pending and listed rotations, then lift the requested
-        # key to the root, remembering how to undo it; every rotation's
-        # (key, parent key) edge is recorded in execution order.  After the
+        # Replay the pending and listed rotations once, recording every
+        # rotation's (key, parent key) edge in execution order.  After the
         # pending rotations, work is the tree rotation_trace checks the
-        # listed ones on, so they are checked here with its errors.
-        work = t
+        # listed ones on, so they are checked here with its errors.  Then
+        # lift the requested key to the root, one single rotation per
+        # ancestor, which is a Move-to-Root access; its inverses, root
+        # first, open the next access.
         edges: list[tuple[int, int]] = []
-        for k in pending:
-            edges.append((k, path_nodes(work, k)[-2].key))
-            work = rotate(work, k)
-        work, _ = _rotate_listed(work, i, x, rotations, edges)
-        undo: list[int] = []
-        while work.key != x:
-            p = path_nodes(work, x)[-2].key
-            edges.append((x, p))
-            undo.append(p)
-            work = rotate(work, x)
-        # Union-find over the rotation edges.
-        comp: dict[int, int] = {}
-
-        def find(a: int) -> int:
-            root = a
-            while comp.get(root, root) != root:
-                root = comp[root]
-            while comp.get(a, a) != a:
-                comp[a], a = root, comp[a]
-            return root
-
+        work, _ = _rotate_listed(t, i, x, (*pending, *rotations), edges)
+        ancestors = [p.key for p in path_nodes(work, x)[:-1]]
+        edges.extend((x, p) for p in ancestors)
+        work = access_tree(work, x, "mtr")
+        # The requested key's component of the rotation edges is the set of
+        # keys the kept rotations touch.
+        adjacent: dict[int, list[int]] = {}
         for k, p in edges:
-            comp[find(k)] = find(p)
-        keep_root = find(x)
+            adjacent.setdefault(k, []).append(p)
+            adjacent.setdefault(p, []).append(k)
+        touched = {x}
+        stack = [x]
+        while stack:
+            for k in adjacent.get(stack.pop(), ()):
+                if k not in touched:
+                    touched.add(k)
+                    stack.append(k)
         if i == last:
             # No later access can absorb deferred rotations, so the final
             # group keeps everything; this preserves the final tree at the
             # price of the per-group size bound for this one access.
-            kept_edges = edges
             deferred = []
+            touched.update(*edges)
         else:
-            kept_edges = [(k, p) for (k, p) in edges if find(k) == keep_root]
-            deferred = [k for (k, p) in edges if find(k) != keep_root]
-        nodes_touched = {x}
-        work = t
-        for (k, p) in kept_edges:
-            nodes_touched.add(k)
-            nodes_touched.add(p)
-            work = rotate(work, k)
+            deferred = [(k, p) for k, p in edges if k not in touched]
+        # A deferred rotation shares no key with a kept one, so they commute:
+        # undoing the deferred ones leaves the kept ones applied to t.
+        for _, p in reversed(deferred):
+            work = rotate(work, p)
         if work.key != x:
             raise InvariantError("kept rotations must finish with the key at the root")
-        span = _closure_both(t, work, nodes_touched)
+        span = _closure_both(t, work, touched)
         q = root_subtree(t, span)
         q_prime = root_subtree(work, span)
-        if i != last and size(q) > 2 * len(kept_edges) + 1:
+        if i != last and size(q) > 2 * (len(edges) - len(deferred)) + 1:
             raise InvariantError(f"access {i}: |Q| exceeds twice the kept rotations plus one")
         transition_trees.append(q_prime)
         t = substitute(t, q_prime)
         if t != work:
             raise InvariantError(f"access {i}: substitution must reproduce the rotated tree")
-        # The undo rotations belong to the next access (inverses run in
-        # reverse of the lift); so do deferred ones.
-        pending = deferred + undo[::-1]
+        pending = [k for k, _ in deferred] + ancestors
     return Execution(tuple(transition_trees))
 
 

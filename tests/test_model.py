@@ -1,10 +1,13 @@
 """Execution model: validation, cost accounting, elision, rotation-model
 conversions, and the plain-text formats."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import splaylab.model
 from splaylab.algorithms import parse_deque_script
 from splaylab.families import generate
 from splaylab.model import (
@@ -15,6 +18,7 @@ from splaylab.model import (
     RotationExecution,
     _closure_both,
     _connect_keys,
+    _vine_rotations,
     algorithm_trace,
     elide,
     format_execution,
@@ -23,15 +27,18 @@ from splaylab.model import (
     parse_execution,
     parse_instance,
     rotation_trace,
+    rotations_between,
     smallest_root_subtree,
     subsequence_instance,
     to_rotation_model,
     validate,
 )
 from splaylab.tree import (
+    InvariantError,
     KeyAbsentError,
     Node,
     SymmetricOrderError,
+    all_shapes,
     bst_from_sequence,
     left_spine_tree,
     parse_key,
@@ -39,8 +46,10 @@ from splaylab.tree import (
     path_nodes,
     right_spine_tree,
     root_subtree,
+    rotate,
     shape_print,
     size,
+    substitute,
 )
 
 from conftest import make_random_execution, make_random_instance
@@ -133,6 +142,14 @@ class TestElide:
     def test_empty_deletion_is_identity(self):
         inst, e = cost8_instance()
         assert elide(inst, e, set()) == e
+
+    @pytest.mark.parametrize("deleted", [set(), {2}])
+    def test_invalid_execution_rejected_with_any_deletion_set(self, deleted):
+        # One transition tree for two requests is invalid whether or not
+        # anything is deleted.
+        inst = Instance((1, 3), bst_from_sequence([2, 1, 3]))
+        with pytest.raises(InvalidExecutionError, match="1 transition trees for 2 requests"):
+            elide(inst, Execution((Node(3),)), deleted)
 
     def test_delete_all_gives_empty_execution(self):
         inst, e = cost8_instance()
@@ -234,6 +251,108 @@ class TestDeepSpine:
             assert validate(Instance((spine.key,), spine), parsed).cost == 20_000
 
 
+# Independent references for the rotation-model conversions: the comb
+# rotates on the whole tree, and the back conversion finds each access's
+# component by union-find and replays its kept rotations from the access's
+# start tree.
+
+
+def reference_vine_rotations(q):
+    out = []
+    t = q
+    steps = 0  # right-steps from the root to the working position
+    while True:
+        node = t
+        for _ in range(steps):
+            node = node.right
+        if node is None:
+            break
+        if node.left is not None:
+            out.append((node.left.key, node.key))
+            t = rotate(t, node.left.key)
+        else:
+            steps += 1
+    return out
+
+
+def reference_rotations_between(q, q_prime):
+    if q == q_prime:
+        return []
+    forward = [k for k, _ in reference_vine_rotations(q)]
+    backward = [p for _, p in reversed(reference_vine_rotations(q_prime))]
+    return forward + backward
+
+
+def reference_from_rotation_model(inst, r, stats=None):
+    """``stats``, when given, counts the accesses that lift the requested
+    key ("lifts") and those that defer a rotation ("defers")."""
+    t = inst.initial
+    transition_trees = []
+    pending = []
+    last = inst.m
+    for i, (x, acc) in enumerate(zip(inst.requests, r.accesses), start=1):
+        work = t
+        edges = []
+        for k in (*pending, *acc.rotations):
+            edges.append((k, path_nodes(work, k)[-2].key))
+            work = rotate(work, k)
+        undo = []
+        while work.key != x:
+            p = path_nodes(work, x)[-2].key
+            edges.append((x, p))
+            undo.append(p)
+            work = rotate(work, x)
+        comp = {}
+
+        def find(a):
+            while comp.get(a, a) != a:
+                a = comp[a]
+            return a
+
+        for k, p in edges:
+            comp[find(k)] = find(p)
+        keep_root = find(x)
+        if i == last:
+            kept_edges, deferred = edges, []
+        else:
+            kept_edges = [(k, p) for (k, p) in edges if find(k) == keep_root]
+            deferred = [k for (k, p) in edges if find(k) != keep_root]
+        nodes_touched = {x}
+        work = t
+        for k, p in kept_edges:
+            nodes_touched.update((k, p))
+            work = rotate(work, k)
+        if work.key != x:
+            raise InvariantError("kept rotations must finish with the key at the root")
+        span = _closure_both(t, work, nodes_touched)
+        q_prime = root_subtree(work, span)
+        transition_trees.append(q_prime)
+        t = substitute(t, q_prime)
+        if stats is not None:
+            stats["lifts"] += bool(undo)
+            stats["defers"] += bool(deferred)
+        pending = deferred + undo[::-1]
+    return Execution(tuple(transition_trees))
+
+
+def random_rotation_execution(rng, n, m):
+    """An instance on n keys with m requests, and 0-5 rotations per access,
+    each at a key that is not the root when it is rotated."""
+    inst = make_random_instance(rng, n, m)
+    t = inst.initial
+    accesses = []
+    for _ in range(m):
+        rotations = []
+        for _ in range(rng.randint(0, 5)):
+            keys = [k for k in range(1, n + 1) if k != t.key]
+            if not keys:
+                break
+            rotations.append(rng.choice(keys))
+            t = rotate(t, rotations[-1])
+        accesses.append(RotationAccess(tuple(rotations)))
+    return inst, RotationExecution(tuple(accesses))
+
+
 class TestRotationModel:
     def test_identity_transitions_cost_m(self):
         t = bst_from_sequence([2, 1, 3])
@@ -314,8 +433,6 @@ class TestRotationModel:
     def test_single_connected_group_size_bound(self, rng):
         # One access whose rotations form a connected root group collapses
         # to a single transition with at most 2e + 1 keys.
-        from splaylab.tree import rotate
-
         for _ in range(100):
             n = rng.randint(2, 6)
             inst = make_random_instance(rng, n, 1)
@@ -333,6 +450,46 @@ class TestRotationModel:
             r = RotationExecution((RotationAccess(tuple(rots)),))
             e = from_rotation_model(inst, r)
             assert size(e.transition_trees[0]) <= 2 * (len(rots) + n) + 1
+
+    def test_vine_rotations_match_reference_exhaustive(self):
+        for n in range(9):
+            for q in all_shapes(n):
+                assert _vine_rotations(q) == reference_vine_rotations(q)
+
+    def test_rotations_between_match_reference_exhaustive(self):
+        for n in range(1, 6):
+            shapes = all_shapes(n)
+            for q in shapes:
+                for q_prime in shapes:
+                    assert rotations_between(q, q_prime) == reference_rotations_between(q, q_prime)
+
+    def test_from_rotation_matches_reference_random(self):
+        rng = random.Random(15)
+        stats = {"lifts": 0, "defers": 0}
+        for _ in range(3000):
+            inst, r = random_rotation_execution(rng, rng.randint(1, 9), rng.randint(1, 6))
+            assert from_rotation_model(inst, r) == reference_from_rotation_model(inst, r, stats)
+        # Both the lift and the deferral are exercised, many times over.
+        assert stats["lifts"] > 5000 and stats["defers"] > 1000
+
+    def test_from_rotation_rotates_each_listed_rotation_once(self, monkeypatch):
+        # Splay's execution on a 1000-key random instance, as the trace
+        # benchmark converts it: every search happens at the root, nothing is
+        # lifted or deferred, so the back conversion needs exactly one rotate
+        # call per listed rotation.
+        inst = generate("random", n=1000, m=300, seed=1).instance
+        e = Execution(tuple(step.transition for step in algorithm_trace(inst, "splay").steps))
+        r = to_rotation_model(inst, e)
+        calls = []
+
+        def counted_rotate(t, key):
+            calls.append(key)
+            return rotate(t, key)
+
+        monkeypatch.setattr(splaylab.model, "rotate", counted_rotate)
+        back = from_rotation_model(inst, r)
+        assert sum(len(acc.rotations) for acc in r.accesses) == len(calls) == 5939
+        assert validate(inst, back).final_tree == validate(inst, e).final_tree
 
 
 class TestTextFormats:
