@@ -53,7 +53,6 @@ from .model import (  # noqa: F401
 from .wilber import (  # noqa: F401
     crossing_bound,
     level,
-    level_report,
     remove_one_gap,
     sequence_crossing_bound,
     splay_bookkeeping_cost,

@@ -39,6 +39,13 @@ def random_tree(n: int, rng: random.Random) -> Node:
     return t
 
 
+def random_instance(rng: random.Random, n: int, m: int) -> Instance:
+    """A random tree on keys 1..n, then m uniform requests, drawn in that
+    order from ``rng``."""
+    t = random_tree(n, rng)
+    return Instance(tuple(rng.randint(1, n) for _ in range(m)), t)
+
+
 def generate(family: str, n: int = 0, k: int = 0, m: int = 0, seed: int = 0) -> FamilyInstance:
     if family == "spine-312":
         if n < 3:
@@ -79,10 +86,8 @@ def generate(family: str, n: int = 0, k: int = 0, m: int = 0, seed: int = 0) -> 
     if family == "random":
         if n < 1 or m < 0:
             raise ValueError("random needs n >= 1, m >= 0")
-        rng = trial_rng("random", n, m, seed)
-        t = random_tree(n, rng)
-        x = tuple(rng.randint(1, n) for _ in range(m))
-        return FamilyInstance(family, {"n": n, "m": m, "seed": seed}, Instance(x, t), None)
+        inst = random_instance(trial_rng("random", n, m, seed), n, m)
+        return FamilyInstance(family, {"n": n, "m": m, "seed": seed}, inst, None)
     raise UnknownFamilyError(family)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .algorithms import access, access_tree
 from .tree import (
@@ -26,14 +26,13 @@ from .tree import (
     SymmetricOrderError,
     Tree,
     bst_from_sequence,
-    depth,
     parse_key,
     parse_shape,
-    path_encoding,
     path_nodes,
     preorder,
     root_subtree,
     rotate,
+    rotate_path,
     shape_print,
     size,
     substitute,
@@ -86,14 +85,11 @@ class InvalidExecutionError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class AccessStep:
-    index: int  # 1-based
+class AccessStep(NamedTuple):
     requested: int
     subtree: Node  # Q_i, as arranged in T_{i-1}
     transition: Node  # Q'_i
     after: Node  # T_i
-    encoding: str  # access-path encoding of the request in T_{i-1}
 
 
 @dataclass(frozen=True)
@@ -131,8 +127,7 @@ def validate(inst: Instance, e: Execution) -> ExecutionTrace:
             raise InvalidExecutionError(i, f"key-set mismatch: {err}") from err
         except SymmetricOrderError as err:
             raise InvalidExecutionError(i, f"transition tree is not a search tree: {err}") from err
-        encoding = path_encoding(t, x)
-        steps.append(AccessStep(i, x, q, q_prime, after, encoding))
+        steps.append(AccessStep(x, q, q_prime, after))
         cost += len(keys)
         t = after
     return ExecutionTrace(inst, tuple(steps), cost)
@@ -226,13 +221,13 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
     t = inst.initial
     steps = []
     cost = 0
-    for i, x in enumerate(inst.requests, start=1):
+    for x in inst.requests:
         q = Node(x)  # Q is the access path itself
         for p in reversed(path_nodes(t, x)[:-1]):
             q = Node(p.key, q, None) if x < p.key else Node(p.key, None, q)
         after, record = access(t, x, algo)
         q_prime = access_tree(q, x, algo)  # path-based: Q' is the rearranged bare path
-        steps.append(AccessStep(i, x, q, q_prime, after, record.encoding))
+        steps.append(AccessStep(x, q, q_prime, after))
         cost += record.cost
         t = after
     return ExecutionTrace(inst, tuple(steps), cost)
@@ -268,7 +263,8 @@ def rotation_trace(inst: Instance, r: RotationExecution) -> RotationTrace:
     cost = 0
     depths = []
     for i, x, rotations in _rotation_accesses(inst, r):
-        t, d = _rotate_listed(t, i, x, rotations)
+        t, path = _rotate_listed(t, i, x, rotations)
+        d = len(path) - 1
         cost += 1 + len(rotations) + d
         depths.append(d)
     return RotationTrace(inst, cost, tuple(depths))
@@ -291,23 +287,24 @@ def _rotate_listed(
     x: int,
     rotations: Iterable[int],
     edges: Optional[list[tuple[int, int]]] = None,
-) -> tuple[Tree, int]:
-    """Apply access ``i``'s listed rotations to ``t``: the rotated tree and
-    the depth of the search key ``x`` in it.  A rotation at an absent or
-    root key, or an absent search key, raises :class:`InvalidExecutionError`.
-    With ``edges``, each rotation's (key, parent key) is appended to it."""
+) -> tuple[Tree, list[Node]]:
+    """Apply access ``i``'s listed rotations to ``t``, walking each one's
+    path once: the rotated tree and the access path of the search key ``x``
+    in it.  A rotation at an absent or root key, or an absent search key,
+    raises :class:`InvalidExecutionError`.  With ``edges``, each rotation's
+    (key, parent key) is appended to it."""
     for k in rotations:
         try:
-            rotated = rotate(t, k)
+            path = path_nodes(t, k)
+            t = rotate_path(path)
         except KeyAbsentError as err:
             raise InvalidExecutionError(i, f"rotation at absent key {k}") from err
         except RotationAtRootError as err:
             raise InvalidExecutionError(i, f"rotation at root key {k}") from err
         if edges is not None:
-            edges.append((k, path_nodes(t, k)[-2].key))
-        t = rotated
+            edges.append((k, path[-2].key))
     try:
-        return t, depth(t, x)
+        return t, path_nodes(t, x)
     except KeyAbsentError as err:
         raise InvalidExecutionError(i, f"search key {x} absent") from err
 
@@ -375,8 +372,8 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
         # ancestor, which is a Move-to-Root access; its inverses, root
         # first, open the next access.
         edges: list[tuple[int, int]] = []
-        work, _ = _rotate_listed(t, i, x, (*pending, *rotations), edges)
-        ancestors = [p.key for p in path_nodes(work, x)[:-1]]
+        work, path = _rotate_listed(t, i, x, (*pending, *rotations), edges)
+        ancestors = [p.key for p in path[:-1]]
         edges.extend((x, p) for p in ancestors)
         work = access_tree(work, x, "mtr")
         # The requested key's component of the rotation edges is the set of

@@ -27,8 +27,8 @@ from .model import Execution, ExecutionTrace, Instance, validate
 from .tree import (
     InvariantError,
     Node,
+    preorder,
     rooted_shapes,
-    shape_key,
     shape_print,
     shapes_on_keys,
 )
@@ -182,7 +182,7 @@ def opt_cost(
 ) -> OptResult:
     """Exact minimum execution cost and one optimal execution achieving it."""
     check_guards(inst.n, inst.m, guard_n, guard_m)
-    start = shape_key(inst.initial)
+    start = preorder(inst.initial)
     layer: dict[tuple[int, ...], int] = {start: 0}
     # back[after] = (shape, (transition tree, its print))
     parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str]]]] = []

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import __version__
 from .algorithms import access_cost, deque_run, run_totals
-from .families import generate, random_tree, trial_rng
+from .families import generate, random_instance, random_tree, trial_rng
 from .model import Instance
 from .tree import bst_from_sequence, preorder, relabel
 from .wilber import crossing_bound, splay_crossing_cost
@@ -67,11 +67,6 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _random_instance(rng: random.Random, n: int, m: int) -> Instance:
-    t = random_tree(n, rng)
-    return Instance(tuple(rng.randint(1, n) for _ in range(m)), t)
-
-
 def _random_subsequence(rng: random.Random, x: tuple[int, ...]) -> tuple[int, ...]:
     kept = tuple(v for v in x if rng.random() < 0.6)
     return kept if kept else x[:1]
@@ -94,7 +89,7 @@ def _probe_splay_mr(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows.append(("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n)))
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
-        inst = _random_instance(rng, n, m)
+        inst = random_instance(rng, n, m)
         lam = crossing_bound(inst)
         lam_prime = splay_crossing_cost(inst)
         rows.append((trial, n, m, lam, lam_prime, lam_prime / (lam + n)))
@@ -110,7 +105,7 @@ def _probe_monotone_crossings(trials: int, n: int, m: int, seed: int) -> ProbeRe
     rows = []
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
-        inst = _random_instance(rng, n, m)
+        inst = random_instance(rng, n, m)
         y = _random_subsequence(rng, inst.requests)
         full = splay_crossing_cost(inst)
         sub = splay_crossing_cost(Instance(y, inst.initial))
@@ -127,7 +122,7 @@ def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
     rows = []
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
-        inst = _random_instance(rng, n, m)
+        inst = random_instance(rng, n, m)
         totals = run_totals(inst.initial, inst.requests, "splay")
         zeta, lam_prime = totals.bookkeeping, totals.crossing
         rows.append((trial, n, m, lam_prime, zeta, zeta / (lam_prime + n)))

@@ -51,16 +51,15 @@ from .tree import (
     Node,
     all_shapes,
     bst_from_sequence,
-    left_spine_tree,
     frontier,
+    left_spine_tree,
     parse_shape,
     path_nodes,
+    preorder,
     rooted_shapes,
     rotate,
-    shape_key,
     shape_print,
     shapes_on_keys,
-    size,
     substitute,
     tree_keys,
 )
@@ -70,6 +69,7 @@ from .wilber import (
     check_level_witness,
     check_window_state,
     crossing_bound,
+    crossing_bound_from_insertion_tree,
     crossing_bounds,
     level,
     remove_one_gap,
@@ -103,6 +103,15 @@ def _is_subsequence(xs: Iterable[int], ys: Iterable[int]) -> bool:
     return all(any(x == y for y in it) for x in xs)
 
 
+def _requests_then_tree(rng: random.Random, n: int, m: int) -> Instance:
+    """m uniform requests over keys 1..n, then a random tree on those keys,
+    drawn in that order from ``rng``.  ``families.random_instance`` draws the
+    tree first; the pinned details of the suites that call this depend on
+    which comes first, so both orders stay."""
+    requests = tuple(rng.randint(1, n) for _ in range(m))
+    return Instance(requests, random_tree(n, rng))
+
+
 def random_execution(rng: random.Random, inst: Instance) -> Execution:
     """Uniform-ish random valid execution: grow a random connected root
     subtree around each request and rearrange it randomly."""
@@ -122,7 +131,7 @@ def random_execution(rng: random.Random, inst: Instance) -> Execution:
 
 
 def _all_transitions(t: Node, x: int):
-    for q_keys, _ in _groups(shape_key(t), x):
+    for q_keys, _ in _groups(preorder(t), x):
         yield from rooted_shapes(q_keys, x)
 
 
@@ -205,9 +214,7 @@ def suite_embedding(seed: int = 0, **_: object) -> str:
         rng = trial_rng("suite", seed, "embed", trial)
         n = rng.randint(1, 6)
         m = rng.randint(1, 5)
-        inst = Instance(
-            tuple(rng.randint(1, n) for _ in range(m)), random_tree(n, rng)
-        )
+        inst = _requests_then_tree(rng, n, m)
         blocks = embedding_blocks(inst, random_execution(rng, inst))
         seq = [k for block, _, _, _ in blocks for k in block]
         if not _is_subsequence(inst.requests, seq):
@@ -289,9 +296,9 @@ def suite_wilber_equivalence(seed: int = 0, **_: object) -> str:
     )
     checked = 0
     for x_seq in itertools.chain(exhaustive, random_cases()):
-        t = bst_from_sequence(x_seq)
         checked += 1
-        if sequence_crossing_bound(x_seq) != crossing_bound(Instance(x_seq, t)) - size(t) + 1:
+        lam = crossing_bound_from_insertion_tree(x_seq)
+        if sequence_crossing_bound(x_seq) != lam - len(set(x_seq)) + 1:
             raise SuiteFailure(f"mismatch on {x_seq}")
     return f"{checked} sequences: exact equality"
 
@@ -304,7 +311,7 @@ def suite_lambda_opt(seed: int = 0, **_: object) -> str:
     def random_cases():
         for trial in range(200):
             rng = trial_rng("suite", seed, "lamopt", trial)
-            yield Instance(tuple(rng.randint(1, 5) for _ in range(4)), random_tree(5, rng))
+            yield _requests_then_tree(rng, 5, 4)
 
     exhaustive = (
         Instance(x_seq, t)
@@ -359,10 +366,10 @@ def _lift_tables(n: int, max_m: int):
     same keys: their difference at Z is ``remove_one_gap(shape, x, Z)``."""
     keys = range(1, n + 1)
     shapes = all_shapes(n)
-    tables = {shape_key(t): crossing_bounds(t, keys, max_m) for t in shapes}
+    tables = {preorder(t): crossing_bounds(t, keys, max_m) for t in shapes}
     for t in shapes:
         for x in keys:
-            yield t, x, tables[shape_key(t)], tables[shape_key(access_tree(t, x, "mtr"))]
+            yield t, x, tables[preorder(t)], tables[preorder(access_tree(t, x, "mtr"))]
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +463,7 @@ def suite_repetition(seed: int = 0, **_: object) -> str:
         n = rng.randint(4, 32)
         m = rng.randint(1, 16)
         k = rng.randint(1, 5)
-        inst = Instance(
-            tuple(rng.randint(1, n) for _ in range(m)), random_tree(n, rng)
-        )
+        inst = _requests_then_tree(rng, n, m)
         unit = augmented_repeat(inst, 1)
         repeated = augmented_repeat(inst, k)
         unit_cost = access_cost(inst.initial, unit, "splay")
@@ -469,7 +474,7 @@ def suite_repetition(seed: int = 0, **_: object) -> str:
             raise SuiteFailure(f"trial {trial}: unit below base")
     # Oracle-scale inequality for the repeated augmented sequence.
     rng = trial_rng("suite", seed, "rep", "oracle")
-    inst = Instance((rng.randint(1, 4), rng.randint(1, 4)), random_tree(4, rng))
+    inst = _requests_then_tree(rng, 4, 2)
     k = 2
     repeated = augmented_repeat(inst, k)
     lhs = opt_cost(Instance(repeated, inst.initial), guard_m=200).cost
@@ -525,9 +530,7 @@ def suite_rotation_model(seed: int = 0, **_: object) -> str:
         rng = trial_rng("suite", seed, "rot", trial)
         n = rng.randint(1, 6)
         m = rng.randint(1, 4)
-        inst = Instance(
-            tuple(rng.randint(1, n) for _ in range(m)), random_tree(n, rng)
-        )
+        inst = _requests_then_tree(rng, n, m)
         e = random_execution(rng, inst)
         checked += 1
         _rotation_round_trip(inst, e, "random: ")
@@ -602,9 +605,7 @@ def suite_topdown(seed: int = 0, **_: object) -> str:
         rng = trial_rng("suite", seed, "tds", trial)
         n = rng.randint(4, 8)
         m = rng.randint(1, 4)
-        inst = Instance(
-            tuple(rng.randint(1, n) for _ in range(m)), random_tree(n, rng)
-        )
+        inst = _requests_then_tree(rng, n, m)
         e = random_execution(rng, inst)
         trace = validate(inst, e)
         seq = topdown_embedding(inst, e)
@@ -708,10 +709,10 @@ def run_suite(name: str, **kwargs: object) -> list[SuiteResult]:
     suites = SUITES if name == "all" else {name: SUITES[name]}
     results = []
     for suite, fn in suites.items():
-        start = time.time()
+        start = time.perf_counter()
         try:
             passed, detail = True, fn(**kwargs)
         except SuiteFailure as err:
             passed, detail = False, str(err)
-        results.append(SuiteResult(suite, passed, detail, time.time() - start))
+        results.append(SuiteResult(suite, passed, detail, time.perf_counter() - start))
     return results

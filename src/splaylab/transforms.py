@@ -28,10 +28,10 @@ from .tree import (
     is_right_spine,
     left_spine_tree,
     path_nodes,
+    preorder,
     relabel,
     root_subtree,
     rotate,
-    shape_key,
     shape_print,
     size,
     tree_keys,
@@ -61,9 +61,9 @@ def build_digraph(n: int, algo: str = "splay") -> TransitionDigraph:
     if not 1 <= n <= MAX_DIGRAPH_N:
         raise ValueError(f"digraph size {n} outside 1..{MAX_DIGRAPH_N}")
     vertices = tuple(all_shapes(n))
-    index = {shape_key(v): i for i, v in enumerate(vertices)}
+    index = {preorder(v): i for i, v in enumerate(vertices)}
     arcs = tuple(
-        tuple(index[shape_key(access_tree(v, key, algo))] for key in range(1, n + 1))
+        tuple(index[preorder(access_tree(v, key, algo))] for key in range(1, n + 1))
         for v in vertices
     )
     return TransitionDigraph(n, algo, vertices, index, arcs)
@@ -109,8 +109,8 @@ def diameter(g: TransitionDigraph) -> int:
 
 def shortest_path(g: TransitionDigraph, s: Node, t: Node) -> tuple[int, ...]:
     """Request keys realizing the cheapest transition from shape s to t."""
-    si = g.index[shape_key(s)]
-    ti = g.index[shape_key(t)]
+    si = g.index[preorder(s)]
+    ti = g.index[preorder(t)]
     if si == ti:
         return ()
     dist, back = _bfs(g, si)
@@ -186,7 +186,7 @@ def _g4_paths() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
     table: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
     for s in g.vertices:
         for t in g.vertices:
-            table[(shape_key(s), shape_key(t))] = shortest_path(g, s, t)
+            table[(preorder(s), preorder(t))] = shortest_path(g, s, t)
     return table
 
 
@@ -196,7 +196,7 @@ def _g4_block(window: Node, target: Node) -> tuple[int, ...]:
     canon_window, mapping = canonical_relabel(window)
     canon_target = relabel(target, mapping)
     inverse = {v: k for k, v in mapping.items()}
-    path = _g4_paths()[(shape_key(canon_window), shape_key(canon_target))]
+    path = _g4_paths()[(preorder(canon_window), preorder(canon_target))]
     return tuple(inverse[k] for k in path)
 
 
@@ -254,32 +254,31 @@ def _realize_script(t: Node, script: Iterable[int]) -> tuple[Node, list[int], li
 class TransformPlan:
     source: Node
     target: Node
-    algo: str
     keys: tuple[int, ...]
     cost: int  # measured cost of replaying the keys
     rotation_count: int  # restricted rotations realized (0 for small trees)
 
 
 def replay(plan: TransformPlan) -> Node:
-    return run_totals(plan.source, plan.keys, plan.algo).tree
+    return run_totals(plan.source, plan.keys, "splay").tree
 
 
-def transform_sequence(source: Node, target: Node, algo: str = "splay") -> TransformPlan:
-    """Request sequence inducing the algorithm to turn ``source`` into
-    ``target``; identical trees map to the bare root key."""
+def transform_sequence(source: Node, target: Node) -> TransformPlan:
+    """Request sequence inducing Splay to turn ``source`` into ``target``;
+    identical trees map to the bare root key."""
     if tree_keys(source) != tree_keys(target):
         raise ValueError("transforms require identical key sets")
     n = size(source)
     if source == target:
-        return TransformPlan(source, target, algo, (source.key,), 1, 0)
-    if n < 4 or algo != "splay":
-        keys = shortest_path(build_digraph(n, algo), source, target)
-        return TransformPlan(source, target, algo, keys, access_cost(source, keys, algo), 0)
+        return TransformPlan(source, target, (source.key,), 1, 0)
+    if n < 4:
+        keys = shortest_path(build_digraph(n, "splay"), source, target)
+        return TransformPlan(source, target, keys, access_cost(source, keys), 0)
     script = restricted_rotation_script(source, target)
     t, keys, costs = _realize_script(source, script)
     if t != target:
         raise InvariantError("the rotation script must reach the target")
-    return TransformPlan(source, target, "splay", tuple(keys), sum(costs), len(script))
+    return TransformPlan(source, target, tuple(keys), sum(costs), len(script))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +301,11 @@ def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[tuple[int, ...]
     trace = validate(inst, e)
     blocks: list[tuple[tuple[int, ...], int, int, int]] = []
     t = inst.initial
+    small = inst.n <= 3
     for step in trace.steps:
         q, q_prime, x = step.subtree, step.transition, step.requested
         qsize = size(q)
-        if inst.n <= 3 or q == q_prime:
+        if small or q == q_prime:
             block: tuple[int, ...] = (x,)
             landed, costs = _splay_keys(t, block)
         elif qsize <= 4:
@@ -317,7 +317,7 @@ def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[tuple[int, ...]
             block = tuple(keys)
         if not block or block[-1] != x:
             raise InvariantError("every block finishes at the request")
-        if inst.n > 3 and landed != step.after:
+        if not small and landed != step.after:
             raise InvariantError("block must land exactly on the after-tree")
         blocks.append((block, sum(costs), qsize, max(costs)))
         t = landed
@@ -399,14 +399,14 @@ def _simultaneous_table() -> dict[tuple[int, ...], tuple[int, ...]]:
     drives both Splay and Move-to-Root onto it from the left spine."""
     left = left_spine_tree(range(1, 5))
     table: dict[tuple[int, ...], tuple[int, ...]] = {
-        shape_key(left): (1, 2, 3, 4),
+        preorder(left): (1, 2, 3, 4),
     }
     right_route = (4, 3, 2, 1)
-    table[shape_key(_run_both(left, right_route))] = right_route
+    table[preorder(_run_both(left, right_route))] = right_route
     for seq in _SIMULTANEOUS_BASE:
-        table[shape_key(_run_both(left, seq))] = seq
+        table[preorder(_run_both(left, seq))] = seq
         mirrored = right_route + tuple(_MIRROR[k] for k in seq)
-        table[shape_key(_run_both(left, mirrored))] = mirrored
+        table[preorder(_run_both(left, mirrored))] = mirrored
     if len(table) != 14:
         raise InvariantError("all four-node shapes must be covered")
     return table
@@ -420,7 +420,7 @@ def simultaneous_transform4(source: Node, target: Node) -> tuple[int, ...]:
     canon_target, mapping = canonical_relabel(target)
     inverse = {v: k for k, v in mapping.items()}
     to_left = (1, 2, 3, 4)
-    seq = to_left + _simultaneous_table()[shape_key(canon_target)]
+    seq = to_left + _simultaneous_table()[preorder(canon_target)]
     return tuple(inverse[k] for k in seq)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 
 class KeyAbsentError(KeyError):
@@ -67,7 +67,7 @@ class Node:
         return True
 
     def __hash__(self) -> int:
-        return hash(shape_key(self))
+        return hash(preorder(self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({shape_print(self)})"
@@ -77,27 +77,11 @@ Tree = Optional[Node]
 
 
 def size(t: Tree) -> int:
-    n = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            n += 1
-            stack.append(node.left)
-            stack.append(node.right)
-    return n
+    return len(preorder(t))
 
 
 def tree_keys(t: Tree) -> frozenset[int]:
-    out = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            out.append(node.key)
-            stack.append(node.left)
-            stack.append(node.right)
-    return frozenset(out)
+    return frozenset(preorder(t))
 
 
 def contains(t: Tree, key: int) -> bool:
@@ -126,18 +110,7 @@ def depth(t: Tree, key: int) -> int:
 
 def path_encoding(t: Tree, key: int) -> str:
     """Binary encoding of the access path: 0 = left, 1 = right, empty = root."""
-    bits = []
-    node = t
-    while node is not None:
-        if key == node.key:
-            return "".join(bits)
-        if key < node.key:
-            bits.append("0")
-            node = node.left
-        else:
-            bits.append("1")
-            node = node.right
-    raise KeyAbsentError(key)
+    return "".join("0" if key < node.key else "1" for node in path_nodes(t, key)[:-1])
 
 
 def preorder(t: Tree) -> tuple[int, ...]:
@@ -164,12 +137,6 @@ def postorder(t: Tree) -> tuple[int, ...]:
             stack.append(node.right)
     out.reverse()
     return tuple(out)
-
-
-def shape_key(t: Tree) -> tuple[int, ...]:
-    """Canonical dictionary key: the preorder uniquely identifies the
-    arrangement among trees on the same key set."""
-    return preorder(t)
 
 
 def insert_leaf(t: Tree, key: int) -> Node:
@@ -224,11 +191,14 @@ def treap_build(items: Iterable[tuple[int, float]]) -> Tree:
 
 def rotate(t: Tree, key: int) -> Node:
     """Single rotation at ``key``; its parent must exist."""
-    if t is None:
-        raise KeyAbsentError(key)
-    path = path_nodes(t, key)
+    return rotate_path(path_nodes(t, key))
+
+
+def rotate_path(path: Sequence[Node]) -> Node:
+    """Single rotation at the last node of the access path ``path``, from
+    the root down; rebuilds the path above the rotated pair."""
     if len(path) == 1:
-        raise RotationAtRootError(f"rotation at the root key {key} is undefined")
+        raise RotationAtRootError(f"rotation at the root key {path[0].key} is undefined")
     x = path[-1]
     y = path[-2]
     if y.left is x:

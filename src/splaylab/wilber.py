@@ -26,7 +26,6 @@ from .tree import (
     contains,
     path_nodes,
     postorder,
-    size,
     treap_build,
     tree_keys,
 )
@@ -35,20 +34,6 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 S = TypeVar("S")
-
-
-@dataclass(frozen=True)
-class LevelReport:
-    key: int
-    crossing_keys: tuple[int, ...]  # top-down
-    level: int
-    bookkeeping: int  # d + 1 - level
-
-
-def level_report(t: Tree, key: int) -> LevelReport:
-    path = path_nodes(t, key)
-    crossing = crossing_keys_on_path(path)
-    return LevelReport(key, crossing, len(crossing), len(path) - len(crossing))
 
 
 def level(t: Tree, key: int) -> int:
@@ -331,7 +316,7 @@ def _window_subtree(t: Node, window: frozenset[int], u: float, v: float) -> tupl
         parent, node = node, node.right if node.key <= u else node.left
     if node is None or parent is None:
         raise InvariantError("the window must hang below the root")
-    if size(node) != len(window) or tree_keys(node) != window:
+    if tree_keys(node) != window:
         raise InvariantError("window keys must hang as one subtree")
     return node, parent.key
 

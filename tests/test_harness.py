@@ -59,6 +59,85 @@ class TestFamilies:
             generate("nope", n=3)
 
 
+# Each conjecture's report at trials=3, n=30, m=40, seed=5.  The random
+# probes draw each trial's tree before its requests, so these pin that order.
+PINNED_PROBE_CSV = {
+    "splay-mr-crossings": """\
+# conjecture=splay-mr-crossings version=0.1.0 m=40,n=30,seed=5,trials=3
+trial,n,m,lambda,lambda_prime,ratio
+witness,4,4,9,8,0.615385
+0,30,40,145,142,0.811429
+1,30,40,146,144,0.818182
+2,30,40,145,143,0.817143
+# trial: max=2 mean=1.000000
+# n: max=30 mean=23.500000
+# m: max=40 mean=31.000000
+# lambda: max=146 mean=111.250000
+# lambda_prime: max=144 mean=109.250000
+# ratio: max=0.818182 mean=0.765534
+""",
+    "monotone-splay-crossings": """\
+# conjecture=monotone-splay-crossings version=0.1.0 m=40,n=30,seed=5,trials=3
+trial,n,m,lambda_prime_x,lambda_prime_y,ratio
+0,30,40,142,87,0.505814
+1,30,40,144,87,0.500000
+2,30,40,143,92,0.531792
+# trial: max=2 mean=1.000000
+# n: max=30 mean=30.000000
+# m: max=40 mean=40.000000
+# lambda_prime_x: max=144 mean=143.000000
+# lambda_prime_y: max=92 mean=88.666667
+# ratio: max=0.531792 mean=0.512535
+""",
+    "splay-bookkeeping": """\
+# conjecture=splay-bookkeeping version=0.1.0 m=40,n=30,seed=5,trials=3
+trial,n,m,lambda_prime,zeta,ratio
+0,30,40,142,74,0.430233
+1,30,40,144,84,0.482759
+2,30,40,143,77,0.445087
+# trial: max=2 mean=1.000000
+# n: max=30 mean=30.000000
+# m: max=40 mean=40.000000
+# lambda_prime: max=144 mean=143.000000
+# zeta: max=84 mean=78.333333
+# ratio: max=0.482759 mean=0.452693
+""",
+    "deque-linear": """\
+# conjecture=deque-linear version=0.1.0 m=40,n=30,seed=5,trials=3
+trial,n,m,cost,ratio
+0,30,40,136,1.942857
+1,30,40,147,2.100000
+2,30,40,153,2.185714
+# trial: max=2 mean=1.000000
+# n: max=30 mean=30.000000
+# m: max=40 mean=40.000000
+# cost: max=153 mean=145.333333
+# ratio: max=2.185714 mean=2.076190
+""",
+    "traversal-linear": """\
+# conjecture=traversal-linear version=0.1.0 n=30,seed=5,trials=3
+trial,n,self_ratio,cross_ratio
+0,30,3.433333,4.033333
+1,30,3.500000,4.333333
+2,30,3.433333,4.266667
+# trial: max=2 mean=1.000000
+# n: max=30 mean=30.000000
+# self_ratio: max=3.500000 mean=3.455556
+# cross_ratio: max=4.333333 mean=4.211111
+""",
+    "subseq-ratio": """\
+# conjecture=subseq-ratio version=0.1.0 n=30
+family,n,cost_x,cost_y,ratio
+spine-312,30,33,46,1.393939
+powers-k4,15,26,29,1.115385
+# n: max=30 mean=22.500000
+# cost_x: max=33 mean=29.500000
+# cost_y: max=46 mean=37.500000
+# ratio: max=1.393939 mean=1.254662
+""",
+}
+
+
 class TestProbes:
     def test_deterministic_output(self):
         a = probe("splay-bookkeeping", trials=5, n=20, m=40, seed=7).to_csv()
@@ -88,6 +167,14 @@ class TestProbes:
         monkeypatch.setattr(probes, "random_tree", lambda n, rng: left_spine_tree(range(1, n + 1)))
         report = probe("deque-linear", trials=1, n=20_000, m=5, seed=0)
         assert report.rows[0][:3] == (0, 20_000, 5)
+
+    @pytest.mark.parametrize("conjecture", sorted(PINNED_PROBE_CSV))
+    def test_report_pinned(self, conjecture):
+        report = probe(conjecture, trials=3, n=30, m=40, seed=5)
+        assert report.to_csv() == PINNED_PROBE_CSV[conjecture]
+
+    def test_every_conjecture_is_pinned(self):
+        assert set(PINNED_PROBE_CSV) == set(probes.PROBES)
 
     def test_unknown_conjecture(self):
         with pytest.raises(UnknownConjectureError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import splaylab.model
+import splaylab.tree
 from splaylab.algorithms import parse_deque_script
 from splaylab.families import generate
 from splaylab.model import (
@@ -43,6 +44,7 @@ from splaylab.tree import (
     left_spine_tree,
     parse_key,
     parse_shape,
+    path_encoding,
     path_nodes,
     right_spine_tree,
     root_subtree,
@@ -230,7 +232,7 @@ class TestDeepSpine:
         n = 20_000
         inst = generate("sequential", n=n).instance
         trace = algorithm_trace(inst, "splay")
-        assert trace.steps[0].encoding == "0" * (n - 1)
+        assert path_encoding(inst.initial, 1) == "0" * (n - 1)
         assert size(trace.steps[0].subtree) == n
         e = Execution(tuple(step.transition for step in trace.steps))
         assert e.cost == trace.cost
@@ -475,20 +477,26 @@ class TestRotationModel:
     def test_from_rotation_rotates_each_listed_rotation_once(self, monkeypatch):
         # Splay's execution on a 1000-key random instance, as the trace
         # benchmark converts it: every search happens at the root, nothing is
-        # lifted or deferred, so the back conversion needs exactly one rotate
-        # call per listed rotation.
+        # lifted or deferred, so each conversion walks from the root once per
+        # listed rotation and once per search.
         inst = generate("random", n=1000, m=300, seed=1).instance
         e = Execution(tuple(step.transition for step in algorithm_trace(inst, "splay").steps))
         r = to_rotation_model(inst, e)
-        calls = []
+        assert sum(len(acc.rotations) for acc in r.accesses) == 5939
+        walks = []
 
-        def counted_rotate(t, key):
-            calls.append(key)
-            return rotate(t, key)
+        def counted_path_nodes(t, key):
+            walks.append(key)
+            return path_nodes(t, key)
 
-        monkeypatch.setattr(splaylab.model, "rotate", counted_rotate)
+        monkeypatch.setattr(splaylab.tree, "path_nodes", counted_path_nodes)
+        monkeypatch.setattr(splaylab.model, "path_nodes", counted_path_nodes)
         back = from_rotation_model(inst, r)
-        assert sum(len(acc.rotations) for acc in r.accesses) == len(calls) == 5939
+        assert len(walks) == 6239  # 5,939 listed rotations and 300 searches
+        walks.clear()
+        rotation_trace(inst, r)
+        assert len(walks) == 6239
+        monkeypatch.undo()
         assert validate(inst, back).final_tree == validate(inst, e).final_tree
 
 

@@ -30,8 +30,8 @@ from splaylab.tree import (
     bst_from_sequence,
     left_spine_tree,
     path_nodes,
+    preorder,
     rooted_shapes,
-    shape_key,
     shape_print,
     shapes_on_keys,
     size,
@@ -66,7 +66,7 @@ def reference_transitions(shape, x):
         for q_prime in shapes_on_keys(q_keys):
             if q_prime.key != x:
                 continue
-            k = shape_key(substitute(t, q_prime))
+            k = preorder(substitute(t, q_prime))
             entry = (cost, shape_print(q_prime), q_prime)
             if k not in best or (best[k][0], best[k][1]) > (cost, entry[1]):
                 best[k] = entry
@@ -76,7 +76,7 @@ def reference_transitions(shape, x):
 def reference_opt_cost(inst):
     """The layered DP over whole-tree states on the reference moves, with
     ties to the smaller transition-tree print."""
-    layer = {shape_key(inst.initial): 0}
+    layer = {preorder(inst.initial): 0}
     parents = []
     expanded = 0
     for x in inst.requests:
@@ -196,7 +196,7 @@ def per_state_opt_cost(inst):
     """The layered DP that relaxes every state's own moves, ties to the
     smaller transition-tree print: the loop the grouped DP replaced.
     Returns the cost, the execution and the states per layer."""
-    layer = {shape_key(inst.initial): 0}
+    layer = {preorder(inst.initial): 0}
     parents = []
     per_layer = []
     for x in inst.requests:
@@ -247,7 +247,7 @@ class TestTransitions:
         for n in range(1, 7):
             for t in all_shapes(n):
                 for x in range(1, n + 1):
-                    keysets = [q_keys for q_keys, _ in _groups(shape_key(t), x)]
+                    keysets = [q_keys for q_keys, _ in _groups(preorder(t), x)]
                     assert keysets == reference_keysets(t, x)
 
     def test_groups_match_tree_reference_exhaustive(self):
@@ -255,7 +255,7 @@ class TestTransitions:
         # a Node tree, for every shape with n <= 7 and every request.
         for n in range(1, 8):
             for t in all_shapes(n):
-                shape = shape_key(t)
+                shape = preorder(t)
                 for x in range(1, n + 1):
                     assert _groups(shape, x) == reference_groups(shape, x)
 
@@ -265,7 +265,7 @@ class TestTransitions:
         # for every shape with n <= 6 and every request.
         for n in range(1, 7):
             for t in all_shapes(n):
-                shape = shape_key(t)
+                shape = preorder(t)
                 for x in range(1, n + 1):
                     assert cheapest_group_moves(shape, x) == list(
                         reference_transitions(shape, x)
@@ -279,7 +279,7 @@ class TestTransitions:
     def test_per_state_transitions_match_reference_exhaustive(self):
         for n in range(1, 7):
             for t in all_shapes(n):
-                shape = shape_key(t)
+                shape = preorder(t)
                 for x in range(1, n + 1):
                     moves = per_state_transitions(shape, x)
                     assert [(k, q, c) for k, (q, _), c in moves] == list(
@@ -353,7 +353,7 @@ class TestTransitions:
             inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
             result = opt_cost(inst)
             assert len(result.groups_per_layer) == inst.m
-            layer = {shape_key(inst.initial)}
+            layer = {preorder(inst.initial)}
             for x, groups in zip(inst.requests, result.groups_per_layer):
                 assert groups == len({g for s in layer for g in reference_groups(s, x)})
                 layer = {k for s in layer for k, _, _ in per_state_transitions(s, x)}

@@ -161,14 +161,6 @@ class TestTransformSequence:
         with pytest.raises(TransformUnreachableError):
             transform_sequence(spine, zigzag)
 
-    def test_mtr_can_transform_three_nodes(self):
-        shapes = all_shapes(3)
-        for s in shapes:
-            for t in shapes:
-                plan = transform_sequence(s, t, algo="mtr")
-                assert replay(plan) == t
-                assert plan.cost == access_cost(s, plan.keys, "mtr")
-
     def test_key_set_mismatch(self):
         with pytest.raises(ValueError):
             transform_sequence(bst_from_sequence([1, 2]), bst_from_sequence([2, 3]))

@@ -30,7 +30,6 @@ from splaylab.wilber import (
     crossing_keys_on_path,
     generalized_path_keys,
     level,
-    level_report,
     remove_one_gap,
     sequence_crossing_bound,
     splay_bookkeeping_cost,
@@ -64,29 +63,30 @@ class TestLevel:
     def test_root_level_one(self):
         t = bst_from_sequence([2, 1, 3])
         assert level(t, 2) == 1
-        assert level_report(t, 2).crossing_keys == (2,)
+        assert crossing_keys_on_path(path_nodes(t, 2)) == (2,)
 
     def test_left_spine_bottom(self):
-        rep = level_report(bst_from_sequence([3, 2, 1]), 1)
-        assert rep.crossing_keys == (3, 1)
-        assert rep.level == 2
-        assert rep.bookkeeping == 1
+        t = bst_from_sequence([3, 2, 1])
+        assert crossing_keys_on_path(path_nodes(t, 1)) == (3, 1)
+        assert level(t, 1) == 2
 
     def test_alternation_example(self):
         s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
-        rep = level_report(s, 4)
-        assert rep.crossing_keys == (1, 7, 4)
-        assert rep.level == 3
+        assert crossing_keys_on_path(path_nodes(s, 4)) == (1, 7, 4)
+        assert level(s, 4) == 3
 
     def test_level_in_range(self, rng):
         for _ in range(100):
             n = rng.randint(1, 10)
             t = random_tree(n, rng)
             x = rng.randint(1, n)
-            rep = level_report(t, x)
-            d = len(path_nodes(t, x)) - 1
-            assert 1 <= rep.level <= d + 1
-            assert rep.level + rep.bookkeeping == d + 1
+            path = path_nodes(t, x)
+            crossing = crossing_keys_on_path(path)
+            assert level(t, x) == len(crossing)
+            assert 1 <= len(crossing) <= len(path)
+            # The root and x head and end the crossing keys, in path order.
+            assert crossing[0] == t.key and crossing[-1] == x
+            assert [k for k in (p.key for p in path) if k in crossing] == list(crossing)
 
     def test_graphical_oracle_matches_exhaustive(self):
         for n in range(1, 7):
