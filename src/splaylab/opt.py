@@ -9,12 +9,14 @@ pairs are grouped by (Q's keys, hanging-subtree preorders): a group keeps its
 least distance and relaxes its moves once.  One pass over a state's preorder
 yields every such pair, the hanging preorders as slices of it, with no tree
 built for the state (see :func:`_groups`).  The arrangements are (x L R)
-for every L on Q's keys below x and every R on those above, left-major,
-shared through :func:`splaylab.tree.rooted_shapes`.  No after-tree is built
-for a move: its state key, a preorder, is spliced from the preorders of L, R
-and Q's hanging subtrees (see :func:`_group_moves`).  Guards keep the state
-space at desk scale; the environment variable SPLAYLAB_GUARD_OVERRIDE lifts
-them at the caller's risk.
+for every L on Q's keys below x and every R on those above, left-major.  A
+move is an after-state and the print of Q', the tie-break; it builds no
+tree.  The after-state, a preorder, is spliced from the preorders of L, R
+and Q's hanging subtrees (see :func:`_group_moves`); the sides' prints and
+preorders come from one table composed from smaller sides (see
+:func:`_arrangements`).  Only the m transition trees of the reconstructed
+execution are built, from their prints.  Guards keep the state space at
+desk scale; SPLAYLAB_GUARD_OVERRIDE=1 lifts them at the caller's risk.
 """
 
 from __future__ import annotations
@@ -24,14 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import Execution, ExecutionTrace, Instance, validate
-from .tree import (
-    InvariantError,
-    Node,
-    preorder,
-    rooted_shapes,
-    shape_print,
-    shapes_on_keys,
-)
+from .tree import InvariantError, Node, parse_shape, preorder
 
 DEFAULT_GUARD_N = 7
 DEFAULT_GUARD_M = 8
@@ -54,13 +49,15 @@ class OptResult:
     trace: ExecutionTrace  # the validated trace of ``execution``
 
 
-def check_guards(n: int, m: int, guard_n: int = DEFAULT_GUARD_N, guard_m: int = DEFAULT_GUARD_M) -> None:
+def check_guards(n: int, m: int, guard_m: int = DEFAULT_GUARD_M) -> None:
     """Reject n keys and m requests beyond the guards, unless
-    SPLAYLAB_GUARD_OVERRIDE is set."""
-    if os.environ.get("SPLAYLAB_GUARD_OVERRIDE"):
+    SPLAYLAB_GUARD_OVERRIDE is 1."""
+    if os.environ.get("SPLAYLAB_GUARD_OVERRIDE") == "1":
         return
-    if n > guard_n or m > guard_m:
-        raise GuardExceededError(f"n={n}, m={m} exceeds guards n<={guard_n}, m<={guard_m}")
+    if n > DEFAULT_GUARD_N or m > guard_m:
+        raise GuardExceededError(
+            f"n={n}, m={m} exceeds guards n<={DEFAULT_GUARD_N}, m<={guard_m}"
+        )
 
 
 # A kept key set and the preorders of its hanging subtrees: see _groups.
@@ -114,10 +111,10 @@ def _groups(shape: tuple[int, ...], x: int) -> tuple[_Group, ...]:
 @lru_cache(maxsize=200_000)
 def _group_moves(
     q_keys: tuple[int, ...], fill: tuple[tuple[int, ...], ...], x: int
-) -> tuple[tuple[tuple[int, ...], tuple[Node, str]], ...]:
-    """The (after-shape key, (transition tree, its print)) move of every
+) -> tuple[tuple[tuple[int, ...], str], ...]:
+    """The (after-shape key, transition-tree print) move of every
     arrangement Q' of ``q_keys`` with ``x`` at the root, in
-    :func:`_printed_rooted_shapes` order, whose pairs it shares.
+    :func:`_rooted_prints` order, whose prints it shares.
 
     No after-tree is built: with Q' = (x L R), the after-shape's preorder is
     ``x``, then L's preorder with its empty slots filled by ``fill``'s first
@@ -126,21 +123,20 @@ def _group_moves(
     after-shapes, whose root subtree on ``q_keys`` is Q'.
     """
     i = q_keys.index(x)
-    heads = [(x,) + _splice(runs, fill[:i + 1]) for runs in _slot_runs(q_keys[:i])]
-    tails = [_splice(runs, fill[i + 1:]) for runs in _slot_runs(q_keys[i + 1:])]
+    heads = [(x,) + _splice(runs, fill[:i + 1]) for _, runs in _arrangements(q_keys[:i])]
+    tails = [_splice(runs, fill[i + 1:]) for _, runs in _arrangements(q_keys[i + 1:])]
     afters = (head + tail for head in heads for tail in tails)
-    return tuple(zip(afters, _printed_rooted_shapes(q_keys, x)))
+    return tuple(zip(afters, _rooted_prints(q_keys, x)))
 
 
 @lru_cache(maxsize=None)
-def _printed_rooted_shapes(keys: tuple[int, ...], x: int) -> tuple[tuple[Node, str], ...]:
-    """:func:`rooted_shapes` paired with their prints, the DP's tie-break;
-    each print is composed from those of the two sides."""
+def _rooted_prints(keys: tuple[int, ...], x: int) -> tuple[str, ...]:
+    """The prints of the arrangements of ``keys`` with ``x`` at the root,
+    left arrangements major: the DP's tie-break."""
     i = keys.index(x)
-    lefts = [shape_print(s) for s in shapes_on_keys(keys[:i])]
-    rights = [shape_print(s) for s in shapes_on_keys(keys[i + 1:])]
-    prints = (f"({x} {left} {right})" for left in lefts for right in rights)
-    return tuple(zip(rooted_shapes(keys, x), prints))
+    lefts = _arrangements(keys[:i])
+    rights = [right for right, _ in _arrangements(keys[i + 1:])]
+    return tuple(f"({x} {left} {right})" for left, _ in lefts for right in rights)
 
 
 def _splice(
@@ -153,39 +149,31 @@ def _splice(
 
 
 @lru_cache(maxsize=None)
-def _slot_runs(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each arrangement of ``keys`` in :func:`shapes_on_keys` order, its
-    preorder cut at its |keys| + 1 empty slots: run j holds the keys met
-    after slot j - 1 and before slot j."""
+def _arrangements(keys: tuple[int, ...]) -> tuple[tuple[str, tuple[tuple[int, ...], ...]], ...]:
+    """For each arrangement of the sorted ``keys``, root major, then left
+    arrangement, then right (the order of
+    :func:`splaylab.tree.shapes_on_keys`): its print and its preorder cut
+    at its |keys| + 1 empty slots, run j holding the keys met after slot
+    j - 1 and before slot j.  Each is composed from the two sides' entries,
+    so no tree is built."""
+    if not keys:
+        return ((".", ((),)),)
     out = []
-    for arrangement in shapes_on_keys(keys):
-        runs: list[tuple[int, ...]] = []
-        run: list[int] = []
-        stack = [arrangement]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                runs.append(tuple(run))
-                run = []
-            else:
-                run.append(node.key)
-                stack.append(node.right)
-                stack.append(node.left)
-        out.append(tuple(runs))
+    for i, k in enumerate(keys):
+        rights = _arrangements(keys[i + 1:])
+        for left, left_runs in _arrangements(keys[:i]):
+            head = ((k,) + left_runs[0],) + left_runs[1:]
+            out.extend((f"({k} {left} {right})", head + runs) for right, runs in rights)
     return tuple(out)
 
 
-def opt_cost(
-    inst: Instance,
-    guard_n: int = DEFAULT_GUARD_N,
-    guard_m: int = DEFAULT_GUARD_M,
-) -> OptResult:
+def opt_cost(inst: Instance, guard_m: int = DEFAULT_GUARD_M) -> OptResult:
     """Exact minimum execution cost and one optimal execution achieving it."""
-    check_guards(inst.n, inst.m, guard_n, guard_m)
+    check_guards(inst.n, inst.m, guard_m)
     start = preorder(inst.initial)
     layer: dict[tuple[int, ...], int] = {start: 0}
-    # back[after] = (shape, (transition tree, its print))
-    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str]]]] = []
+    # back[after] = (shape, transition-tree print)
+    parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], str]]] = []
     per_layer: list[int] = []
     groups_per_layer: list[int] = []
     for x in inst.requests:
@@ -200,30 +188,30 @@ def opt_cost(
                     groups[group] = (dist, shape)
         groups_per_layer.append(len(groups))
         nxt: dict[tuple[int, ...], int] = {}
-        back: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Node, str]]] = {}
+        back: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
         for (q_keys, fill), (dist, shape) in groups.items():
             cand = dist + len(q_keys)
-            for after, rooted_pair in _group_moves(q_keys, fill, x):
+            for after, q_print in _group_moves(q_keys, fill, x):
                 known = nxt.get(after)
                 # Equal prints mean the same Q' and after-shape, so the same
                 # group, whose kept state is the first in layer order at its
                 # distance, as a per-state relaxation would choose.
                 if known is None or cand < known or (
-                    cand == known and rooted_pair[1] < back[after][1][1]
+                    cand == known and q_print < back[after][1]
                 ):
                     nxt[after] = cand
-                    back[after] = (shape, rooted_pair)
+                    back[after] = (shape, q_print)
         layer = nxt
         parents.append(back)
     best_shape = min(layer, key=lambda s: (layer[s], s))
     total = layer[best_shape]
-    # Reconstruct one optimal execution.
+    # Reconstruct one optimal execution: its m transition trees are the only
+    # trees the oracle builds.
     trees: list[Node] = []
     cur = best_shape
     for back in reversed(parents):
-        shape, (q_prime, _) = back[cur]
-        trees.append(q_prime)
-        cur = shape
+        cur, q_print = back[cur]
+        trees.append(parse_shape(q_print))
     trees.reverse()
     execution = Execution(tuple(trees))
     trace = validate(inst, execution)

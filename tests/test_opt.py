@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -17,18 +18,21 @@ from splaylab.model import (
 )
 from splaylab.opt import (
     GuardExceededError,
+    _arrangements,
     _group_moves,
     _groups,
-    _printed_rooted_shapes,
-    _slot_runs,
+    _rooted_prints,
     _splice,
+    check_guards,
     opt_cost,
 )
 from splaylab.tree import (
     InvariantError,
+    Node,
     all_shapes,
     bst_from_sequence,
     left_spine_tree,
+    parse_shape,
     path_nodes,
     preorder,
     rooted_shapes,
@@ -170,6 +174,40 @@ def reference_groups(shape, x):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _printed_rooted_shapes(keys: tuple[int, ...], x: int) -> tuple[tuple[Node, str], ...]:
+    """:func:`rooted_shapes` paired with their prints, the DP's tie-break;
+    each print is composed from those of the two sides."""
+    i = keys.index(x)
+    lefts = [shape_print(s) for s in shapes_on_keys(keys[:i])]
+    rights = [shape_print(s) for s in shapes_on_keys(keys[i + 1:])]
+    prints = (f"({x} {left} {right})" for left in lefts for right in rights)
+    return tuple(zip(rooted_shapes(keys, x), prints))
+
+
+@lru_cache(maxsize=None)
+def _slot_runs(keys: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each arrangement of ``keys`` in :func:`shapes_on_keys` order, its
+    preorder cut at its |keys| + 1 empty slots: run j holds the keys met
+    after slot j - 1 and before slot j."""
+    out = []
+    for arrangement in shapes_on_keys(keys):
+        runs: list[tuple[int, ...]] = []
+        run: list[int] = []
+        stack = [arrangement]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                runs.append(tuple(run))
+                run = []
+            else:
+                run.append(node.key)
+                stack.append(node.right)
+                stack.append(node.left)
+        out.append(tuple(runs))
+    return tuple(out)
+
+
 def per_state_transitions(shape, x):
     """The oracle's moves for one state, spliced per state and reduced to
     the cheapest (transition tree, print) pair per after-shape, ties to the
@@ -224,15 +262,15 @@ def per_state_opt_cost(inst):
 
 def cheapest_group_moves(shape, x):
     """The grouped moves of one state, reduced to the cheapest move per
-    after-shape, ties to the smaller print, as (after, Q', cost)."""
+    after-shape, ties to the smaller print, as (after, print of Q', cost)."""
     best = {}
     for q_keys, fill in _groups(shape, x):
         cost = len(q_keys)
-        for after, (q_prime, q_print) in _group_moves(q_keys, fill, x):
+        for after, q_print in _group_moves(q_keys, fill, x):
             old = best.get(after)
-            if old is None or (cost, q_print) < old[:2]:
-                best[after] = (cost, q_print, q_prime)
-    return [(k, q_prime, cost) for k, (cost, _, q_prime) in best.items()]
+            if old is None or (cost, q_print) < old:
+                best[after] = (cost, q_print)
+    return [(k, q_print, cost) for k, (cost, q_print) in best.items()]
 
 
 def assert_same_result(result, cost, execution):
@@ -267,14 +305,15 @@ class TestTransitions:
             for t in all_shapes(n):
                 shape = preorder(t)
                 for x in range(1, n + 1):
-                    assert cheapest_group_moves(shape, x) == list(
-                        reference_transitions(shape, x)
-                    )
+                    assert cheapest_group_moves(shape, x) == [
+                        (k, shape_print(q), c) for k, q, c in reference_transitions(shape, x)
+                    ]
+                    # Every move's after-shape, not only the cheapest, is
+                    # its printed Q' substituted into the state.
+                    t = bst_from_sequence(shape)
                     for q_keys, fill in _groups(shape, x):
-                        assert all(
-                            q_print == shape_print(q)
-                            for _, (q, q_print) in _group_moves(q_keys, fill, x)
-                        )
+                        for after, q_print in _group_moves(q_keys, fill, x):
+                            assert after == preorder(substitute(t, parse_shape(q_print)))
 
     def test_per_state_transitions_match_reference_exhaustive(self):
         for n in range(1, 7):
@@ -285,6 +324,35 @@ class TestTransitions:
                     assert [(k, q, c) for k, (q, _), c in moves] == list(
                         reference_transitions(shape, x)
                     )
+
+    def test_arrangements_match_trees(self):
+        # Each composed entry is the print and slot runs of the arrangement
+        # in the same place of shapes_on_keys, on 1..n and on keys 5, 8, ...
+        for n in range(9):
+            for keys in (tuple(range(1, n + 1)), tuple(range(5, 5 + 3 * n, 3))):
+                assert _arrangements(keys) == tuple(
+                    zip(map(shape_print, shapes_on_keys(keys)), _slot_runs(keys))
+                )
+
+    def test_rooted_prints_match_rooted_shapes(self):
+        for n in range(1, 9):
+            keys = tuple(range(1, n + 1))
+            for x in keys:
+                assert list(_rooted_prints(keys, x)) == [
+                    shape_print(q) for q in rooted_shapes(keys, x)
+                ]
+
+    def test_opt_cost_builds_no_arrangement_trees(self):
+        # A cold call fills no tree cache: its only trees are the m
+        # transition trees parsed from their prints.
+        for cached in (_groups, _group_moves, _rooted_prints, _arrangements):
+            cached.cache_clear()
+        shapes_on_keys.cache_clear()
+        rooted_shapes.cache_clear()
+        inst = make_random_instance(random.Random(6), 6, 6)
+        assert opt_cost(inst).cost >= inst.m
+        assert shapes_on_keys.cache_info().currsize == 0
+        assert rooted_shapes.cache_info().currsize == 0
 
     def test_rooted_shapes_are_the_filtered_arrangements(self):
         for n in range(1, 7):
@@ -410,6 +478,14 @@ class TestGuards:
         t = bst_from_sequence(range(8, 0, -1))
         monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", "1")
         assert opt_cost(Instance((8,), t)).cost >= 1
+
+    @pytest.mark.parametrize("value", ["0", "", "false", "yes"])
+    def test_only_one_lifts_the_guards(self, monkeypatch, value):
+        monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", value)
+        with pytest.raises(GuardExceededError):
+            check_guards(9, 20)
+        monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", "1")
+        check_guards(9, 20)
 
 
 class TestEliedOptimal:

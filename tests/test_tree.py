@@ -492,3 +492,38 @@ def test_no_unused_imports(module):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"names imported but never used in {module}: {unused}"
+
+
+def _private_names(stmt):
+    """The module-level ``_name`` (not dunder) names a statement defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_no_unread_private_names():
+    # A private helper that no module reads is left over from a deletion.
+    # Reads are name loads, attribute names and ``from .x import _name``;
+    # a definition reading itself, as a recursive helper does, is not one.
+    defined, read = {}, set()
+    for path in SOURCES.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            own = _private_names(stmt)
+            defined.update((name, f"{path.name}:{stmt.lineno}") for name in own)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    names = {node.attr}
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                else:
+                    continue
+                read |= names - own
+    unread = {name: where for name, where in defined.items() if name not in read}
+    assert unread == {}, f"private names no module reads: {unread}"
