@@ -310,7 +310,6 @@ class TestTransitions:
                     ]
                     # Every move's after-shape, not only the cheapest, is
                     # its printed Q' substituted into the state.
-                    t = bst_from_sequence(shape)
                     for q_keys, fill in _groups(shape, x):
                         for after, q_print in _group_moves(q_keys, fill, x):
                             assert after == preorder(substitute(t, parse_shape(q_print)))
