@@ -168,7 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except GuardExceededError as err:
         raise UsageError(
             f"--max-n must be at most {DEFAULT_GUARD_N} and --max-m at most {DEFAULT_GUARD_M},"
-            " the oracle's guards (SPLAYLAB_GUARD_OVERRIDE lifts them)"
+            " the oracle's guards (SPLAYLAB_GUARD_OVERRIDE=1 lifts them)"
         ) from err
     kwargs = {"seed": args.seed}
     if args.max_n is not None:

@@ -17,7 +17,7 @@ from . import __version__
 from .algorithms import access_cost, deque_run, run_totals
 from .families import generate, random_instance, random_tree, trial_rng
 from .model import Instance
-from .tree import bst_from_sequence, preorder, relabel
+from .tree import bst_from_sequence, preorder
 from .wilber import crossing_bound, splay_crossing_cost
 
 
@@ -141,7 +141,7 @@ def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
         # Seat the initial keys mid-range so pushed minima stay positive.
         base = random_tree(n, rng)
         offset = m + 1
-        t = relabel(base, {k: k + offset for k in range(1, n + 1)})
+        t = bst_from_sequence(k + offset for k in preorder(base))
         lo, hi = offset, offset + n + 1
         count = n
         ops = []

@@ -23,15 +23,15 @@ from .tree import (
     Node,
     Tree,
     all_shapes,
-    canonical_relabel,
+    canonical_preorder,
     frontier,
     is_right_spine,
     left_spine_tree,
     path_nodes,
     preorder,
-    relabel,
+    rebuild_path,
     root_subtree,
-    rotate,
+    rotate_path,
     shape_print,
     size,
     tree_keys,
@@ -153,15 +153,15 @@ def flatten_restricted(t: Node) -> list[tuple[int, int]]:
     rots: list[tuple[int, int]] = []
     while t.right is not None:
         rots.append((t.right.key, t.key))
-        t = rotate(t, t.right.key)
+        t = rotate_path((t, t.right))
     while t.left is not None:
         left = t.left
         while left.right is not None:
             rots.append((left.right.key, left.key))
-            t = rotate(t, left.right.key)
+            t = rotate_path((t, left, left.right))
             left = t.left
         rots.append((left.key, t.key))
-        t = rotate(t, left.key)
+        t = rotate_path((t, left))
     return rots
 
 
@@ -190,14 +190,11 @@ def _g4_paths() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
     return table
 
 
-def _g4_block(window: Node, target: Node) -> tuple[int, ...]:
-    """Keys of a shortest splay walk turning the four-node ``window`` into
-    ``target``, an arrangement of the same keys."""
-    canon_window, mapping = canonical_relabel(window)
-    canon_target = relabel(target, mapping)
-    inverse = {v: k for k, v in mapping.items()}
-    path = _g4_paths()[(preorder(canon_window), preorder(canon_target))]
-    return tuple(inverse[k] for k in path)
+def _g4_block(keys: Sequence[int], source: Node, target: Node) -> tuple[int, ...]:
+    """Keys of a shortest splay walk turning ``source`` into ``target``, two
+    arrangements of the four sorted ``keys``."""
+    canon = (canonical_preorder(source, keys), canonical_preorder(target, keys))
+    return tuple(keys[k - 1] for k in _g4_paths()[canon])
 
 
 def _splay_keys(t: Node, keys: Iterable[int]) -> tuple[Node, list[int]]:
@@ -225,26 +222,38 @@ def _grow_keys(t: Node, keys: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(selected))
 
 
-def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...], list[int]]:
-    """Splay keys inside a four-node top window to enact one restricted
-    rotation; returns the new tree, the splayed keys, and each splay's cost."""
-    window = root_subtree(t, _grow_keys(t, (n.key for n in path_nodes(t, key))))
-    block = _g4_block(window, rotate(window, key))
+def _window_block(
+    t: Node, keys: Iterable[int], after: Node
+) -> tuple[Node, tuple[int, ...], list[int]]:
+    """Splay a shortest walk of the four-node top window grown around the
+    root-connected ``keys`` from its arrangement in ``t`` to its arrangement
+    in ``after``; returns the new tree, the splayed keys, and each splay's
+    cost."""
+    window = _grow_keys(t, keys)
+    block = _g4_block(window, root_subtree(t, window), root_subtree(after, window))
     t, costs = _splay_keys(t, block)
     return t, block, costs
 
 
+def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...], list[int]]:
+    """Splay keys inside a four-node top window to enact one restricted
+    rotation, checking that the walk enacts exactly that rotation; returns
+    the new tree, the splayed keys, and each splay's cost."""
+    path = path_nodes(t, key)
+    expect = rotate_path(path)
+    t, block, costs = _window_block(t, (node.key for node in path), expect)
+    if t != expect:
+        raise InvariantError("window realization must enact exactly the rotation")
+    return t, block, costs
+
+
 def _realize_script(t: Node, script: Iterable[int]) -> tuple[Node, list[int], list[int]]:
-    """Realize restricted rotations one after another, checking that each
-    window walk enacts exactly its rotation; returns the final tree, the
-    splayed keys, and each splay's cost."""
+    """Realize restricted rotations one after another; returns the final
+    tree, the splayed keys, and each splay's cost."""
     keys: list[int] = []
     costs: list[int] = []
     for rot in script:
-        expect = rotate(t, rot)
         t, block, block_costs = realize_restricted_rotation(t, rot)
-        if t != expect:
-            raise InvariantError("window realization must enact exactly the rotation")
         keys.extend(block)
         costs.extend(block_costs)
     return t, keys, costs
@@ -309,9 +318,7 @@ def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[tuple[int, ...]
             block: tuple[int, ...] = (x,)
             landed, costs = _splay_keys(t, block)
         elif qsize <= 4:
-            window_keys = _grow_keys(t, tree_keys(q))
-            block = _g4_block(root_subtree(t, window_keys), root_subtree(step.after, window_keys))
-            landed, costs = _splay_keys(t, block)
+            landed, block, costs = _window_block(t, preorder(q), step.after)
         else:
             landed, keys, costs = _realize_script(t, restricted_rotation_script(q, q_prime))
             block = tuple(keys)
@@ -417,11 +424,10 @@ def simultaneous_transform4(source: Node, target: Node) -> tuple[int, ...]:
     and Move-to-Root simultaneously (four-node trees)."""
     if size(source) != 4 or tree_keys(source) != tree_keys(target):
         raise ValueError("simultaneous transforms are defined on equal four-key sets")
-    canon_target, mapping = canonical_relabel(target)
-    inverse = {v: k for k, v in mapping.items()}
+    keys = sorted(tree_keys(target))
     to_left = (1, 2, 3, 4)
-    seq = to_left + _simultaneous_table()[preorder(canon_target)]
-    return tuple(inverse[k] for k in seq)
+    seq = to_left + _simultaneous_table()[canonical_preorder(target, keys)]
+    return tuple(keys[k - 1] for k in seq)
 
 
 # ---------------------------------------------------------------------------
@@ -450,25 +456,23 @@ def _drop_extreme(t: Node, leftmost: bool) -> Tree:
         spine.append(t)
         t = child
         child = t.left if leftmost else t.right
-    out = t.right if leftmost else t.left
-    for p in reversed(spine):
-        out = Node(p.key, out, p.right) if leftmost else Node(p.key, p.left, out)
-    return out
+    return rebuild_path(spine, t.key, t.right if leftmost else t.left)
 
 
 def _frame_tree(core: Tree, a: int, b: int, z: int) -> Node:
     return Node(z, Node(b, Node(a), core), None)
 
 
-def _framed_rotation_keys(core: Node, rot_key: int, a: int, z: int) -> tuple[int, ...]:
-    """Top-down-splay keys inducing one restricted rotation inside the
-    framed subtree: root children use (key, a, z); grandchildren through the
-    left child use (a, key, a, z)."""
-    if not is_restricted_rotation(core, rot_key):
-        raise InvariantError(f"rotation at {rot_key} is not restricted")
-    if len(path_nodes(core, rot_key)) == 2:
-        return (rot_key, a, z)
-    return (a, rot_key, a, z)
+def _framed_rotation_keys(path: Sequence[Node], a: int, z: int) -> tuple[int, ...]:
+    """Top-down-splay keys inducing the restricted rotation at the end of
+    the access path ``path`` inside the framed subtree: root children use
+    (key, a, z); grandchildren through the left child use (a, key, a, z)."""
+    key = path[-1].key
+    if len(path) == 2:
+        return (key, a, z)
+    if len(path) == 3 and path[1] is path[0].left:
+        return (a, key, a, z)
+    raise InvariantError(f"rotation at {key} is not restricted")
 
 
 def _maneuver(x: int, a: int, b: int, z: int) -> tuple[int, ...]:
@@ -517,8 +521,9 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         before = root_subtree(core_now, span)
         after = root_subtree(core_target, span)
         for rot in restricted_rotation_script(before, after):
-            serve(_framed_rotation_keys(core_now, rot, a, z))
-            core_now = rotate(core_now, rot)
+            path = path_nodes(core_now, rot)
+            serve(_framed_rotation_keys(path, a, z))
+            core_now = rotate_path(path)
             if t != _frame_tree(core_now, a, b, z):
                 raise InvariantError("an induced rotation must keep the frame")
         if core_now != core_target:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Optional, Sequence
 
 
 class KeyAbsentError(KeyError):
@@ -148,7 +148,13 @@ def insert_leaf(t: Tree, key: int) -> Node:
             raise DuplicateKeyError(key)
         path.append(node)
         node = node.left if key < node.key else node.right
-    new: Node = Node(key)
+    return rebuild_path(path, key, Node(key))
+
+
+def rebuild_path(path: Sequence[Node], key: int, new: Tree) -> Tree:
+    """Rebuild the access path ``path`` (root first) bottom-up around
+    ``new``, which replaces the child of its last node on ``key``'s side;
+    returns ``new`` itself for an empty path."""
     for parent in reversed(path):
         if key < parent.key:
             new = Node(parent.key, new, parent.right)
@@ -206,12 +212,7 @@ def rotate_path(path: Sequence[Node]) -> Node:
         new = Node(x.key, x.left, Node(y.key, x.right, y.right))
     else:
         new = Node(x.key, Node(y.key, y.left, x.left), x.right)
-    for parent in reversed(path[:-2]):
-        if new.key < parent.key:
-            new = Node(parent.key, new, parent.right)
-        else:
-            new = Node(parent.key, parent.left, new)
-    return new
+    return rebuild_path(path[:-2], x.key, new)
 
 
 def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
@@ -425,28 +426,8 @@ def parse_shape(text: str) -> Tree:
     return sub
 
 
-def canonical_relabel(t: Tree) -> tuple[Tree, dict[int, int]]:
-    """Relabel keys to 1..n preserving symmetric order.  Returns the new tree
-    and the map from original keys to canonical ones."""
-    to_canonical = {k: i + 1 for i, k in enumerate(sorted(tree_keys(t)))}
-    return relabel(t, to_canonical), to_canonical
-
-
-def relabel(t: Tree, mapping: Mapping[int, int]) -> Tree:
-    """The same arrangement with every key ``k`` replaced by ``mapping[k]``."""
-    pre: list[Node] = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node is not None:
-            pre.append(node)
-            stack.append(node.right)
-            stack.append(node.left)
-    # Reversed preorder finishes every subtree before its parent, so the
-    # stack holds the left child's copy on top of the right child's.
-    built: list[Node] = []
-    for node in reversed(pre):
-        left = built.pop() if node.left is not None else None
-        right = built.pop() if node.right is not None else None
-        built.append(Node(mapping[node.key], left, right))
-    return built[0] if built else None
+def canonical_preorder(t: Tree, keys: Iterable[int]) -> tuple[int, ...]:
+    """The preorder of ``t`` with each key replaced by its rank, counting
+    from 1, in the sorted ``keys``."""
+    rank = {k: r for r, k in enumerate(sorted(keys), 1)}
+    return tuple(rank[k] for k in preorder(t))

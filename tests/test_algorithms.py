@@ -28,7 +28,7 @@ from splaylab.model import Instance, algorithm_trace, validate
 from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
-    canonical_relabel,
+    canonical_preorder,
     depth,
     left_spine_tree,
     path_encoding,
@@ -329,7 +329,8 @@ class TestPathBasedProperty:
                 x = rng.randint(1, n)
                 enc = path_encoding(t, x)
                 trace = algorithm_trace(Instance((x,), t), algo)
-                canon, _ = canonical_relabel(trace.steps[0].transition)
+                q_prime = trace.steps[0].transition
+                canon = canonical_preorder(q_prime, tree_keys(q_prime))
                 if (algo, enc) in seen:
                     assert seen[(algo, enc)] == canon
                 else:

@@ -398,6 +398,12 @@ class TestCli:
     def test_unknown_conjecture_exit_2(self, capsys):
         _assert_usage_error(["probe", "--conjecture", "nope"], capsys)
 
+    @pytest.mark.parametrize("case", ["verify-max-n-beyond-guard", "verify-max-m-beyond-guard"])
+    def test_guard_error_names_the_override_value(self, capsys, case):
+        # Only the value 1 lifts the guards, so the message must say it.
+        assert main(USAGE_ERRORS[case]) == 2
+        assert "SPLAYLAB_GUARD_OVERRIDE=1 lifts them" in capsys.readouterr().err
+
     def test_guard_override_lifts_the_verify_bounds(self, monkeypatch, capsys):
         monkeypatch.setenv("SPLAYLAB_GUARD_OVERRIDE", "1")
         assert main(["verify", "--suite", "g4", "--max-n", "8", "--max-m", "9"]) == 0

@@ -1,12 +1,16 @@
 """Transformation machinery: digraphs, restricted rotations, splay-realized
 transforms, embeddings, and the repetition construction."""
 
+import random
+
 import pytest
 
+import splaylab.transforms
+import splaylab.tree
 from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
 from splaylab.families import random_tree
 from splaylab.model import Execution, Instance, smallest_root_subtree, validate
-from splaylab.suites import _is_subsequence
+from splaylab.suites import _is_subsequence, random_execution
 from splaylab.transforms import (
     TransformUnreachableError,
     _strip_frame,
@@ -125,6 +129,51 @@ class TestRealizeRotation:
             assert out == rotate(t, key)
             assert len(keys) <= 5
             assert sum(costs) <= 20
+
+
+def _count_walks(monkeypatch):
+    """Count the access-path walks made from now on, through the tree
+    module's ``path_nodes`` as every caller reaches it."""
+    walks = []
+
+    def counted_path_nodes(t, key):
+        walks.append(key)
+        return path_nodes(t, key)
+
+    monkeypatch.setattr(splaylab.tree, "path_nodes", counted_path_nodes)
+    monkeypatch.setattr(splaylab.transforms, "path_nodes", counted_path_nodes)
+    return walks
+
+
+class TestOneWalkPerRotation:
+    def test_transform_sequence_walks_once_per_realized_rotation(self, monkeypatch):
+        rng = random.Random(3)
+        s, t = random_tree(16, rng), random_tree(16, rng)
+        walks = _count_walks(monkeypatch)
+        plan = transform_sequence(s, t)
+        assert plan.rotation_count == 55
+        assert len(walks) == plan.rotation_count
+        monkeypatch.undo()
+        assert replay(plan) == t
+
+    def test_topdown_embedding_walks_once_per_framed_rotation(self, monkeypatch):
+        rng = random.Random(11)
+        inst = make_random_instance(rng, 12, 6)
+        e = random_execution(rng, inst)
+        framed = []
+        framed_rotation_keys = splaylab.transforms._framed_rotation_keys
+
+        def counted_framed_rotation_keys(path, a, z):
+            framed.append(path[-1].key)
+            return framed_rotation_keys(path, a, z)
+
+        monkeypatch.setattr(
+            splaylab.transforms, "_framed_rotation_keys", counted_framed_rotation_keys
+        )
+        walks = _count_walks(monkeypatch)
+        topdown_embedding(inst, e)
+        assert len(framed) == 70
+        assert len(walks) == len(framed)
 
 
 class TestTransformSequence:

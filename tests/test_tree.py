@@ -17,7 +17,7 @@ from splaylab.tree import (
     SymmetricOrderError,
     all_shapes,
     bst_from_sequence,
-    canonical_relabel,
+    canonical_preorder,
     insert_leaf,
     left_spine_tree,
     frontier,
@@ -26,7 +26,7 @@ from splaylab.tree import (
     path_nodes,
     postorder,
     preorder,
-    relabel,
+    rebuild_path,
     right_spine_tree,
     root_subtree,
     rotate,
@@ -427,27 +427,32 @@ class TestPrintForms:
         assert shape_print(right_spine_tree([1, 2])) == "(1 . (2 . .))"
 
 
-class TestRelabel:
-    def test_canonicalizes_to_dense_keys(self):
+class TestCanonicalPreorder:
+    def test_ranks_in_the_sorted_keys(self):
         t = bst_from_sequence([20, 7, 93])
-        canon, mapping = canonical_relabel(t)
-        assert preorder(canon) == (2, 1, 3)
-        assert mapping == {7: 1, 20: 2, 93: 3}
+        assert canonical_preorder(t, [93, 20, 7]) == (2, 1, 3)
+        assert canonical_preorder(t.left, [7, 20, 93]) == (1,)
 
-    def test_relabel_keeps_the_arrangement(self):
+    def test_shifted_shapes_keep_their_preorder(self):
         for n in range(0, 6):
             for t in all_shapes(n):
-                shifted = relabel(t, {k: 10 * k for k in range(1, n + 1)})
-                assert preorder(shifted) == tuple(10 * k for k in preorder(t))
-                assert canonical_relabel(shifted)[0] == t
+                shifted = bst_from_sequence(10 * k for k in preorder(t))
+                keys = tree_keys(shifted)
+                assert canonical_preorder(shifted, keys) == preorder(t)
 
     def test_deep_spines(self):
         # Spines far deeper than the recursion limit.
         n = 20_000
-        spine = left_spine_tree(range(1, n + 1))
-        shifted = relabel(spine, {k: k + 5 for k in range(1, n + 1)})
-        assert shifted == left_spine_tree(range(6, n + 6))
-        assert canonical_relabel(shifted) == (spine, {k + 5: k for k in range(1, n + 1)})
+        shifted = left_spine_tree(range(6, n + 6))
+        expect = preorder(left_spine_tree(range(1, n + 1)))
+        assert canonical_preorder(shifted, range(6, n + 6)) == expect
+
+
+class TestRebuildPath:
+    def test_empty_path_returns_the_subtree(self):
+        t = bst_from_sequence([2, 1, 3])
+        assert rebuild_path([], 5, t) is t
+        assert rebuild_path((), 5, None) is None
 
 
 class TestFrontier:
@@ -475,9 +480,7 @@ def test_no_bare_asserts(module):
     assert found == [], f"assert statements in {module} at lines {found}"
 
 
-@pytest.mark.parametrize(
-    "module", sorted(p.name for p in SOURCES.glob("*.py") if p.name != "__init__.py")
-)
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCES.glob("*.py")))
 def test_no_unused_imports(module):
     # No linter runs in CI, so an import left behind by a deletion shows here.
     tree = ast.parse((SOURCES / module).read_text())
