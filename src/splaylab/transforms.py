@@ -132,12 +132,10 @@ def shortest_path(g: TransitionDigraph, s: Node, t: Node) -> tuple[int, ...]:
 # Restricted rotations and flattening.
 
 
-def is_restricted_rotation(t: Node, key: int) -> bool:
-    """True when the key's parent is the root or the root's left child."""
-    path = path_nodes(t, key)
-    if len(path) == 2:
-        return True
-    return len(path) == 3 and path[1] is path[0].left
+def is_restricted_path(path: Sequence[Node]) -> bool:
+    """True when the access path ``path`` ends at a node whose parent is the
+    root or the root's left child, so rotating that node is restricted."""
+    return len(path) == 2 or (len(path) == 3 and path[1] is path[0].left)
 
 
 def flatten_restricted(t: Node) -> list[tuple[int, int]]:
@@ -240,6 +238,8 @@ def realize_restricted_rotation(t: Node, key: int) -> tuple[Node, tuple[int, ...
     rotation, checking that the walk enacts exactly that rotation; returns
     the new tree, the splayed keys, and each splay's cost."""
     path = path_nodes(t, key)
+    if not is_restricted_path(path):
+        raise ValueError(f"rotation at {key} is not restricted")
     expect = rotate_path(path)
     t, block, costs = _window_block(t, (node.key for node in path), expect)
     if t != expect:
@@ -468,11 +468,9 @@ def _framed_rotation_keys(path: Sequence[Node], a: int, z: int) -> tuple[int, ..
     the access path ``path`` inside the framed subtree: root children use
     (key, a, z); grandchildren through the left child use (a, key, a, z)."""
     key = path[-1].key
-    if len(path) == 2:
-        return (key, a, z)
-    if len(path) == 3 and path[1] is path[0].left:
-        return (a, key, a, z)
-    raise InvariantError(f"rotation at {key} is not restricted")
+    if not is_restricted_path(path):
+        raise InvariantError(f"rotation at {key} is not restricted")
+    return (key, a, z) if len(path) == 2 else (a, key, a, z)
 
 
 def _maneuver(x: int, a: int, b: int, z: int) -> tuple[int, ...]:

@@ -11,7 +11,6 @@ arrangement.  The empty tree is ``None``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import AbstractSet, Iterable, Optional, Sequence
 
@@ -40,13 +39,32 @@ class InvariantError(AssertionError):
     """An internal invariant failed; checked explicitly, so also under -O."""
 
 
-@dataclass(frozen=True, eq=False, slots=True)
 class Node:
     """One node of an immutable binary search tree."""
 
+    # Not a frozen dataclass: its generated ``__init__`` calls
+    # ``object.__setattr__`` once per field, and every access, rotation and
+    # substitution builds d + 1 nodes.
+    __slots__ = ("key", "left", "right")
+
     key: int
-    left: Optional["Node"] = None
-    right: Optional["Node"] = None
+    left: Tree
+    right: Tree
+
+    def __init__(self, key: int, left: Tree = None, right: Tree = None) -> None:
+        _set_key(self, key)
+        _set_left(self, left)
+        _set_right(self, right)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: Node is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: Node is immutable")
+
+    def __reduce__(self) -> tuple[type, tuple[int, Tree, Tree]]:
+        # pickle and copy rebuild through __init__, never through setattr.
+        return (Node, (self.key, self.left, self.right))
 
     # Structural equality and hashing are iterative: spines can be tens of
     # thousands of nodes deep, far past the recursion limit.
@@ -72,6 +90,12 @@ class Node:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({shape_print(self)})"
 
+
+# The slot descriptors' setters, bound once; ``Node.__init__`` stores through
+# them because ``Node.__setattr__`` refuses every assignment.
+_set_key = Node.key.__set__
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
 
 Tree = Optional[Node]
 

@@ -19,7 +19,7 @@ from splaylab.transforms import (
     diameter,
     embedding_blocks,
     flatten_restricted,
-    is_restricted_rotation,
+    is_restricted_path,
     realize_restricted_rotation,
     replay,
     shortest_path,
@@ -30,6 +30,7 @@ from splaylab.transforms import (
     universal_transform,
 )
 from splaylab.tree import (
+    InvariantError,
     Node,
     all_shapes,
     bst_from_sequence,
@@ -83,7 +84,7 @@ class TestFlatten:
             assert len(rots) <= 8
             cur = t
             for key, parent in rots:
-                assert is_restricted_rotation(cur, key)
+                assert is_restricted_path(path_nodes(cur, key))
                 path_parent = _parent_of(cur, key)
                 assert path_parent == parent
                 cur = rotate(cur, key)
@@ -97,7 +98,7 @@ class TestFlatten:
                 assert len(rots) <= 2 * n
                 cur = t
                 for key, _ in rots:
-                    assert is_restricted_rotation(cur, key)
+                    assert is_restricted_path(path_nodes(cur, key))
                     cur = rotate(cur, key)
                 assert is_right_spine(cur)
 
@@ -129,6 +130,19 @@ class TestRealizeRotation:
             assert out == rotate(t, key)
             assert len(keys) <= 5
             assert sum(costs) <= 20
+
+    @pytest.mark.parametrize("tree", [left_spine_tree(range(1, 8)), right_spine_tree(range(1, 8))])
+    def test_unrestricted_rotation_is_rejected(self, tree):
+        # Key 3 sits four levels down the left spine and is the right child
+        # of the root's right child on the right spine: neither rotation is
+        # restricted, so no window is grown.
+        with pytest.raises(ValueError, match="rotation at 3 is not restricted"):
+            realize_restricted_rotation(tree, 3)
+
+    def test_framed_keys_reject_unrestricted_paths(self):
+        path = path_nodes(right_spine_tree(range(1, 8)), 3)
+        with pytest.raises(InvariantError, match="rotation at 3 is not restricted"):
+            splaylab.transforms._framed_rotation_keys(path, 1, 7)
 
 
 def _count_walks(monkeypatch):

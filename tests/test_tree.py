@@ -2,6 +2,8 @@
 subtree extraction and substitution, shape enumeration."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,50 @@ def naive_insertion_tree(keys):
             t = insert_leaf(t, k)
             seen.add(k)
     return t
+
+
+NODE_SHAPES = [
+    "(1 . .)",
+    "(2 (1 . .) (3 . .))",
+    "(4 (2 (1 . .) (3 . .)) (6 (5 . .) (7 . .)))",
+    "(5 (1 . (3 (2 . .) (4 . .))) .)",
+]
+
+
+class TestNode:
+    @pytest.mark.parametrize("shape", NODE_SHAPES)
+    def test_pickle_and_copy_round_trip(self, shape):
+        t = parse_shape(shape)
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert type(clone) is Node
+            assert clone == t
+            assert hash(clone) == hash(t)
+
+    @pytest.mark.parametrize("name", ["key", "left", "right", "other"])
+    def test_assignment_and_deletion_raise(self, name):
+        t = Node(2, Node(1), Node(3))
+        with pytest.raises(AttributeError):
+            setattr(t, name, Node(4))
+        with pytest.raises(AttributeError):
+            delattr(t, name)
+        assert t == Node(2, Node(1), Node(3))
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Node(1), "__dict__")
+
+    def test_keyword_and_positional_construction_agree(self):
+        for t in all_shapes(4):
+            assert Node(t.key, t.left, t.right) == Node(key=t.key, left=t.left, right=t.right)
+
+    def test_children_default_to_none(self):
+        t = Node(5)
+        assert (t.key, t.left, t.right) == (5, None, None)
+
+    def test_equal_trees_hash_equal(self):
+        for a in all_shapes(5):
+            b = bst_from_sequence(preorder(a))
+            assert a is not b and a == b
+            assert hash(a) == hash(b)
 
 
 class TestConstruction:
