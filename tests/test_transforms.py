@@ -135,7 +135,7 @@ class TestRealizeRotation:
     def test_unrestricted_rotation_is_rejected(self, tree):
         # Key 3 sits four levels down the left spine and is the right child
         # of the root's right child on the right spine: neither rotation is
-        # restricted, so no window is grown.
+        # restricted.
         with pytest.raises(ValueError, match="rotation at 3 is not restricted"):
             realize_restricted_rotation(tree, 3)
 
