@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import AbstractSet, Iterable, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Optional, Sequence
 
 
 class KeyAbsentError(KeyError):
@@ -62,9 +62,21 @@ class Node:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: Node is immutable")
 
-    def __reduce__(self) -> tuple[type, tuple[int, Tree, Tree]]:
-        # pickle and copy rebuild through __init__, never through setattr.
-        return (Node, (self.key, self.left, self.right))
+    def __reduce__(self) -> tuple[Callable[..., Tree], tuple[tuple[Optional[int], ...]]]:
+        # pickle and copy get a flat preorder, None marking each empty
+        # child, and rebuild through __init__ in one loop: recursing through
+        # the children would overflow the stack on deep spines.
+        marked: list[Optional[int]] = []
+        stack: list[Tree] = [self]
+        while stack:
+            node = stack.pop()
+            if node is None:
+                marked.append(None)
+            else:
+                marked.append(node.key)
+                stack.append(node.right)
+                stack.append(node.left)
+        return (_from_marked_preorder, (tuple(marked),))
 
     # Structural equality and hashing are iterative: spines can be tens of
     # thousands of nodes deep, far past the recursion limit.
@@ -98,6 +110,19 @@ _set_left = Node.left.__set__
 _set_right = Node.right.__set__
 
 Tree = Optional[Node]
+
+
+def _from_marked_preorder(marked: Sequence[Optional[int]]) -> Tree:
+    """The tree whose preorder, with None for each empty child, is
+    ``marked``: read backwards, each key's two subtrees are already built."""
+    stack: list[Tree] = []
+    for key in reversed(marked):
+        if key is None:
+            stack.append(None)
+        else:
+            left = stack.pop()
+            stack.append(Node(key, left, stack.pop()))
+    return stack.pop()
 
 
 def size(t: Tree) -> int:

@@ -120,62 +120,117 @@ def recency_treap(inst: Instance, upto: int) -> Tree:
 # Wilber's original backward-scan score.
 
 
-def wilber_score(x_seq: Sequence[int], i: int) -> int:
-    """Backward scan from access ``i`` (1-based): walk crossing accesses of
-    strictly decreasing access number, alternating sides of the requested
-    key, narrowing the window at each step by the inside key.  Returns one
-    less than the number of crossing keys found; 0 for the first access.
+def wilber_scores(x_seq: Sequence[int]) -> Iterator[int]:
+    """Wilber's backward-scan score of each access in turn.
+
+    The scan from access i walks crossing accesses of strictly decreasing
+    access number, alternating sides of the requested key x, narrowing the
+    window at each step by the inside key; the score is one less than the
+    number of crossing keys found, 0 for the first access.  One forward pass
+    keeps each key's latest access time in a max segment tree over the
+    sorted distinct keys, so each crossing costs O(log n): every key of the
+    current window was last accessed before the current crossing access, and
+    the next one is the window's latest access time.
     """
-    if not 1 <= i <= len(x_seq):
-        raise IndexError(i)
-    if i == 1:
-        return 0
-    x = x_seq[i - 1]
-    last_access: dict[int, int] = {}
-    for j in range(i - 1):
-        last_access[x_seq[j]] = j + 1
-    c = i - 1
-    w = x_seq[c - 1]
-    found = 1
-    if w == x:
-        return 0
-    v: float = NEG_INF if w > x else POS_INF
-    while True:
-        # Next crossing access: the latest access before c to a key between
-        # x (inclusive) and the previous inside key (exclusive).
-        c_next = 0
-        w_next: Optional[int] = None
-        for j in range(c - 1, 0, -1):
-            k = x_seq[j - 1]
-            if (x <= k < v) if v > x else (v < k <= x):
-                c_next, w_next = j, k
+    rank = {k: r for r, k in enumerate(sorted(set(x_seq)))}
+    top = len(rank) - 1
+    size = 1 << max(top, 0).bit_length()
+    latest = [0] * (2 * size)  # 0: not accessed yet
+    if x_seq:
+        yield 0
+    for c in range(1, len(x_seq)):
+        w, x = x_seq[c - 1], x_seq[c]
+        # Access c (1-based) is the newest, so it tops every node above w.
+        j = size + rank[w]
+        while j:
+            latest[j] = c
+            j >>= 1
+        if w == x:
+            yield 0
+            continue
+        p = rank[x]
+        right = w > x  # the side of the current crossing key
+        lo, hi = (0, p) if right else (p, top)
+        found = 1
+        while True:
+            # Next crossing access: the latest access to a key of the window,
+            # x inclusive, on the side away from w.
+            c_next = _range_max(latest, size, lo, hi)
+            if c_next == 0:
                 break
-        if w_next is None:
-            return found - 1
-        found += 1
-        if w_next == x:
-            return found - 1
-        # Inside key: nearest to x on the crossing key's side whose latest
-        # access falls in the window (c_next, c].
-        best: Optional[int] = None
-        for k, b in last_access.items():
-            if k == x or (k > x) != (w > x):
-                continue
-            if c_next < b <= c:
-                if best is None or abs(k - x) < abs(best - x):
-                    best = k
-        if best is None:
-            raise InvariantError("the crossing key itself is always eligible")
-        v = best
-        c, w = c_next, w_next
+            found += 1
+            if x_seq[c_next - 1] == x:
+                break
+            # Inside key: nearest to x on the crossing key's side whose
+            # latest access falls after c_next; the crossing key itself does,
+            # and no key between it and x was accessed after it.
+            above = _first_above if right else _last_above
+            q = above(latest, size, p, c_next)
+            if q is None:
+                raise InvariantError("the crossing key itself is always eligible")
+            lo, hi = (p, q - 1) if right else (q + 1, p)
+            right = not right
+        yield found - 1
+
+
+def _range_max(tree: list[int], size: int, lo: int, hi: int) -> int:
+    """Largest value among leaves ``lo..hi`` of the segment tree ``tree``."""
+    best = 0
+    lo += size
+    hi += size + 1
+    while lo < hi:
+        if lo & 1:
+            if tree[lo] > best:
+                best = tree[lo]
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            if tree[hi] > best:
+                best = tree[hi]
+        lo >>= 1
+        hi >>= 1
+    return best
+
+
+def _first_above(tree: list[int], size: int, p: int, floor: int) -> Optional[int]:
+    """First leaf after ``p`` whose value exceeds ``floor``, or None."""
+    j = size + p + 1
+    if j == 2 * size:
+        return None
+    while True:
+        while not j & 1:
+            j >>= 1
+        if tree[j] > floor:
+            while j < size:
+                j <<= 1
+                if tree[j] <= floor:
+                    j += 1
+            return j - size
+        j += 1
+        if not j & (j - 1):
+            return None
+
+
+def _last_above(tree: list[int], size: int, p: int, floor: int) -> Optional[int]:
+    """Last leaf before ``p`` whose value exceeds ``floor``, or None."""
+    j = size + p
+    while True:
+        if not j & (j - 1):
+            return None
+        j -= 1
+        while j > 1 and j & 1:
+            j >>= 1
+        if tree[j] > floor:
+            while j < size:
+                j = 2 * j + 1
+                if tree[j] <= floor:
+                    j -= 1
+            return j - size
 
 
 def sequence_crossing_bound(x_seq: Sequence[int]) -> int:
     """Wilber's original bound: the request count plus the summed scores."""
-    m = len(x_seq)
-    if m == 0:
-        return 0
-    return m + sum(wilber_score(x_seq, i) for i in range(1, m + 1))
+    return len(x_seq) + sum(wilber_scores(x_seq))
 
 
 def crossing_bound_from_insertion_tree(x_seq: Sequence[int]) -> int:

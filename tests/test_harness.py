@@ -16,7 +16,7 @@ from splaylab.families import UnknownFamilyError, generate
 from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
 from splaylab.tree import KeyAbsentError, all_shapes, left_spine_tree, shape_print, size
-from splaylab.wilber import FormulaViolation
+from splaylab.wilber import FormulaViolation, crossing_bound_from_insertion_tree
 
 
 class TestFamilies:
@@ -464,6 +464,17 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "instance,m,n,cost_splay,lambda,lambda_prime,zeta,opt"
         assert len(lines) == 2
+
+    def test_lambda2_column_at_scale_meets_the_insertion_tree_identity(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        main(["gen", "--family", "random", "--n", "4000", "--m", "4000", "--seed", "1", "--out", str(out)])
+        capsys.readouterr()
+        assert main(["run", "--instance", str(out), "--report", "lambda2"]) == 0
+        requests = generate("random", n=4000, m=4000, seed=1).instance.requests
+        lam2 = crossing_bound_from_insertion_tree(requests) - len(set(requests)) + 1
+        assert capsys.readouterr().out.splitlines() == [
+            "instance,m,n,algo,lambda2", f"r.txt,4000,4000,splay,{lam2}",
+        ]
 
     def test_opt_report(self, tmp_path, capsys):
         out = tmp_path / "inst.txt"

@@ -131,6 +131,19 @@ class TestNode:
             assert clone == t
             assert hash(clone) == hash(t)
 
+    def test_deep_spine_round_trips(self):
+        t = left_spine_tree(range(1, 20_001))
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert type(clone) is Node and clone is not t
+            assert clone == t
+            assert size(clone) == 20_000
+
+    def test_round_trip_keeps_a_tree_out_of_symmetric_order(self):
+        t = Node(1, Node(5, None, Node(5)), Node(0, None, Node(9)))
+        for clone in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+            assert clone == t
+            assert preorder(clone) == (1, 5, 5, 0, 9)
+
     @pytest.mark.parametrize("name", ["key", "left", "right", "other"])
     def test_assignment_and_deletion_raise(self, name):
         t = Node(2, Node(1), Node(3))

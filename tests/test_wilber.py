@@ -3,13 +3,15 @@ formulations, the splay cost decomposition, and the window decomposition."""
 
 import dataclasses
 import itertools
+import random
 
 import pytest
 from splaylab.algorithms import move_to_root
-from splaylab.families import random_tree
+from splaylab.families import generate, random_tree
 from splaylab.model import Instance
 from splaylab.suites import SuiteFailure, _lift_tables, _window_walk
 from splaylab.tree import (
+    InvariantError,
     Node,
     all_shapes,
     bst_from_sequence,
@@ -26,6 +28,7 @@ from splaylab.wilber import (
     check_level_witness,
     check_window_state,
     crossing_bound,
+    crossing_bound_from_insertion_tree,
     crossing_bounds,
     crossing_keys_on_path,
     generalized_path_keys,
@@ -36,7 +39,7 @@ from splaylab.wilber import (
     splay_crossing_cost,
     validate_level_formulas,
     walk_sequences,
-    wilber_score,
+    wilber_scores,
     window_decompose,
 )
 
@@ -136,8 +139,64 @@ class TestSplayDecomposition:
         assert splay_crossing_cost(inst) == 8
 
 
+def wilber_score(x_seq, i):
+    """Reference: Wilber's backward scan from access ``i`` (1-based), as the
+    definition reads.  Walk crossing accesses of strictly decreasing access
+    number, alternating sides of the requested key, narrowing the window at
+    each step by the inside key.  Returns one less than the number of
+    crossing keys found; 0 for the first access.  Rebuilds the prefix's last
+    access times and rescans them per crossing, so it is quadratic in m."""
+    if not 1 <= i <= len(x_seq):
+        raise IndexError(i)
+    if i == 1:
+        return 0
+    x = x_seq[i - 1]
+    last_access = {}
+    for j in range(i - 1):
+        last_access[x_seq[j]] = j + 1
+    c = i - 1
+    w = x_seq[c - 1]
+    found = 1
+    if w == x:
+        return 0
+    v = float("-inf") if w > x else float("inf")
+    while True:
+        # Next crossing access: the latest access before c to a key between
+        # x (inclusive) and the previous inside key (exclusive).
+        c_next = 0
+        w_next = None
+        for j in range(c - 1, 0, -1):
+            k = x_seq[j - 1]
+            if (x <= k < v) if v > x else (v < k <= x):
+                c_next, w_next = j, k
+                break
+        if w_next is None:
+            return found - 1
+        found += 1
+        if w_next == x:
+            return found - 1
+        # Inside key: nearest to x on the crossing key's side whose latest
+        # access falls in the window (c_next, c].
+        best = None
+        for k, b in last_access.items():
+            if k == x or (k > x) != (w > x):
+                continue
+            if c_next < b <= c:
+                if best is None or abs(k - x) < abs(best - x):
+                    best = k
+        if best is None:
+            raise InvariantError("the crossing key itself is always eligible")
+        v = best
+        c, w = c_next, w_next
+
+
+def assert_scores_match_reference(seq):
+    assert list(wilber_scores(seq)) == [wilber_score(seq, i) for i in range(1, len(seq) + 1)], seq
+
+
 class TestBackwardScan:
     def test_first_access_scores_zero(self):
+        assert next(wilber_scores((5, 2, 5))) == 0
         assert wilber_score((5, 2, 5), 1) == 0
 
     def test_lambda2_single_request(self):
@@ -148,13 +207,15 @@ class TestBackwardScan:
 
     def test_empty_sequence(self):
         assert sequence_crossing_bound(()) == 0
+        assert list(wilber_scores(())) == []
 
     def test_terminates_on_long_sequences(self, rng):
         for _ in range(200):
             m = rng.randint(1, 12)
             seq = tuple(rng.randint(1, 8) for _ in range(m))
-            for i in range(1, m + 1):
-                assert wilber_score(seq, i) >= 0
+            scores = list(wilber_scores(seq))
+            assert len(scores) == m
+            assert min(scores) >= 0
 
     def test_equivalence_identity_exhaustive_small(self):
         for keycount in range(1, 4):
@@ -164,6 +225,32 @@ class TestBackwardScan:
                     assert sequence_crossing_bound(seq) == (
                         crossing_bound(Instance(seq, t)) - size(t) + 1
                     )
+
+    def test_scores_match_reference_exhaustive(self):
+        for keycount in range(1, 5):
+            for m in range(7):
+                for seq in itertools.product(range(1, keycount + 1), repeat=m):
+                    assert_scores_match_reference(seq)
+
+    def test_scores_match_reference_seeded(self):
+        rng = random.Random(20)
+        for m in [rng.randint(1, 60) for _ in range(300)] + [100, 200, 300, 500]:
+            for keys in (3, 20, 1000):
+                assert_scores_match_reference([rng.randint(1, keys) for _ in range(m)])
+
+    @pytest.mark.parametrize("family,params", [
+        ("random", {"n": 1000, "m": 500, "seed": 3}),
+        ("sequential", {"n": 500}),
+        ("mtr-bad", {"n": 300}),
+        ("traversal", {"n": 500, "seed": 2}),
+    ])
+    def test_scores_match_reference_on_families(self, family, params):
+        assert_scores_match_reference(generate(family, **params).instance.requests)
+
+    def test_sequential_at_scale_meets_the_insertion_tree_identity(self):
+        n = 20_000
+        requests = generate("sequential", n=n).instance.requests
+        assert sequence_crossing_bound(requests) == crossing_bound_from_insertion_tree(requests) - n + 1
 
 
 class TestCrossingBounds:
