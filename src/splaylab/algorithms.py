@@ -215,75 +215,45 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
             if arg is None:
                 raise ValueError(f"{op} needs a key")
             if t is not None:
-                if op == "push" and arg >= _min_key(t):
-                    raise ValueError(f"push key {arg} is not a new minimum")
-                if op == "inject" and arg <= _max_key(t):
-                    raise ValueError(f"inject key {arg} is not a new maximum")
-            grown = insert_leaf(t, arg)
-            t, rec = splay(grown, arg)
+                end = _spine_end(t, op == "push")[0]
+                if arg >= end if op == "push" else arg <= end:
+                    extreme = "minimum" if op == "push" else "maximum"
+                    raise ValueError(f"{op} key {arg} is not a new {extreme}")
+            t, rec = splay(insert_leaf(t, arg), arg)
             total += rec.cost
         elif op in ("pop", "eject"):
             if t is None:
                 raise EmptyDequeError(op)
-            if t.left is None and t.right is None:
+            inward = _spine_end(t, op == "pop")[1]
+            if inward is None:
                 total += 1  # splaying the extremum at the root
                 t = None
                 continue
-            if op == "pop":
-                low = _min_key(t)
-                succ = _successor(t, low)
-                t, rec = splay(t, succ)
-                total += rec.cost
-                t = Node(t.key, None, t.right)  # left subtree is exactly the minimum
-            else:
-                high = _max_key(t)
-                pred = _predecessor(t, high)
-                t, rec = splay(t, pred)
-                total += rec.cost
-                t = Node(t.key, t.left, None)
+            t, rec = splay(t, inward)
+            total += rec.cost
+            # The detached side of the new root is exactly the extremum.
+            t = Node(t.key, None, t.right) if op == "pop" else Node(t.key, t.left, None)
         else:
             raise ValueError(f"unknown deque op {op!r}")
     return t, total
 
 
-def _min_key(t: Node) -> int:
-    while t.left is not None:
-        t = t.left
-    return t.key
-
-
-def _max_key(t: Node) -> int:
-    while t.right is not None:
-        t = t.right
-    return t.key
-
-
-def _successor(t: Node, key: int) -> int:
-    succ = None
-    node: Tree = t
-    while node is not None:
-        if node.key > key:
-            succ = node.key
-            node = node.left
-        else:
-            node = node.right
-    if succ is None:
-        raise KeyAbsentError(f"{key} has no successor")
-    return succ
-
-
-def _predecessor(t: Node, key: int) -> int:
-    pred = None
-    node: Tree = t
-    while node is not None:
-        if node.key < key:
-            pred = node.key
-            node = node.right
-        else:
-            node = node.left
-    if pred is None:
-        raise KeyAbsentError(f"{key} has no predecessor")
-    return pred
+def _spine_end(t: Node, leftmost: bool) -> tuple[int, Optional[int]]:
+    """The key at the end of the outer spine, left for the minimum, right
+    for the maximum, and the next key inward from it, found on one walk
+    down: the nearest key of its inner subtree, else its parent's.  The
+    inward key is None when ``t`` is one node."""
+    outer, inner = ("left", "right") if leftmost else ("right", "left")
+    parent = None
+    node = t
+    while (child := getattr(node, outer)) is not None:
+        parent, node = node, child
+    near = getattr(node, inner)
+    if near is None:
+        return node.key, None if parent is None else parent.key
+    while (child := getattr(near, outer)) is not None:
+        near = child
+    return node.key, near.key
 
 
 def parse_deque_script(text: str) -> list[tuple[str, Optional[int]]]:

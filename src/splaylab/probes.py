@@ -12,10 +12,11 @@ from __future__ import annotations
 import io
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
 from .algorithms import access_cost, deque_run, run_totals
-from .families import generate, random_instance, random_tree, trial_rng
+from .families import FamilyInstance, generate, random_instance, random_tree, trial_rng
 from .model import Instance
 from .tree import bst_from_sequence, preorder
 from .wilber import crossing_bound, splay_crossing_cost
@@ -74,68 +75,58 @@ def _random_subsequence(rng: random.Random, x: tuple[int, ...]) -> tuple[int, ..
 
 def probe(conjecture: str, trials: int, n: int, m: int, seed: int) -> ProbeReport:
     try:
-        run = PROBES[conjecture]
+        spec = PROBES[conjecture]
     except KeyError:
         raise UnknownConjectureError(conjecture) from None
-    return run(trials, n, m, seed)
+    given = {"trials": trials, "n": n, "m": m, "seed": seed}
+    params = {name: given[name] for name in spec.params}
+    return ProbeReport(conjecture, params, spec.columns, list(spec.rows(trials, n, m, seed)))
 
 
-def _probe_splay_mr(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
+def _random_trials(
+    trials: int, n: int, m: int, seed: int
+) -> Iterator[tuple[int, random.Random, Instance]]:
+    """Each trial's number, its generator and the random instance drawn from
+    it first; the caller may draw more from the generator."""
+    for trial in range(trials):
+        rng = trial_rng("probe", seed, trial)
+        yield trial, rng, random_instance(rng, n, m)
+
+
+def subsequence_costs(fam: FamilyInstance) -> tuple[int, int]:
+    """Splay's cost on a family's requests and on its paired subsequence."""
+    t = fam.instance.initial
+    return access_cost(t, fam.instance.requests, "splay"), access_cost(t, fam.subsequence, "splay")
+
+
+def _splay_mr_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     # Fixed witness where Splay's crossing cost dips below the lower bound.
     witness = Instance((3, 1, 4, 2), bst_from_sequence([3, 1, 2, 4]))
     lam = crossing_bound(witness)
     lam_prime = splay_crossing_cost(witness)
-    rows.append(("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n)))
-    for trial in range(trials):
-        rng = trial_rng("probe", seed, trial)
-        inst = random_instance(rng, n, m)
+    yield ("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n))
+    for trial, _, inst in _random_trials(trials, n, m, seed):
         lam = crossing_bound(inst)
         lam_prime = splay_crossing_cost(inst)
-        rows.append((trial, n, m, lam, lam_prime, lam_prime / (lam + n)))
-    return ProbeReport(
-        "splay-mr-crossings",
-        {"trials": trials, "n": n, "m": m, "seed": seed},
-        ("trial", "n", "m", "lambda", "lambda_prime", "ratio"),
-        rows,
-    )
+        yield (trial, n, m, lam, lam_prime, lam_prime / (lam + n))
 
 
-def _probe_monotone_crossings(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
-    for trial in range(trials):
-        rng = trial_rng("probe", seed, trial)
-        inst = random_instance(rng, n, m)
+def _monotone_crossings_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
+    for trial, rng, inst in _random_trials(trials, n, m, seed):
         y = _random_subsequence(rng, inst.requests)
         full = splay_crossing_cost(inst)
         sub = splay_crossing_cost(Instance(y, inst.initial))
-        rows.append((trial, n, m, full, sub, sub / (full + n)))
-    return ProbeReport(
-        "monotone-splay-crossings",
-        {"trials": trials, "n": n, "m": m, "seed": seed},
-        ("trial", "n", "m", "lambda_prime_x", "lambda_prime_y", "ratio"),
-        rows,
-    )
+        yield (trial, n, m, full, sub, sub / (full + n))
 
 
-def _probe_bookkeeping(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
-    for trial in range(trials):
-        rng = trial_rng("probe", seed, trial)
-        inst = random_instance(rng, n, m)
+def _bookkeeping_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
+    for trial, _, inst in _random_trials(trials, n, m, seed):
         totals = run_totals(inst.initial, inst.requests, "splay")
         zeta, lam_prime = totals.bookkeeping, totals.crossing
-        rows.append((trial, n, m, lam_prime, zeta, zeta / (lam_prime + n)))
-    return ProbeReport(
-        "splay-bookkeeping",
-        {"trials": trials, "n": n, "m": m, "seed": seed},
-        ("trial", "n", "m", "lambda_prime", "zeta", "ratio"),
-        rows,
-    )
+        yield (trial, n, m, lam_prime, zeta, zeta / (lam_prime + n))
 
 
-def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
+def _deque_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
         # Seat the initial keys mid-range so pushed minima stay positive.
@@ -160,58 +151,54 @@ def _probe_deque(trials: int, n: int, m: int, seed: int) -> ProbeReport:
                 ops.append((op, None))
                 count -= 1
         _, cost = deque_run(t, ops)
-        rows.append((trial, n, m, cost, cost / (m + n)))
-    return ProbeReport(
-        "deque-linear",
-        {"trials": trials, "n": n, "m": m, "seed": seed},
-        ("trial", "n", "m", "cost", "ratio"),
-        rows,
-    )
+        yield (trial, n, m, cost, cost / (m + n))
 
 
-def _probe_traversal(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
+def _traversal_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     for trial in range(trials):
         rng = trial_rng("probe", seed, trial)
         t1 = random_tree(n, rng)
         t2 = random_tree(n, rng)
         self_cost = access_cost(t1, preorder(t1), "splay")
         cross_cost = access_cost(t1, preorder(t2), "splay")
-        rows.append((trial, n, self_cost / n, cross_cost / n))
-    return ProbeReport(
-        "traversal-linear",
-        {"trials": trials, "n": n, "seed": seed},
-        ("trial", "n", "self_ratio", "cross_ratio"),
-        rows,
-    )
+        yield (trial, n, self_cost / n, cross_cost / n)
 
 
-def _probe_subseq_ratio(trials: int, n: int, m: int, seed: int) -> ProbeReport:
-    rows = []
+def _subseq_ratio_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     fam = generate("spine-312", n=max(n, 3))
-    cx = access_cost(fam.instance.initial, fam.instance.requests, "splay")
-    cy = access_cost(fam.instance.initial, fam.subsequence, "splay")
-    rows.append(("spine-312", fam.params["n"], cx, cy, cy / cx))
+    cx, cy = subsequence_costs(fam)
+    yield ("spine-312", fam.params["n"], cx, cy, cy / cx)
     k = max(3, (n + 1).bit_length() - 1)
-    fam = generate("powers", k=k)
-    cx = access_cost(fam.instance.initial, fam.instance.requests, "splay")
-    cy = access_cost(fam.instance.initial, fam.subsequence, "splay")
-    rows.append((f"powers-k{k}", 2 ** k - 1, cx, cy, cy / cx))
-    return ProbeReport(
-        "subseq-ratio",
-        {"n": n},
-        ("family", "n", "cost_x", "cost_y", "ratio"),
-        rows,
-    )
+    cx, cy = subsequence_costs(generate("powers", k=k))
+    yield (f"powers-k{k}", 2 ** k - 1, cx, cy, cy / cx)
 
 
-# Every probe takes (trials, n, m, seed) and ignores the parameters its
-# report does not list.
+class _Probe(NamedTuple):
+    rows: Callable[[int, int, int, int], Iterable[tuple]]
+    params: tuple[str, ...]  # the parameters the report's header lists
+    columns: tuple[str, ...]
+
+
+# Every rows function takes (trials, n, m, seed) and ignores the parameters
+# its report does not list.
+_TRIALS = ("trials", "n", "m", "seed")
 PROBES = {
-    "splay-mr-crossings": _probe_splay_mr,
-    "monotone-splay-crossings": _probe_monotone_crossings,
-    "splay-bookkeeping": _probe_bookkeeping,
-    "deque-linear": _probe_deque,
-    "traversal-linear": _probe_traversal,
-    "subseq-ratio": _probe_subseq_ratio,
+    "splay-mr-crossings": _Probe(
+        _splay_mr_rows, _TRIALS, ("trial", "n", "m", "lambda", "lambda_prime", "ratio")
+    ),
+    "monotone-splay-crossings": _Probe(
+        _monotone_crossings_rows,
+        _TRIALS,
+        ("trial", "n", "m", "lambda_prime_x", "lambda_prime_y", "ratio"),
+    ),
+    "splay-bookkeeping": _Probe(
+        _bookkeeping_rows, _TRIALS, ("trial", "n", "m", "lambda_prime", "zeta", "ratio")
+    ),
+    "deque-linear": _Probe(_deque_rows, _TRIALS, ("trial", "n", "m", "cost", "ratio")),
+    "traversal-linear": _Probe(
+        _traversal_rows, ("trials", "n", "seed"), ("trial", "n", "self_ratio", "cross_ratio")
+    ),
+    "subseq-ratio": _Probe(
+        _subseq_ratio_rows, ("n",), ("family", "n", "cost_x", "cost_y", "ratio")
+    ),
 }

@@ -31,7 +31,7 @@ from .model import (
     validate,
 )
 from .opt import _groups, opt_cost
-from .probes import probe
+from .probes import probe, subsequence_costs
 from .transforms import (
     TransformUnreachableError,
     _strip_frame,
@@ -489,14 +489,10 @@ def suite_repetition(seed: int = 0, **_: object) -> str:
 
 
 def suite_families(**_: object) -> str:
-    fam = generate("spine-312", n=10_000)
-    cx = access_cost(fam.instance.initial, fam.instance.requests, "splay")
-    cy = access_cost(fam.instance.initial, fam.subsequence, "splay")
+    cx, cy = subsequence_costs(generate("spine-312", n=10_000))
     spine_ratio = cy / cx
-    fam = generate("powers", k=14)
-    cx2 = access_cost(fam.instance.initial, fam.instance.requests, "splay")
-    cy2 = access_cost(fam.instance.initial, fam.subsequence, "splay")
-    powers_ratio = cy2 / cx2
+    cx, cy = subsequence_costs(generate("powers", k=14))
+    powers_ratio = cy / cx
     small = generate("spine-312", n=100)
     pinned = access_cost(small.instance.initial, small.instance.requests, "splay")
     detail = (

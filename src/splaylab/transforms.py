@@ -204,19 +204,16 @@ def _splay_keys(t: Node, keys: Iterable[int]) -> tuple[Node, list[int]]:
 
 def _grow_keys(t: Node, keys: Iterable[int]) -> tuple[int, ...]:
     """Grow a root-connected key set to the topmost window of four nodes (or
-    the whole tree), shallowest child first, ties broken toward the root's
-    left spine."""
+    the whole tree), shallowest child first, ties broken toward the smaller
+    key.  That favours the root's left spine: its node at each depth holds
+    the smallest key there, since every other path to that depth turns right
+    where the spine turns left."""
     selected = set(keys)
-    left_spine = set()
-    node: Tree = t
-    while node is not None:
-        left_spine.add(node.key)
-        node = node.left
     while len(selected) < 4:
-        candidates = [(d, 0 if k in left_spine else 1, k) for d, k in frontier(t, selected)]
+        candidates = frontier(t, selected)
         if not candidates:
             break
-        selected.add(min(candidates)[2])
+        selected.add(min(candidates)[1])
     return tuple(sorted(selected))
 
 
@@ -327,7 +324,10 @@ def embedding_blocks(inst: Instance, e: Execution) -> list[tuple[tuple[int, ...]
         if not small and landed != step.after:
             raise InvariantError("block must land exactly on the after-tree")
         blocks.append((block, sum(costs), qsize, max(costs)))
-        t = landed
+        # Continue from the after-tree once it is checked equal, so the next
+        # comparison meets shared nodes and stops early instead of walking
+        # two separately built trees.
+        t = landed if small else step.after
     return blocks
 
 

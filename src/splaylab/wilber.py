@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
 
-from .algorithms import access_tree, move_to_root, run_totals
+from .algorithms import access, access_tree, move_to_root, run_totals
 from .model import Instance
 from .tree import (
     InvariantError,
@@ -293,9 +293,10 @@ class WindowStep:
 class LevelWitness:
     """Quantities of the level-difference case analysis for one request.
 
-    Everything but ``k_cur`` is read off the previous step, and each witness
-    computes only the levels its checks read: ``delta_z`` is the one level
-    difference of the request itself.
+    Everything but ``k_cur`` and ``delta_z`` is read off the previous step,
+    and each witness computes only the levels its checks read.  ``delta_z``,
+    the one level difference of the request itself, is the difference of
+    the crossing counts of the two runs' Move-to-Root accesses of z.
     """
 
     index: int
@@ -320,8 +321,8 @@ def window_start(s: Node, x: int) -> WindowStep:
     """The state before any request: J+ = J is ``s``, K+ = K is its lift."""
     if not contains(s, x):
         raise KeyAbsentError(x)
-    t = access_tree(s, x, "mtr")
-    return WindowStep(0, NEG_INF, POS_INF, s, t, (), s, t, s, t, level(s, x))
+    t, rec = access(s, x, "mtr")
+    return WindowStep(0, NEG_INF, POS_INF, s, t, (), s, t, s, t, rec.crossing)
 
 
 def window_advance(
@@ -331,8 +332,8 @@ def window_advance(
     difference; ``keys`` are the tree's keys in increasing order."""
     u = z if prev.u <= z <= x else prev.u
     v = z if x <= z <= prev.v else prev.v
-    s_tree = access_tree(prev.s_tree, z, "mtr")
-    t_tree = access_tree(prev.t_tree, z, "mtr")
+    s_tree, s_rec = access(prev.s_tree, z, "mtr")
+    t_tree, t_rec = access(prev.t_tree, z, "mtr")
     i = prev.index + 1
     window = frozenset(k for k in keys if u < k < v)
     top = tuple(k for k in keys if not u < k < v)
@@ -347,7 +348,7 @@ def window_advance(
             i, u, v, s_tree, t_tree, top, zipped, unzipped,
             augment_top(zipped, s_parent), augment_top(unzipped, t_parent), level(zipped, x),
         )
-    return step, _witness(prev, x, z, step.k)
+    return step, _witness(prev, x, z, step.k, s_rec.crossing - t_rec.crossing)
 
 
 def window_decompose(
@@ -412,9 +413,8 @@ def _extended_crossing(prev: WindowStep, path: Sequence[Node]) -> dict[int, Opti
     return out
 
 
-def _witness(prev: WindowStep, x: int, z: int, k_cur: int) -> LevelWitness:
+def _witness(prev: WindowStep, x: int, z: int, k_cur: int, delta_z: int) -> LevelWitness:
     i, k_prev = prev.index + 1, prev.k
-    delta_z = level(prev.s_tree, z) - level(prev.t_tree, z)
     first = int(i > 1)
     j, j_aug = prev.zipped, prev.zipped_aug
     try:

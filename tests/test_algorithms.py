@@ -26,10 +26,12 @@ from splaylab.algorithms import (
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance, algorithm_trace, validate
 from splaylab.tree import (
+    Node,
     all_shapes,
     bst_from_sequence,
     canonical_preorder,
     depth,
+    insert_leaf,
     left_spine_tree,
     path_encoding,
     path_nodes,
@@ -430,7 +432,122 @@ class TestRunTotals:
         assert got == {"splay": (108248, 52815), "tds": (126328, 59997), "mtr": (59999, 8)}
 
 
+def reference_deque_run(t0, ops):
+    """The deque as four separate walks: each extremum by its spine, then
+    its neighbour by a search from the root."""
+
+    def min_key(t):
+        while t.left is not None:
+            t = t.left
+        return t.key
+
+    def max_key(t):
+        while t.right is not None:
+            t = t.right
+        return t.key
+
+    def successor(t, key):
+        succ = None
+        while t is not None:
+            if t.key > key:
+                succ, t = t.key, t.left
+            else:
+                t = t.right
+        return succ
+
+    def predecessor(t, key):
+        pred = None
+        while t is not None:
+            if t.key < key:
+                pred, t = t.key, t.right
+            else:
+                t = t.left
+        return pred
+
+    t, total = t0, 0
+    for op, arg in ops:
+        if op in ("push", "inject"):
+            if arg is None:
+                raise ValueError(f"{op} needs a key")
+            if t is not None:
+                if op == "push" and arg >= min_key(t):
+                    raise ValueError(f"push key {arg} is not a new minimum")
+                if op == "inject" and arg <= max_key(t):
+                    raise ValueError(f"inject key {arg} is not a new maximum")
+            t, rec = splay(insert_leaf(t, arg), arg)
+            total += rec.cost
+        elif op in ("pop", "eject"):
+            if t is None:
+                raise EmptyDequeError(op)
+            if t.left is None and t.right is None:
+                total, t = total + 1, None
+            elif op == "pop":
+                t, rec = splay(t, successor(t, min_key(t)))
+                total += rec.cost
+                t = Node(t.key, None, t.right)
+            else:
+                t, rec = splay(t, predecessor(t, max_key(t)))
+                total += rec.cost
+                t = Node(t.key, t.left, None)
+        else:
+            raise ValueError(f"unknown deque op {op!r}")
+    return t, total
+
+
+def _deque_script(rng, n, length):
+    """Valid ops on keys 1..n: pushes below, injects above, and deletes
+    that drain the tree at least once when the script ends."""
+    lo, hi, count, ops = 0, n + 1, n, []
+    for _ in range(length):
+        op = rng.choice(["push", "inject"] + (["pop", "eject"] * 2 if count else []))
+        if op == "push":
+            ops.append(("push", lo)); lo -= 1; count += 1
+        elif op == "inject":
+            ops.append(("inject", hi)); hi += 1; count += 1
+        else:
+            ops.append((op, None)); count -= 1
+    ops += [(rng.choice(["pop", "eject"]), None) for _ in range(count)]
+    ops += [("inject", hi), ("push", lo)]
+    return ops
+
+
 class TestDeque:
+    def test_matches_four_walk_reference(self):
+        # Trees of 0-12 keys; every script pops down to empty and pushes
+        # into the empty tree.
+        for seed in range(1300):
+            rng = random.Random(seed)
+            n = seed % 13
+            t = random_tree(n, rng) if n else None
+            ops = _deque_script(rng, n, rng.randint(0, 30))
+            assert deque_run(t, ops) == reference_deque_run(t, ops), seed
+            here = there = t
+            for i, op in enumerate(ops):
+                here, cost = deque_run(here, [op])
+                there, ref_cost = reference_deque_run(there, [op])
+                assert (here, cost) == (there, ref_cost), (seed, i)
+
+    def test_bad_ops_raise_as_the_reference(self):
+        for seed in range(300):
+            rng = random.Random(seed)
+            n = seed % 13
+            t = random_tree(n, rng) if n else None
+            ops = _deque_script(rng, n, rng.randint(0, 20))
+            prefix = ops[: rng.randint(0, len(ops))]
+            here, _ = deque_run(t, prefix)
+            bad = [("push", None), ("inject", None), ("shove", 3)]
+            if here is None:
+                bad += [("pop", None), ("eject", None)]
+            else:
+                low, high = min(tree_keys(here)), max(tree_keys(here))
+                bad += [("push", low), ("push", high + 1), ("inject", high), ("inject", low - 1)]
+            for op in bad:
+                with pytest.raises(Exception) as got:
+                    deque_run(t, prefix + [op])
+                with pytest.raises(Exception) as want:
+                    reference_deque_run(t, prefix + [op])
+                assert (got.type, str(got.value)) == (want.type, str(want.value)), (seed, op)
+
     def test_push_then_pop_restores(self):
         t = bst_from_sequence([5, 4, 6])
         out, cost = deque_run(t, [("push", 1), ("pop", None)])

@@ -1,6 +1,7 @@
 """Transformation machinery: digraphs, restricted rotations, splay-realized
 transforms, embeddings, and the repetition construction."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 import splaylab.transforms
 import splaylab.tree
 from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
-from splaylab.families import random_tree
-from splaylab.model import Execution, Instance, smallest_root_subtree, validate
+from splaylab.families import generate, random_tree
+from splaylab.model import Execution, Instance, algorithm_trace, smallest_root_subtree, validate
 from splaylab.suites import _is_subsequence, random_execution
 from splaylab.transforms import (
     TransformUnreachableError,
@@ -34,6 +35,7 @@ from splaylab.tree import (
     Node,
     all_shapes,
     bst_from_sequence,
+    frontier,
     is_right_spine,
     left_spine_tree,
     parse_shape,
@@ -138,6 +140,26 @@ class TestRealizeRotation:
         # restricted.
         with pytest.raises(ValueError, match="rotation at 3 is not restricted"):
             realize_restricted_rotation(tree, 3)
+
+    def test_window_growth_breaks_ties_toward_the_left_spine_exhaustive(self):
+        # Reference: an explicit left-spine preference before the key order.
+        def grow_by_spine(t, keys):
+            spine, node = set(), t
+            while node is not None:
+                spine.add(node.key)
+                node = node.left
+            selected = set(keys)
+            while len(selected) < 4 and frontier(t, selected):
+                selected.add(min((d, k not in spine, k) for d, k in frontier(t, selected))[2])
+            return tuple(sorted(selected))
+
+        for n in range(1, 9):
+            for t in all_shapes(n):
+                grown = {frozenset({t.key})}
+                for _ in range(2):
+                    grown |= {s | {k} for s in grown for _, k in frontier(t, s)}
+                for keys in grown:
+                    assert splaylab.transforms._grow_keys(t, keys) == grow_by_spine(t, keys)
 
     def test_framed_keys_reject_unrestricted_paths(self):
         path = path_nodes(right_spine_tree(range(1, 8)), 3)
@@ -263,6 +285,18 @@ class TestSimulationEmbedding:
             blocks = embedding_blocks(inst, e)
             assert sum(cost for _, cost, _, _ in blocks) <= 80 * trace.cost
             assert all(maxpath <= 4 for _, _, _, maxpath in blocks)
+
+    def test_2000_key_sequential_spine_pinned(self):
+        # Splay's execution of sequential access on a left spine: the first
+        # transition holds every key, and each block's landing check compares
+        # trees of 2000 keys.
+        inst = generate("sequential", n=2000).instance
+        trace = algorithm_trace(inst, "splay")
+        seq = simulation_embedding(inst, Execution(tuple(s.transition for s in trace.steps)))
+        assert len(seq) == 34563
+        assert hashlib.sha256(" ".join(map(str, seq)).encode()).hexdigest() == (
+            "9e00737dd06b4f5d567921c07e9916c74a1061d9557f8d79af97e5350901ae3e"
+        )
 
     def test_one_pass_costs_match_replay(self, rng):
         for _ in range(300):
