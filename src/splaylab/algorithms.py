@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .tree import KeyAbsentError, Node, Tree, insert_leaf, parse_key
+from .tree import KeyAbsentError, Node, Tree, insert_leaf, parse_key, rebuild_path
 
 
 class AccessRecord(NamedTuple):
@@ -214,17 +214,19 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
         if op in ("push", "inject"):
             if arg is None:
                 raise ValueError(f"{op} needs a key")
-            if t is not None:
-                end = _spine_end(t, op == "push")[0]
+            spine = _outer_spine(t, op == "push")
+            if spine:
+                end = spine[-1].key
                 if arg >= end if op == "push" else arg <= end:
                     extreme = "minimum" if op == "push" else "maximum"
                     raise ValueError(f"{op} key {arg} is not a new {extreme}")
-            t, rec = splay(insert_leaf(t, arg), arg)
+            # A new extreme is a leaf below the old one, on the outer side.
+            t, rec = splay(rebuild_path(spine, arg, Node(arg)), arg)
             total += rec.cost
         elif op in ("pop", "eject"):
             if t is None:
                 raise EmptyDequeError(op)
-            inward = _spine_end(t, op == "pop")[1]
+            inward = _inward_key(_outer_spine(t, op == "pop"), op == "pop")
             if inward is None:
                 total += 1  # splaying the extremum at the root
                 t = None
@@ -238,22 +240,26 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
     return t, total
 
 
-def _spine_end(t: Node, leftmost: bool) -> tuple[int, Optional[int]]:
-    """The key at the end of the outer spine, left for the minimum, right
-    for the maximum, and the next key inward from it, found on one walk
-    down: the nearest key of its inner subtree, else its parent's.  The
-    inward key is None when ``t`` is one node."""
-    outer, inner = ("left", "right") if leftmost else ("right", "left")
-    parent = None
-    node = t
-    while (child := getattr(node, outer)) is not None:
-        parent, node = node, child
-    near = getattr(node, inner)
+def _outer_spine(t: Tree, leftmost: bool) -> list[Node]:
+    """The outer spine from the root down, left to the minimum or right to
+    the maximum; empty for the empty tree."""
+    spine = []
+    while t is not None:
+        spine.append(t)
+        t = t.left if leftmost else t.right
+    return spine
+
+
+def _inward_key(spine: list[Node], leftmost: bool) -> Optional[int]:
+    """The key next inward from the end of the nonempty outer ``spine``:
+    the nearest key of the end's inner subtree, else its parent's; None
+    when the tree is one node."""
+    near = spine[-1].right if leftmost else spine[-1].left
     if near is None:
-        return node.key, None if parent is None else parent.key
-    while (child := getattr(near, outer)) is not None:
+        return spine[-2].key if len(spine) > 1 else None
+    while (child := near.left if leftmost else near.right) is not None:
         near = child
-    return node.key, near.key
+    return near.key
 
 
 def parse_deque_script(text: str) -> list[tuple[str, Optional[int]]]:

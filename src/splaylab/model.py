@@ -22,6 +22,7 @@ from .tree import (
     InvariantError,
     KeyAbsentError,
     Node,
+    PathZipper,
     RotationAtRootError,
     SymmetricOrderError,
     Tree,
@@ -31,8 +32,6 @@ from .tree import (
     path_nodes,
     preorder,
     root_subtree,
-    rotate,
-    rotate_path,
     shape_print,
     size,
     substitute,
@@ -282,27 +281,28 @@ def _rotation_accesses(
 
 
 def _rotate_listed(
-    t: Tree,
+    t: Node,
     i: int,
     x: int,
     rotations: Iterable[int],
     edges: Optional[list[tuple[int, int]]] = None,
-) -> tuple[Tree, list[Node]]:
-    """Apply access ``i``'s listed rotations to ``t``, walking each one's
-    path once: the rotated tree and the access path of the search key ``x``
-    in it.  A rotation at an absent or root key, or an absent search key,
-    raises :class:`InvalidExecutionError`.  With ``edges``, each rotation's
-    (key, parent key) is appended to it."""
+) -> tuple[Node, list[Node]]:
+    """Apply access ``i``'s listed rotations to ``t`` on one path zipper,
+    then walk from the root to the search key ``x`` once: the rotated tree
+    and the access path of ``x`` in it.  A rotation at an absent or root
+    key, or an absent search key, raises :class:`InvalidExecutionError`.
+    With ``edges``, each rotation's (key, parent key) is appended to it."""
+    zipper = PathZipper(t)
     for k in rotations:
         try:
-            path = path_nodes(t, k)
-            t = rotate_path(path)
+            parent = zipper.rotate(k)
         except KeyAbsentError as err:
             raise InvalidExecutionError(i, f"rotation at absent key {k}") from err
         except RotationAtRootError as err:
             raise InvalidExecutionError(i, f"rotation at root key {k}") from err
         if edges is not None:
-            edges.append((k, path[-2].key))
+            edges.append((k, parent))
+    t = zipper.close()
     try:
         return t, path_nodes(t, x)
     except KeyAbsentError as err:
@@ -399,8 +399,10 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
             deferred = [(k, p) for k, p in edges if k not in touched]
         # A deferred rotation shares no key with a kept one, so they commute:
         # undoing the deferred ones leaves the kept ones applied to t.
+        zipper = PathZipper(work)
         for _, p in reversed(deferred):
-            work = rotate(work, p)
+            zipper.rotate(p)
+        work = zipper.close()
         if work.key != x:
             raise InvariantError("kept rotations must finish with the key at the root")
         span = _closure_both(t, work, touched)

@@ -189,8 +189,8 @@ def _g4_paths() -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]
 
 
 def _g4_block(keys: Sequence[int], source: Node, target: Node) -> tuple[int, ...]:
-    """Keys of a shortest splay walk turning ``source`` into ``target``, two
-    arrangements of the four sorted ``keys``."""
+    """Keys of a shortest splay walk turning the root subtree of ``source``
+    on the four sorted ``keys`` into that of ``target``."""
     canon = (canonical_preorder(source, keys), canonical_preorder(target, keys))
     return tuple(keys[k - 1] for k in _g4_paths()[canon])
 
@@ -225,7 +225,7 @@ def _window_block(
     in ``after``; returns the new tree, the splayed keys, and each splay's
     cost."""
     window = _grow_keys(t, keys)
-    block = _g4_block(window, root_subtree(t, window), root_subtree(after, window))
+    block = _g4_block(window, t, after)
     t, costs = _splay_keys(t, block)
     return t, block, costs
 

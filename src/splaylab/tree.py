@@ -255,13 +255,74 @@ def rotate_path(path: Sequence[Node]) -> Node:
     if len(path) == 1:
         raise RotationAtRootError(f"rotation at the root key {path[0].key} is undefined")
     x = path[-1]
-    y = path[-2]
-    if y.left is x:
+    return rebuild_path(path[:-2], x.key, _rotate_pair(x, path[-2]))
+
+
+def _rotate_pair(x: Node, y: Node) -> Node:
+    """``x`` rotated above its parent ``y``.  Reads only ``y``'s key and its
+    child on the side away from ``x``, so ``y`` may be a stale copy whose
+    child on ``x``'s side is out of date."""
+    if x.key < y.key:
         # x rises, y becomes its right child.
-        new = Node(x.key, x.left, Node(y.key, x.right, y.right))
-    else:
-        new = Node(x.key, Node(y.key, y.left, x.left), x.right)
-    return rebuild_path(path[:-2], x.key, new)
+        return Node(x.key, x.left, Node(y.key, x.right, y.right))
+    return Node(x.key, Node(y.key, y.left, x.left), x.right)
+
+
+_INF = float("inf")
+
+
+class PathZipper:
+    """A tree opened along one root path for a run of single rotations.
+
+    It holds a focus subtree, the open key bounds of that subtree, and one
+    frame per ancestor of the focus, root first: the ancestor as the zipper
+    passed it on the way down, and the open key bounds of its subtree.  Only
+    an ancestor's child toward the focus is stale.  To reach a rotation key
+    the zipper climbs until the key lies inside the focus's bounds, copying
+    each ancestor it leaves, then descends, so a rotation next to the
+    previous one costs O(1).  A failed rotation leaves the zipper spent.
+    """
+
+    __slots__ = ("_focus", "_lo", "_hi", "_frames")
+
+    def __init__(self, t: Node) -> None:
+        self._focus: Node = t
+        self._lo = -_INF
+        self._hi = _INF
+        self._frames: list[tuple[Node, float, float]] = []
+
+    def rotate(self, key: int) -> int:
+        """Single rotation at ``key``; returns the key of its parent, which
+        becomes its child.  Raises :class:`KeyAbsentError` for an absent
+        key and :class:`RotationAtRootError` for the root's, naming it."""
+        focus, lo, hi, frames = self._focus, self._lo, self._hi, self._frames
+        while not lo < key < hi:
+            parent, lo, hi = frames.pop()
+            focus = rebuild_path((parent,), focus.key, focus)
+        while key != focus.key:
+            frames.append((focus, lo, hi))
+            if key < focus.key:
+                hi = focus.key
+                focus = focus.left
+            else:
+                lo = focus.key
+                focus = focus.right
+            if focus is None:
+                raise KeyAbsentError(key)
+        if not frames:
+            raise RotationAtRootError(f"rotation at the root key {key} is undefined")
+        parent, self._lo, self._hi = frames.pop()
+        self._focus = _rotate_pair(focus, parent)
+        return parent.key
+
+    def close(self) -> Node:
+        """The whole tree, zipped back to the root, where the zipper now
+        stands."""
+        focus = self._focus
+        self._focus = rebuild_path([parent for parent, _, _ in self._frames], focus.key, focus)
+        self._frames.clear()
+        self._lo, self._hi = -_INF, _INF
+        return self._focus
 
 
 def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
@@ -476,7 +537,17 @@ def parse_shape(text: str) -> Tree:
 
 
 def canonical_preorder(t: Tree, keys: Iterable[int]) -> tuple[int, ...]:
-    """The preorder of ``t`` with each key replaced by its rank, counting
-    from 1, in the sorted ``keys``."""
+    """The preorder of the root subtree of ``t`` on ``keys``, the nodes
+    reached from the root through those keys alone, with each key replaced
+    by its rank, counting from 1, in the sorted ``keys``.  Visits only those
+    nodes and their children, and builds no tree."""
     rank = {k: r for r, k in enumerate(sorted(keys), 1)}
-    return tuple(rank[k] for k in preorder(t))
+    out: list[int] = []
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is not None and node.key in rank:
+            out.append(rank[node.key])
+            stack.append(node.right)
+            stack.append(node.left)
+    return tuple(out)

@@ -1,6 +1,7 @@
 """Execution model: validation, cost accounting, elision, rotation-model
 conversions, and the plain-text formats."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import splaylab.model
 import splaylab.tree
-from splaylab.algorithms import parse_deque_script
+from splaylab.algorithms import access_tree, parse_deque_script
 from splaylab.families import generate
 from splaylab.model import (
     Execution,
@@ -17,8 +18,10 @@ from splaylab.model import (
     InvalidExecutionError,
     RotationAccess,
     RotationExecution,
+    RotationTrace,
     _closure_both,
     _connect_keys,
+    _rotation_accesses,
     _vine_rotations,
     algorithm_trace,
     elide,
@@ -38,6 +41,7 @@ from splaylab.tree import (
     InvariantError,
     KeyAbsentError,
     Node,
+    RotationAtRootError,
     SymmetricOrderError,
     all_shapes,
     bst_from_sequence,
@@ -46,9 +50,11 @@ from splaylab.tree import (
     parse_shape,
     path_encoding,
     path_nodes,
+    preorder,
     right_spine_tree,
     root_subtree,
     rotate,
+    rotate_path,
     shape_print,
     size,
     substitute,
@@ -241,6 +247,22 @@ class TestDeepSpine:
         elided = elide(inst, e, deleted)
         assert validate(subsequence_instance(inst, deleted), elided).cost < trace.cost
 
+    def test_rotation_model_round_trip_on_20000_key_spine(self):
+        # Splay's execution of sequential access on a 20000-key left spine,
+        # through both conversions: each access's listed rotations comb a
+        # deep subtree, so walking each one from the root is quadratic.
+        inst = generate("sequential", n=20_000).instance
+        trace = algorithm_trace(inst, "splay")
+        r = to_rotation_model(inst, Execution(tuple(step.transition for step in trace.steps)))
+        assert sum(len(acc.rotations) for acc in r.accesses) == 136_498
+        assert rotation_trace(inst, r).cost == 156_498
+        back = from_rotation_model(inst, r)
+        text = "\n".join(" ".join(map(str, preorder(q))) for q in back.transition_trees)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ad4945a2bb7bfc67fde730923aa22b68678d49a50752e85a13c9644729c793ef"
+        )
+        assert validate(inst, back).final_tree == trace.final_tree
+
     def test_shape_and_execution_text_on_20000_key_spines(self):
         # Both spines nest far deeper than the recursion limit: the left one
         # through left children, the right one through right children.
@@ -337,6 +359,84 @@ def reference_from_rotation_model(inst, r, stats=None):
     return Execution(tuple(transition_trees))
 
 
+# The conversions as they were before the path zipper: each listed rotation
+# walks its path from the root and rebuilds it, and each deferred rotation is
+# undone with its own walk.
+
+
+def walking_rotate_listed(t, i, x, rotations, edges=None):
+    for k in rotations:
+        try:
+            path = path_nodes(t, k)
+            t = rotate_path(path)
+        except KeyAbsentError as err:
+            raise InvalidExecutionError(i, f"rotation at absent key {k}") from err
+        except RotationAtRootError as err:
+            raise InvalidExecutionError(i, f"rotation at root key {k}") from err
+        if edges is not None:
+            edges.append((k, path[-2].key))
+    try:
+        return t, path_nodes(t, x)
+    except KeyAbsentError as err:
+        raise InvalidExecutionError(i, f"search key {x} absent") from err
+
+
+def walking_rotation_trace(inst, r):
+    t = inst.initial
+    cost = 0
+    depths = []
+    for i, x, rotations in _rotation_accesses(inst, r):
+        t, path = walking_rotate_listed(t, i, x, rotations)
+        d = len(path) - 1
+        cost += 1 + len(rotations) + d
+        depths.append(d)
+    return RotationTrace(inst, cost, tuple(depths))
+
+
+def walking_from_rotation_model(inst, r):
+    t = inst.initial
+    transition_trees = []
+    pending = []
+    last = inst.m
+    for i, x, rotations in _rotation_accesses(inst, r):
+        edges = []
+        work, path = walking_rotate_listed(t, i, x, (*pending, *rotations), edges)
+        ancestors = [p.key for p in path[:-1]]
+        edges.extend((x, p) for p in ancestors)
+        work = access_tree(work, x, "mtr")
+        adjacent = {}
+        for k, p in edges:
+            adjacent.setdefault(k, []).append(p)
+            adjacent.setdefault(p, []).append(k)
+        touched = {x}
+        stack = [x]
+        while stack:
+            for k in adjacent.get(stack.pop(), ()):
+                if k not in touched:
+                    touched.add(k)
+                    stack.append(k)
+        if i == last:
+            deferred = []
+            touched.update(*edges)
+        else:
+            deferred = [(k, p) for k, p in edges if k not in touched]
+        for _, p in reversed(deferred):
+            work = rotate(work, p)
+        if work.key != x:
+            raise InvariantError("kept rotations must finish with the key at the root")
+        span = _closure_both(t, work, touched)
+        q = root_subtree(t, span)
+        q_prime = root_subtree(work, span)
+        if i != last and size(q) > 2 * (len(edges) - len(deferred)) + 1:
+            raise InvariantError(f"access {i}: |Q| exceeds twice the kept rotations plus one")
+        transition_trees.append(q_prime)
+        t = substitute(t, q_prime)
+        if t != work:
+            raise InvariantError(f"access {i}: substitution must reproduce the rotated tree")
+        pending = [k for k, _ in deferred] + ancestors
+    return Execution(tuple(transition_trees))
+
+
 def random_rotation_execution(rng, n, m):
     """An instance on n keys with m requests, and 0-5 rotations per access,
     each at a key that is not the root when it is rotated."""
@@ -353,6 +453,14 @@ def random_rotation_execution(rng, n, m):
             t = rotate(t, rotations[-1])
         accesses.append(RotationAccess(tuple(rotations)))
     return inst, RotationExecution(tuple(accesses))
+
+
+ROTATION_CONVERSIONS = (
+    rotation_trace,
+    from_rotation_model,
+    walking_rotation_trace,
+    walking_from_rotation_model,
+)
 
 
 class TestRotationModel:
@@ -404,10 +512,11 @@ class TestRotationModel:
     )
     def test_invalid_rotation_execution_errors_match(self, requests, rotations, step, reason):
         # An absent key, a rotation at the root and a wrong access count
-        # raise the same error from both functions.
+        # raise the same error from both functions and their walking
+        # references.
         inst = Instance(requests, bst_from_sequence([2, 1, 3]))
         r = RotationExecution(tuple(RotationAccess(rots) for rots in rotations))
-        for convert in (rotation_trace, from_rotation_model):
+        for convert in ROTATION_CONVERSIONS:
             with pytest.raises(InvalidExecutionError) as info:
                 convert(inst, r)
             assert (info.value.step, info.value.reason) == (step, reason)
@@ -415,7 +524,8 @@ class TestRotationModel:
     def test_invalid_rotation_execution_errors_match_random(self, rng):
         # from_rotation_model checks each listed rotation inside its own
         # replay, on the tree rotation_trace checks it on, so an inserted
-        # rotation fails at the same step for the same reason, or at neither.
+        # rotation fails at the same step for the same reason, or at neither;
+        # so do the walking references.
         for _ in range(300):
             inst = make_random_instance(rng, rng.randint(1, 6), rng.randint(1, 4))
             r = to_rotation_model(inst, make_random_execution(rng, inst))
@@ -424,13 +534,13 @@ class TestRotationModel:
             accesses[i].insert(rng.randint(0, len(accesses[i])), rng.randint(0, inst.n + 1))
             r = RotationExecution(tuple(RotationAccess(tuple(a)) for a in accesses))
             outcomes = []
-            for convert in (rotation_trace, from_rotation_model):
+            for convert in ROTATION_CONVERSIONS:
                 try:
                     convert(inst, r)
                     outcomes.append(None)
                 except InvalidExecutionError as err:
                     outcomes.append((err.step, err.reason))
-            assert outcomes[0] == outcomes[1]
+            assert outcomes.count(outcomes[0]) == len(ROTATION_CONVERSIONS)
 
     def test_single_connected_group_size_bound(self, rng):
         # One access whose rotations form a connected root group collapses
@@ -474,11 +584,21 @@ class TestRotationModel:
         # Both the lift and the deferral are exercised, many times over.
         assert stats["lifts"] > 5000 and stats["defers"] > 1000
 
+    def test_zipper_matches_walking_references_random(self):
+        # The same 3,000 draws as the test above: equal costs, search depths
+        # and transition trees.
+        rng = random.Random(15)
+        for _ in range(3000):
+            inst, r = random_rotation_execution(rng, rng.randint(1, 9), rng.randint(1, 6))
+            assert rotation_trace(inst, r) == walking_rotation_trace(inst, r)
+            assert from_rotation_model(inst, r) == walking_from_rotation_model(inst, r)
+
     def test_from_rotation_rotates_each_listed_rotation_once(self, monkeypatch):
         # Splay's execution on a 1000-key random instance, as the trace
         # benchmark converts it: every search happens at the root, nothing is
-        # lifted or deferred, so each conversion walks from the root once per
-        # listed rotation and once per search.
+        # lifted or deferred.  The listed rotations run on a path zipper,
+        # which walks no path from the root, so each conversion walks from
+        # the root once per search.
         inst = generate("random", n=1000, m=300, seed=1).instance
         e = Execution(tuple(step.transition for step in algorithm_trace(inst, "splay").steps))
         r = to_rotation_model(inst, e)
@@ -492,10 +612,10 @@ class TestRotationModel:
         monkeypatch.setattr(splaylab.tree, "path_nodes", counted_path_nodes)
         monkeypatch.setattr(splaylab.model, "path_nodes", counted_path_nodes)
         back = from_rotation_model(inst, r)
-        assert len(walks) == 6239  # 5,939 listed rotations and 300 searches
+        assert walks == list(inst.requests)
         walks.clear()
         rotation_trace(inst, r)
-        assert len(walks) == 6239
+        assert walks == list(inst.requests)
         monkeypatch.undo()
         assert validate(inst, back).final_tree == validate(inst, e).final_tree
 

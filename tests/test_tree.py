@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from splaylab.families import random_tree
 from splaylab.tree import (
     DisconnectedSubtreeError,
     DuplicateKeyError,
     KeyAbsentError,
     Node,
+    PathZipper,
     RotationAtRootError,
     SymmetricOrderError,
     all_shapes,
@@ -245,6 +247,47 @@ class TestRotation:
                     if t.key == key:
                         continue
                     assert child_pointer_diff(t, rotate(t, key)) == 3
+
+    def test_path_zipper_matches_single_rotations(self, rng):
+        # Runs of rotations on one zipper, closed now and then, equal the same
+        # rotations done one by one from the root, parent keys included.
+        for _ in range(1000):
+            n = rng.randint(1, 12)
+            t = random_tree(n, rng)
+            zipper = PathZipper(t)
+            for _ in range(rng.randint(0, 12)):
+                key = rng.randint(1, n)
+                if key == t.key:
+                    continue
+                assert zipper.rotate(key) == path_nodes(t, key)[-2].key
+                t = rotate(t, key)
+                if rng.random() < 0.2:
+                    assert zipper.close() == t
+            assert zipper.close() == t
+
+    def test_path_zipper_keeps_untouched_subtrees(self):
+        # Rotating deep in one subtree and back shares the other one.
+        t = bst_from_sequence([8, 4, 12, 2, 6, 10, 14])
+        zipper = PathZipper(t)
+        zipper.rotate(2)
+        zipper.rotate(4)
+        out = zipper.close()
+        assert out == t and out.right is t.right and out.left.right is t.left.right
+
+    @pytest.mark.parametrize(
+        "keys, error, message",
+        [
+            ((9,), KeyAbsentError, "9"),
+            ((1, 9), KeyAbsentError, "9"),
+            ((2,), RotationAtRootError, "rotation at the root key 2 is undefined"),
+            ((1, 1), RotationAtRootError, "rotation at the root key 1 is undefined"),
+        ],
+    )
+    def test_path_zipper_errors_name_the_key(self, keys, error, message):
+        zipper = PathZipper(bst_from_sequence([2, 1, 3]))
+        with pytest.raises(error, match=message):
+            for key in keys:
+                zipper.rotate(key)
 
 
 class TestTraversals:
