@@ -405,10 +405,10 @@ def from_rotation_model(inst: Instance, r: RotationExecution) -> Execution:
         work = zipper.close()
         if work.key != x:
             raise InvariantError("kept rotations must finish with the key at the root")
+        # The span induces a root subtree of t, so |Q| is its size.
         span = _closure_both(t, work, touched)
-        q = root_subtree(t, span)
         q_prime = root_subtree(work, span)
-        if i != last and size(q) > 2 * (len(edges) - len(deferred)) + 1:
+        if i != last and len(span) > 2 * (len(edges) - len(deferred)) + 1:
             raise InvariantError(f"access {i}: |Q| exceeds twice the kept rotations plus one")
         transition_trees.append(q_prime)
         t = substitute(t, q_prime)

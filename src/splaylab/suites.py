@@ -59,7 +59,6 @@ from .tree import (
     rooted_shapes,
     rotate,
     shape_print,
-    shapes_on_keys,
     substitute,
     tree_keys,
 )
@@ -612,7 +611,7 @@ def suite_topdown(seed: int = 0, **_: object) -> str:
         b, z = keys[1], keys[-1]
         if not (t.key == z and t.left is not None and t.left.key == b):
             raise SuiteFailure(f"frame broken on trial {trial}")
-        if t.left.right != _strip_frame(trace.final_tree):
+        if t.left.right != _strip_frame(trace.final_tree, (keys[0], b, z)):
             raise SuiteFailure(f"final shape mismatch on trial {trial}")
         ratio = cost / (trace.cost + inst.n)
         worst = max(worst, ratio)
@@ -633,7 +632,10 @@ def suite_universal(seed: int = 0, **_: object) -> str:
             universe = rng.sample(range(1, 401), n)
             q_keys = sorted(rng.sample(universe, qsize))
             t = bst_from_sequence(universe)
-            q = rng.choice(shapes_on_keys(tuple(q_keys)))
+            # Relabel a draw from all_shapes: the same index picks the
+            # arrangement shapes_on_keys(q_keys) would list there.
+            shape = rng.choice(all_shapes(qsize))
+            q = bst_from_sequence(q_keys[k - 1] for k in preorder(shape))
             u = universal_transform(q)
             if len(u) > 30 * qsize:
                 raise SuiteFailure(f"|U| too long at {qsize}")

@@ -17,7 +17,7 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .algorithms import access_cost, access_tree, run_accesses, run_totals
-from .model import Execution, Instance, _closure_both, validate
+from .model import Execution, Instance, validate
 from .tree import (
     InvariantError,
     Node,
@@ -34,6 +34,7 @@ from .tree import (
     rotate_path,
     shape_print,
     size,
+    substitute,
     tree_keys,
 )
 
@@ -69,13 +70,15 @@ def build_digraph(n: int, algo: str = "splay") -> TransitionDigraph:
     return TransitionDigraph(n, algo, vertices, index, arcs)
 
 
-def _bfs(g: TransitionDigraph, src: int) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
-    dist = [-1] * len(g.vertices)
-    back: list[Optional[tuple[int, int]]] = [None] * len(g.vertices)
+def _bfs(
+    arcs: Sequence[Sequence[int]], src: int
+) -> tuple[list[int], list[Optional[tuple[int, int]]]]:
+    dist = [-1] * len(arcs)
+    back: list[Optional[tuple[int, int]]] = [None] * len(arcs)
     dist[src] = 0
     queue = [src]
     for v in queue:
-        for key_minus, w in enumerate(g.arcs[v]):
+        for key_minus, w in enumerate(arcs[v]):
             if dist[w] < 0:
                 dist[w] = dist[v] + 1
                 back[w] = (v, key_minus + 1)
@@ -83,11 +86,30 @@ def _bfs(g: TransitionDigraph, src: int) -> tuple[list[int], list[Optional[tuple
     return dist, back
 
 
+def _shortest_walk(
+    arcs: Sequence[Sequence[int]], src: int, dst: int
+) -> Optional[tuple[int, ...]]:
+    """Keys of a shortest walk from vertex ``src`` to ``dst``, or ``None``
+    when ``dst`` is unreachable."""
+    if src == dst:
+        return ()
+    _, back = _bfs(arcs, src)
+    if back[dst] is None:
+        return None
+    keys: list[int] = []
+    cur = dst
+    while cur != src:
+        cur, key = back[cur]  # type: ignore[misc]
+        keys.append(key)
+    keys.reverse()
+    return tuple(keys)
+
+
 def eccentricities(g: TransitionDigraph) -> list[int]:
     """Each vertex's eccentricity, or -1 when some vertex is unreachable."""
     out = []
     for src in range(len(g.vertices)):
-        dist, _ = _bfs(g, src)
+        dist, _ = _bfs(g.arcs, src)
         out.append(max(dist) if min(dist) >= 0 else -1)
     return out
 
@@ -109,23 +131,12 @@ def diameter(g: TransitionDigraph) -> int:
 
 def shortest_path(g: TransitionDigraph, s: Node, t: Node) -> tuple[int, ...]:
     """Request keys realizing the cheapest transition from shape s to t."""
-    si = g.index[preorder(s)]
-    ti = g.index[preorder(t)]
-    if si == ti:
-        return ()
-    dist, back = _bfs(g, si)
-    if dist[ti] < 0:
+    keys = _shortest_walk(g.arcs, g.index[preorder(s)], g.index[preorder(t)])
+    if keys is None:
         raise TransformUnreachableError(
             f"{shape_print(t)} unreachable from {shape_print(s)} under {g.algo}"
         )
-    keys: list[int] = []
-    cur = ti
-    while cur != si:
-        prev, key = back[cur]  # type: ignore[misc]
-        keys.append(key)
-        cur = prev
-    keys.reverse()
-    return tuple(keys)
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -377,86 +388,63 @@ def universal_transform(q: Node) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Simultaneous transforms for four-node trees.
 
-# The lone access (2,) is sometimes quoted for the sixth target, but the two
-# algorithms disagree on it (a zig-zig splits the path, a plain rotation walk
-# does not); (3, 2) is the shortest sequence they agree on.
-_SIMULTANEOUS_BASE: tuple[tuple[int, ...], ...] = (
-    (3, 1, 4, 1),
-    (2, 3, 4, 1, 2, 1),
-    (2, 3, 4, 1, 3, 1),
-    (2, 3, 4, 2, 4, 1),
-    (3, 2),
-    (2, 3, 4, 2, 4, 1, 2),
-)
-
-_MIRROR = {1: 4, 2: 3, 3: 2, 4: 1}
-
-
-def _run_both(t: Node, keys: Sequence[int]) -> Node:
-    s = run_totals(t, keys, "splay").tree
-    m = run_totals(t, keys, "mtr").tree
-    if s != m:
-        raise InvariantError("sequence must drive Splay and Move-to-Root identically")
-    return s
-
 
 @lru_cache(maxsize=1)
-def _simultaneous_table() -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Map from each four-node shape (keys 1..4) to a request sequence that
-    drives both Splay and Move-to-Root onto it from the left spine."""
-    left = left_spine_tree(range(1, 5))
-    table: dict[tuple[int, ...], tuple[int, ...]] = {
-        preorder(left): (1, 2, 3, 4),
-    }
-    right_route = (4, 3, 2, 1)
-    table[preorder(_run_both(left, right_route))] = right_route
-    for seq in _SIMULTANEOUS_BASE:
-        table[preorder(_run_both(left, seq))] = seq
-        mirrored = right_route + tuple(_MIRROR[k] for k in seq)
-        table[preorder(_run_both(left, mirrored))] = mirrored
-    if len(table) != 14:
-        raise InvariantError("all four-node shapes must be covered")
-    return table
+def _joint_digraph() -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+    """Splay and Move-to-Root run side by side on keys 1..4.  Among the c
+    shapes, vertex c*i + j holds Splay at shape i and Move-to-Root at shape
+    j; returns each shape's preorder mapped to the vertex holding both
+    algorithms at it, and the arcs."""
+    splay_g, mtr_g = build_digraph(4, "splay"), build_digraph(4, "mtr")
+    c = len(splay_g.vertices)
+    arcs = tuple(
+        tuple(c * s + m for s, m in zip(splay_g.arcs[i], mtr_g.arcs[j]))
+        for i in range(c)
+        for j in range(c)
+    )
+    return {p: (c + 1) * i for p, i in splay_g.index.items()}, arcs
 
 
 def simultaneous_transform4(source: Node, target: Node) -> tuple[int, ...]:
     """Request sequence turning ``source`` into ``target`` under both Splay
-    and Move-to-Root simultaneously (four-node trees)."""
+    and Move-to-Root simultaneously (four-node trees): a shortest walk of
+    the two algorithms run side by side."""
     if size(source) != 4 or tree_keys(source) != tree_keys(target):
         raise ValueError("simultaneous transforms are defined on equal four-key sets")
     keys = sorted(tree_keys(target))
-    to_left = (1, 2, 3, 4)
-    seq = to_left + _simultaneous_table()[canonical_preorder(target, keys)]
-    return tuple(keys[k - 1] for k in seq)
+    both, arcs = _joint_digraph()
+    walk = _shortest_walk(
+        arcs, both[canonical_preorder(source, keys)], both[canonical_preorder(target, keys)]
+    )
+    if walk is None:
+        raise TransformUnreachableError(
+            f"{shape_print(target)} unreachable from {shape_print(source)} under both algorithms"
+        )
+    return tuple(keys[k - 1] for k in walk)
 
 
 # ---------------------------------------------------------------------------
 # Simulation embedding for Top-Down Splay.
 
 
-def _strip_frame(t: Node) -> Node:
-    """Remove the minimum, its successor, and the maximum, splicing each
-    removed node's inner subtree into its parent."""
+def _strip_frame(t: Node, frame: Sequence[int]) -> Tree:
+    """``t`` without whichever of the frame keys (the minimum, its successor
+    and the maximum) it holds, splicing each removed node's inner subtree
+    into its parent; ``None`` when it holds nothing else.  Each removed key
+    is an extreme of what is left, so only outer spines are rebuilt."""
+    a, b, z = frame
     out: Tree = t
-    for leftmost in (True, True, False):
-        if out is None:
-            break
-        out = _drop_extreme(out, leftmost)
-    if out is None:
-        raise InvariantError("the frame needs keys besides its three")
+    for key, leftmost in ((a, True), (b, True), (z, False)):
+        spine = []
+        node = out
+        while node is not None:
+            spine.append(node)
+            node = node.left if leftmost else node.right
+        if not spine or spine[-1].key != key:
+            continue
+        end = spine.pop()
+        out = rebuild_path(spine, key, end.right if leftmost else end.left)
     return out
-
-
-def _drop_extreme(t: Node, leftmost: bool) -> Tree:
-    """``t`` without its minimum (or maximum), whose inner subtree takes its
-    place; rebuilds the outer spine bottom-up."""
-    spine = []
-    child = t.left if leftmost else t.right
-    while child is not None:
-        spine.append(t)
-        t = child
-        child = t.left if leftmost else t.right
-    return rebuild_path(spine, t.key, t.right if leftmost else t.left)
 
 
 def _frame_tree(core: Tree, a: int, b: int, z: int) -> Node:
@@ -488,13 +476,18 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
     of the execution: the minimum, its successor, and the maximum are pinned
     as a left spine above everything, substitutions happen inside the framed
     subtree via induced restricted rotations, and each access ends with a
-    frame-preserving maneuver that features the requested key."""
+    frame-preserving maneuver that features the requested key.
+
+    The framed subtree follows the execution with the frame keys stripped
+    out: stripping T_i gives the stripped T_{i-1} with the stripped Q'_i
+    substituted in, so each step transforms only the root subtree on the
+    stripped Q'_i's keys.  Every tree compared descends from the Top-Down
+    Splay tree itself, so each comparison stops at the nodes they share."""
     if inst.n <= 3:
         raise ValueError("the framed embedding needs more than three keys")
     trace = validate(inst, e)
     keys = sorted(tree_keys(inst.initial))
-    a, z = keys[0], keys[-1]
-    b = keys[1]
+    frame = a, b, z = keys[0], keys[1], keys[-1]
 
     out: list[int] = []
     t = inst.initial
@@ -504,37 +497,33 @@ def topdown_embedding(inst: Instance, e: Execution) -> tuple[int, ...]:
         out.extend(keys)
         t = run_totals(t, keys, "tds").tree
 
-    serve((z, b, a, z))
-    if not (t.key == z and t.left is not None and t.left.key == b and t.left.right is not None):
-        raise InvariantError("the opening accesses must pin the frame above the other keys")
-    core = t.left.right  # framed subtree holding every other key
-
-    def run_script(core_now: Node, core_target: Node, touched: Iterable[int]) -> Node:
-        # Transform only the top region the substitution moved; restricted
-        # rotations of that root subtree are restricted for the whole framed
-        # subtree as well.
-        if core_now == core_target:
-            return core_now
-        span = _closure_both(core_now, core_target, touched)
-        before = root_subtree(core_now, span)
-        after = root_subtree(core_target, span)
-        for rot in restricted_rotation_script(before, after):
-            path = path_nodes(core_now, rot)
+    def substitute_core(q_target: Node) -> Node:
+        # Transform only the root subtree on q_target's keys; its restricted
+        # rotations are restricted for the whole framed subtree as well.
+        core = t.left.right
+        q = root_subtree(core, tree_keys(q_target))
+        if q == q_target:
+            return core
+        target = substitute(core, q_target)
+        for rot in restricted_rotation_script(q, q_target):
+            path = path_nodes(t.left.right, rot)
             serve(_framed_rotation_keys(path, a, z))
-            core_now = rotate_path(path)
-            if t != _frame_tree(core_now, a, b, z):
+            if t != _frame_tree(rotate_path(path), a, b, z):
                 raise InvariantError("an induced rotation must keep the frame")
-        if core_now != core_target:
+        if t.left.right != target:
             raise InvariantError("the rotation script must reach the target core")
-        return core_now
+        return target
 
-    core = run_script(core, _strip_frame(inst.initial), tree_keys(core))
+    serve((z, b, a, z))
+    if t.left is None or t != _frame_tree(t.left.right, a, b, z):
+        raise InvariantError("the opening accesses must pin the frame above the other keys")
+    substitute_core(_strip_frame(inst.initial, frame))
     for step in trace.steps:
-        target_core = _strip_frame(step.after)
-        touched = tree_keys(step.transition) - {a, b, z}
-        core = run_script(core, target_core, touched or {core.key})
+        q_target = _strip_frame(step.transition, frame)
+        core = t.left.right if q_target is None else substitute_core(q_target)
         serve(_maneuver(step.requested, a, b, z))
         if t != _frame_tree(core, a, b, z):
             raise InvariantError("maneuver must preserve the frame")
+    if t.left.right != _strip_frame(trace.final_tree, frame):
+        raise InvariantError("the framed subtree must end on the stripped final tree")
     return tuple(out)
-

@@ -10,10 +10,20 @@ import splaylab.transforms
 import splaylab.tree
 from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
 from splaylab.families import generate, random_tree
-from splaylab.model import Execution, Instance, algorithm_trace, smallest_root_subtree, validate
+from splaylab.model import (
+    Execution,
+    Instance,
+    _closure_both,
+    algorithm_trace,
+    smallest_root_subtree,
+    validate,
+)
 from splaylab.suites import _is_subsequence, random_execution
 from splaylab.transforms import (
     TransformUnreachableError,
+    _frame_tree,
+    _framed_rotation_keys,
+    _maneuver,
     _strip_frame,
     augmented_repeat,
     build_digraph,
@@ -23,6 +33,7 @@ from splaylab.transforms import (
     is_restricted_path,
     realize_restricted_rotation,
     replay,
+    restricted_rotation_script,
     shortest_path,
     simulation_embedding,
     simultaneous_transform4,
@@ -40,10 +51,15 @@ from splaylab.tree import (
     left_spine_tree,
     parse_shape,
     path_nodes,
+    preorder,
+    rebuild_path,
     right_spine_tree,
+    root_subtree,
     rotate,
+    rotate_path,
     shapes_on_keys,
     size,
+    substitute,
     tree_keys,
 )
 
@@ -376,7 +392,7 @@ class TestSimultaneous:
 
     def test_single_access_is_not_simultaneous(self):
         # The lone access to the middle key drives the two algorithms to
-        # different shapes; the table uses a two-access route instead.
+        # different shapes, so a joint walk cannot take that arc.
         left = left_spine_tree([1, 2, 3, 4])
         s, _ = splay(left, 2)
         m, _ = move_to_root(left, 2)
@@ -392,6 +408,25 @@ class TestSimultaneous:
                     s, _ = splay(s, k)
                     m, _ = move_to_root(m, k)
                 assert s == t0 and m == t0
+
+    def test_walks_are_shortest(self):
+        # Every request sequence of up to five accesses, run under both
+        # algorithms from every source: the fewest accesses reaching each
+        # target under both must equal the walk's length.
+        shapes = all_shapes(4)
+        for s0 in shapes:
+            fewest = {}
+            level = [(s0, s0)]
+            for length in range(6):
+                for s, m in level:
+                    if s == m:
+                        fewest.setdefault(s, length)
+                if len(fewest) == len(shapes):
+                    break
+                level = [(splay(s, k)[0], move_to_root(m, k)[0]) for s, m in level for k in range(1, 5)]
+            assert len(fewest) == len(shapes)
+            for t0 in shapes:
+                assert len(simultaneous_transform4(s0, t0)) == fewest[t0]
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError):
@@ -423,8 +458,136 @@ class TestTopDownEmbedding:
     def test_strip_frame_on_deep_spines(self):
         # Spines far deeper than the recursion limit.
         n = 20_000
-        assert _strip_frame(left_spine_tree(range(1, n + 1))) == left_spine_tree(range(3, n))
-        assert _strip_frame(right_spine_tree(range(1, n + 1))) == right_spine_tree(range(3, n))
+        frame = (1, 2, n)
+        assert _strip_frame(left_spine_tree(range(1, n + 1)), frame) == left_spine_tree(range(3, n))
+        assert _strip_frame(right_spine_tree(range(1, n + 1)), frame) == right_spine_tree(
+            range(3, n)
+        )
+
+    def test_strip_frame_removes_only_the_frame_keys_held(self):
+        frame = (1, 2, 9)
+        for keys in ((1, 2, 9), (2, 9), (1,), (9,), (2, 5, 9), (1, 3, 4), (3, 4, 5)):
+            for shape in shapes_on_keys(keys):
+                stripped = _strip_frame(shape, frame)
+                left = [k for k in keys if k not in frame]
+                if not left:
+                    assert stripped is None
+                    continue
+                assert tree_keys(stripped) == frozenset(left)
+                assert stripped == reference_strip_frame(shape, [k for k in keys if k in frame])
+
+    def test_stripped_execution_substitutes_stripped_transitions(self):
+        # Stripping the frame commutes with every step: the stripped T_i is
+        # the stripped T_{i-1} with the stripped Q'_i substituted in, or the
+        # stripped T_{i-1} itself when Q'_i holds only frame keys.
+        rng = random.Random(23)
+        frame_only = 0
+        for _ in range(600):
+            inst = make_random_instance(rng, rng.randint(4, 12), rng.randint(1, 8))
+            trace = validate(inst, make_random_execution(rng, inst))
+            keys = sorted(tree_keys(inst.initial))
+            frame = (keys[0], keys[1], keys[-1])
+            before = _strip_frame(inst.initial, frame)
+            for step in trace.steps:
+                after = _strip_frame(step.after, frame)
+                q_target = _strip_frame(step.transition, frame)
+                if q_target is None:
+                    frame_only += 1
+                    assert after == before
+                else:
+                    assert after == substitute(before, q_target)
+                    assert root_subtree(before, tree_keys(q_target)) == _strip_frame(
+                        step.subtree, frame
+                    )
+                before = after
+        assert frame_only > 0
+
+    def test_matches_reference_on_random_executions(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            inst = make_random_instance(rng, rng.randint(4, 12), rng.randint(1, 8))
+            e = make_random_execution(rng, inst)
+            assert topdown_embedding(inst, e) == reference_topdown_embedding(inst, e)
+
+    @pytest.mark.parametrize("algo", ["splay", "tds"])
+    def test_matches_reference_on_500_key_sequential_spine(self, algo):
+        inst = generate("sequential", n=500).instance
+        e = Execution(tuple(s.transition for s in algorithm_trace(inst, algo).steps))
+        assert topdown_embedding(inst, e) == reference_topdown_embedding(inst, e)
+
+    def test_4000_key_sequential_spine_pinned(self):
+        # Splay's execution of sequential access on a left spine: the first
+        # transition holds every key.  Comparing each step's framed subtree
+        # with a separately stripped after-tree made this quadratic.
+        inst = generate("sequential", n=4000).instance
+        trace = algorithm_trace(inst, "splay")
+        seq = topdown_embedding(inst, Execution(tuple(s.transition for s in trace.steps)))
+        assert len(seq) == 225_957
+        assert hashlib.sha256(" ".join(map(str, seq)).encode()).hexdigest() == (
+            "911a179404d74a5fede1ce53a990a8ebbb143fd93aacc6ee362786eacfc897f5"
+        )
+
+
+def reference_strip_frame(t, frame_keys):
+    """Remove the given frame keys, each an extreme when its turn comes, by
+    rebuilding the tree from its preorder without them."""
+    return bst_from_sequence(k for k in preorder(t) if k not in frame_keys)
+
+
+def _reference_drop_extreme(t, leftmost):
+    spine = []
+    child = t.left if leftmost else t.right
+    while child is not None:
+        spine.append(t)
+        t = child
+        child = t.left if leftmost else t.right
+    return rebuild_path(spine, t.key, t.right if leftmost else t.left)
+
+
+def reference_topdown_embedding(inst, e):
+    """The top-down embedding as it was first written: every step strips the
+    after-tree and transforms the framed subtree's root region that both
+    trees share, closed under access paths in each."""
+    trace = validate(inst, e)
+    keys = sorted(tree_keys(inst.initial))
+    a, b, z = keys[0], keys[1], keys[-1]
+
+    def strip(t):
+        for leftmost in (True, True, False):
+            t = _reference_drop_extreme(t, leftmost)
+        return t
+
+    out = []
+    t = inst.initial
+
+    def serve(keys):
+        nonlocal t
+        out.extend(keys)
+        for k in keys:
+            t, _ = top_down_splay(t, k)
+
+    def run_script(core_now, core_target, touched):
+        if core_now == core_target:
+            return core_now
+        span = _closure_both(core_now, core_target, touched)
+        before = root_subtree(core_now, span)
+        after = root_subtree(core_target, span)
+        for rot in restricted_rotation_script(before, after):
+            path = path_nodes(core_now, rot)
+            serve(_framed_rotation_keys(path, a, z))
+            core_now = rotate_path(path)
+            assert t == _frame_tree(core_now, a, b, z)
+        assert core_now == core_target
+        return core_now
+
+    serve((z, b, a, z))
+    core = run_script(t.left.right, strip(inst.initial), tree_keys(t.left.right))
+    for step in trace.steps:
+        touched = tree_keys(step.transition) - {a, b, z}
+        core = run_script(core, strip(step.after), touched or {core.key})
+        serve(_maneuver(step.requested, a, b, z))
+        assert t == _frame_tree(core, a, b, z)
+    return tuple(out)
 
 
 class TestMoveToRootNonMonotone:
