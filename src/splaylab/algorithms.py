@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .tree import KeyAbsentError, Node, Tree, insert_leaf, parse_key, rebuild_path
+from .tree import KeyAbsentError, Node, Tree, insert_leaf, outer_spine, parse_key, rebuild_path
 
 
 class AccessRecord(NamedTuple):
@@ -214,7 +214,7 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
         if op in ("push", "inject"):
             if arg is None:
                 raise ValueError(f"{op} needs a key")
-            spine = _outer_spine(t, op == "push")
+            spine = outer_spine(t, op == "push")
             if spine:
                 end = spine[-1].key
                 if arg >= end if op == "push" else arg <= end:
@@ -226,7 +226,7 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
         elif op in ("pop", "eject"):
             if t is None:
                 raise EmptyDequeError(op)
-            inward = _inward_key(_outer_spine(t, op == "pop"), op == "pop")
+            inward = _inward_key(outer_spine(t, op == "pop"), op == "pop")
             if inward is None:
                 total += 1  # splaying the extremum at the root
                 t = None
@@ -240,16 +240,6 @@ def deque_run(t0: Tree, ops: Iterable[tuple[str, Optional[int]]]) -> tuple[Tree,
     return t, total
 
 
-def _outer_spine(t: Tree, leftmost: bool) -> list[Node]:
-    """The outer spine from the root down, left to the minimum or right to
-    the maximum; empty for the empty tree."""
-    spine = []
-    while t is not None:
-        spine.append(t)
-        t = t.left if leftmost else t.right
-    return spine
-
-
 def _inward_key(spine: list[Node], leftmost: bool) -> Optional[int]:
     """The key next inward from the end of the nonempty outer ``spine``:
     the nearest key of the end's inner subtree, else its parent's; None
@@ -257,9 +247,7 @@ def _inward_key(spine: list[Node], leftmost: bool) -> Optional[int]:
     near = spine[-1].right if leftmost else spine[-1].left
     if near is None:
         return spine[-2].key if len(spine) > 1 else None
-    while (child := near.left if leftmost else near.right) is not None:
-        near = child
-    return near.key
+    return outer_spine(near, leftmost)[-1].key
 
 
 def parse_deque_script(text: str) -> list[tuple[str, Optional[int]]]:

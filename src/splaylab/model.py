@@ -180,7 +180,7 @@ def _elide_trace(trace: ExecutionTrace, gone: set[int]) -> Execution:
             break  # trailing run: drop the remaining transition trees
         merged_keys = set().union(*(tree_keys(step.subtree) for step in trace.steps[j - 1 : k]))
         t_prev = inst.initial if j == 1 else trace.steps[j - 2].after
-        q = root_subtree(t_prev, _connect_keys(t_prev, merged_keys))
+        q = smallest_root_subtree(t_prev, merged_keys)
         for idx in range(j, k + 1):
             q = substitute(q, trace.steps[idx - 1].transition)
         out.append(q)

@@ -436,7 +436,7 @@ def _window_walk(n: int, max_m: int) -> tuple[int, int]:
 
         def advance(state: tuple, z: int) -> tuple:
             _, step, _, total = state
-            nxt, wit = window_advance(step, x, z, keys)
+            nxt, wit = window_advance(step, x, z)
             return step, nxt, wit, total + wit.delta_z
 
         start = (None, window_start(t, x), None, 0)

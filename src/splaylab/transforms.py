@@ -27,6 +27,7 @@ from .tree import (
     frontier,
     is_right_spine,
     left_spine_tree,
+    outer_spine,
     path_nodes,
     preorder,
     rebuild_path,
@@ -435,11 +436,7 @@ def _strip_frame(t: Node, frame: Sequence[int]) -> Tree:
     a, b, z = frame
     out: Tree = t
     for key, leftmost in ((a, True), (b, True), (z, False)):
-        spine = []
-        node = out
-        while node is not None:
-            spine.append(node)
-            node = node.left if leftmost else node.right
+        spine = outer_spine(out, leftmost)
         if not spine or spine[-1].key != key:
             continue
         end = spine.pop()

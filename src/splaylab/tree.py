@@ -62,21 +62,10 @@ class Node:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: Node is immutable")
 
-    def __reduce__(self) -> tuple[Callable[..., Tree], tuple[tuple[Optional[int], ...]]]:
-        # pickle and copy get a flat preorder, None marking each empty
-        # child, and rebuild through __init__ in one loop: recursing through
-        # the children would overflow the stack on deep spines.
-        marked: list[Optional[int]] = []
-        stack: list[Tree] = [self]
-        while stack:
-            node = stack.pop()
-            if node is None:
-                marked.append(None)
-            else:
-                marked.append(node.key)
-                stack.append(node.right)
-                stack.append(node.left)
-        return (_from_marked_preorder, (tuple(marked),))
+    def __reduce__(self) -> tuple[Callable[[str], Tree], tuple[str]]:
+        # pickle and copy get the print form and rebuild through the
+        # iterative parser, so deep spines round-trip.
+        return (parse_shape, (shape_print(self),))
 
     # Structural equality and hashing are iterative: spines can be tens of
     # thousands of nodes deep, far past the recursion limit.
@@ -110,19 +99,6 @@ _set_left = Node.left.__set__
 _set_right = Node.right.__set__
 
 Tree = Optional[Node]
-
-
-def _from_marked_preorder(marked: Sequence[Optional[int]]) -> Tree:
-    """The tree whose preorder, with None for each empty child, is
-    ``marked``: read backwards, each key's two subtrees are already built."""
-    stack: list[Tree] = []
-    for key in reversed(marked):
-        if key is None:
-            stack.append(None)
-        else:
-            left = stack.pop()
-            stack.append(Node(key, left, stack.pop()))
-    return stack.pop()
 
 
 def size(t: Tree) -> int:
@@ -465,12 +441,18 @@ def right_spine_tree(keys: Iterable[int]) -> Tree:
     return t
 
 
-def is_right_spine(t: Tree) -> bool:
+def outer_spine(t: Tree, leftmost: bool) -> list[Node]:
+    """The outer spine from the root down, left to the minimum or right to
+    the maximum; empty for the empty tree."""
+    spine = []
     while t is not None:
-        if t.left is not None:
-            return False
-        t = t.right
-    return True
+        spine.append(t)
+        t = t.left if leftmost else t.right
+    return spine
+
+
+def is_right_spine(t: Tree) -> bool:
+    return all(node.left is None for node in outer_spine(t, False))
 
 
 def shape_print(t: Tree) -> str:

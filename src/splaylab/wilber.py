@@ -23,11 +23,10 @@ from .tree import (
     Node,
     Tree,
     bst_from_sequence,
-    contains,
+    outer_spine,
     path_nodes,
     postorder,
     treap_build,
-    tree_keys,
 )
 
 NEG_INF = float("-inf")
@@ -235,22 +234,14 @@ def sequence_crossing_bound(x_seq: Sequence[int]) -> int:
 
 def crossing_bound_from_insertion_tree(x_seq: Sequence[int]) -> int:
     """Crossing bound of a sequence served from its own insertion tree."""
-    if not x_seq:
-        return 0
-    t = bst_from_sequence(x_seq)
-    return crossing_bound(Instance(tuple(x_seq), t))
+    return run_totals(bst_from_sequence(x_seq), x_seq, "mtr").crossing
 
 
 def remove_one_gap(s: Node, x: int, z_seq: Sequence[int]) -> int:
     """Crossing-bound change from serving the requests out of ``s`` versus
     out of ``move_to_root(s, x)``."""
-    if not contains(s, x):
-        raise KeyAbsentError(x)
-    if not z_seq:
-        return 0
-    return crossing_bound(Instance(tuple(z_seq), s)) - crossing_bound(
-        Instance(tuple(z_seq), access_tree(s, x, "mtr"))
-    )
+    lifted = access_tree(s, x, "mtr")
+    return run_totals(s, z_seq, "mtr").crossing - run_totals(lifted, z_seq, "mtr").crossing
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +272,6 @@ class WindowStep:
     v: float
     s_tree: Node
     t_tree: Node
-    top_keys: tuple[int, ...]
     zipped: Tree  # J
     unzipped: Tree  # K
     zipped_aug: Tree  # J+, with the attachment boundary on top
@@ -319,33 +309,29 @@ class LevelWitness:
 
 def window_start(s: Node, x: int) -> WindowStep:
     """The state before any request: J+ = J is ``s``, K+ = K is its lift."""
-    if not contains(s, x):
-        raise KeyAbsentError(x)
     t, rec = access(s, x, "mtr")
-    return WindowStep(0, NEG_INF, POS_INF, s, t, (), s, t, s, t, rec.crossing)
+    return WindowStep(0, NEG_INF, POS_INF, s, t, s, t, s, t, rec.crossing)
 
 
-def window_advance(
-    prev: WindowStep, x: int, z: int, keys: Sequence[int]
-) -> tuple[WindowStep, LevelWitness]:
+def window_advance(prev: WindowStep, x: int, z: int) -> tuple[WindowStep, LevelWitness]:
     """The state after request ``z`` and the witness of its level
-    difference; ``keys`` are the tree's keys in increasing order."""
+    difference."""
     u = z if prev.u <= z <= x else prev.u
     v = z if x <= z <= prev.v else prev.v
     s_tree, s_rec = access(prev.s_tree, z, "mtr")
     t_tree, t_rec = access(prev.t_tree, z, "mtr")
     i = prev.index + 1
-    window = frozenset(k for k in keys if u < k < v)
-    top = tuple(k for k in keys if not u < k < v)
-    if not window:
-        step = WindowStep(i, u, v, s_tree, t_tree, top, None, None, None, None, 0)
+    # u <= x <= v always, and a request of x sets both bounds to x; until
+    # then x itself lies in the window.
+    if not u < x < v:
+        step = WindowStep(i, u, v, s_tree, t_tree, None, None, None, None, 0)
     else:
-        zipped, s_parent = _window_subtree(s_tree, window, u, v)
-        unzipped, t_parent = _window_subtree(t_tree, window, u, v)
+        zipped, s_parent = _window_subtree(s_tree, u, v)
+        unzipped, t_parent = _window_subtree(t_tree, u, v)
         if s_parent != t_parent:
             raise InvariantError("window attachment boundary must agree")
         step = WindowStep(
-            i, u, v, s_tree, t_tree, top, zipped, unzipped,
+            i, u, v, s_tree, t_tree, zipped, unzipped,
             augment_top(zipped, s_parent), augment_top(unzipped, t_parent), level(zipped, x),
         )
     return step, _witness(prev, x, z, step.k, s_rec.crossing - t_rec.crossing)
@@ -356,23 +342,27 @@ def window_decompose(
 ) -> tuple[list[WindowStep], list[LevelWitness]]:
     """Fold :func:`window_advance` over ``z_seq``: every state, and every
     request's witness."""
-    steps, witnesses, keys = [window_start(s, x)], [], sorted(tree_keys(s))
+    steps, witnesses = [window_start(s, x)], []
     for z in z_seq:
-        step, wit = window_advance(steps[-1], x, z, keys)
+        step, wit = window_advance(steps[-1], x, z)
         steps.append(step)
         witnesses.append(wit)
     return steps, witnesses
 
 
-def _window_subtree(t: Node, window: frozenset[int], u: float, v: float) -> tuple[Node, int]:
-    """The subtree holding exactly the window keys, plus its parent key."""
+def _window_subtree(t: Node, u: float, v: float) -> tuple[Node, int]:
+    """The subtree holding exactly the keys inside the window (u, v), plus
+    its parent key.  Every ancestor the descent passes lies outside the
+    window, so the subtree holds every window key, and it holds no other
+    exactly when its extremes lie inside the window."""
     parent: Optional[Node] = None
     node: Tree = t
     while node is not None and not u < node.key < v:
         parent, node = node, node.right if node.key <= u else node.left
     if node is None or parent is None:
         raise InvariantError("the window must hang below the root")
-    if tree_keys(node) != window:
+    lo, hi = outer_spine(node, True)[-1].key, outer_spine(node, False)[-1].key
+    if not (u < lo and hi < v):
         raise InvariantError("window keys must hang as one subtree")
     return node, parent.key
 
@@ -381,16 +371,8 @@ def generalized_path_keys(path: Sequence[Node]) -> set[int]:
     """Keys of the generalized path of the access path ``path`` to x: the
     path itself, the right spine of x's left subtree and the left spine of
     x's right subtree."""
-    keys = {node.key for node in path}
-    node = path[-1].left
-    while node is not None:
-        keys.add(node.key)
-        node = node.right
-    node = path[-1].right
-    while node is not None:
-        keys.add(node.key)
-        node = node.left
-    return keys
+    spines = outer_spine(path[-1].left, False) + outer_spine(path[-1].right, True)
+    return {node.key for node in (*path, *spines)}
 
 
 def _extended_crossing(prev: WindowStep, path: Sequence[Node]) -> dict[int, Optional[int]]:
@@ -486,22 +468,30 @@ def check_window_state(step: WindowStep, x: int) -> None:
     if step.index >= 1:
         if step.s_tree.key != step.t_tree.key:
             raise FormulaViolation(f"roots differ at step {step.index}")
-        if _top_parents(step.s_tree, step.u, step.v) != _top_parents(step.t_tree, step.u, step.v):
+        if not _same_top_tree(step.s_tree, step.t_tree, step.u, step.v):
             raise FormulaViolation(f"top-tree parent mismatch at step {step.index}")
 
 
-def _top_parents(t: Node, u: float, v: float) -> dict[int, Optional[int]]:
-    """Parent key of each key of the top tree, the root subtree of the keys
-    outside the window (u, v), from one walk of it."""
-    out: dict[int, Optional[int]] = {t.key: None}
-    stack = [t]
+def _same_top_tree(s: Node, t: Node, u: float, v: float) -> bool:
+    """Whether ``s`` and ``t`` have the same top tree, the root subtree of
+    the keys outside the window (u, v): one paired walk, child by child,
+    that stops at the first difference and skips shared nodes."""
+    if s.key != t.key:
+        return False
+    stack = [(s, t)]
     while stack:
-        node = stack.pop()
-        for child in (node.left, node.right):
-            if child is not None and not u < child.key < v:
-                out[child.key] = node.key
-                stack.append(child)
-    return out
+        a, b = stack.pop()
+        if a is b:
+            continue
+        for ca, cb in ((a.left, b.left), (a.right, b.right)):
+            # Whether a child is in the top tree depends on its key alone.
+            if ca is not None and not u < ca.key < v:
+                if cb is None or cb.key != ca.key:
+                    return False
+                stack.append((ca, cb))
+            elif cb is not None and not u < cb.key < v:
+                return False
+    return True
 
 
 def check_level_witness(prev: WindowStep, step: WindowStep, wit: LevelWitness) -> int:

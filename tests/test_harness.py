@@ -215,6 +215,11 @@ USAGE_ERRORS = {
     "run-unknown-column": ["run", "--instance", "{tmp}/absent.txt", "--report", "cost,nope"],
     "run-no-column": ["run", "--instance", "{tmp}/inst.txt", "--report", ","],
     "gen-bad-size": ["gen", "--family", "random", "--n", "-5", "--out", "{tmp}/x.txt"],
+    "gen-bad-size-spine-312": ["gen", "--family", "spine-312", "--n", "2", "--out", "{tmp}/x.txt"],
+    "gen-bad-size-powers": ["gen", "--family", "powers", "--k", "1", "--out", "{tmp}/x.txt"],
+    "gen-bad-size-mtr-bad": ["gen", "--family", "mtr-bad", "--n", "1", "--out", "{tmp}/x.txt"],
+    "gen-bad-size-sequential": ["gen", "--family", "sequential", "--n", "0", "--out", "{tmp}/x.txt"],
+    "gen-bad-size-traversal": ["gen", "--family", "traversal", "--n", "0", "--out", "{tmp}/x.txt"],
     "gen-unwritable-out": ["gen", "--family", "random", "--n", "3", "--out", "{tmp}/no/x.txt"],
     "gn-size-0": ["gn", "--n", "0"],
 }

@@ -130,6 +130,16 @@ class TestValidate:
         with pytest.raises(InvalidExecutionError):
             validate(Instance((1, 2), t), Execution((Node(1),)))
 
+    @pytest.mark.parametrize("q_prime, reason", [
+        (None, "empty transition tree"),
+        (Node(2, None, Node(9)), "key-set mismatch: [9]"),
+    ])
+    def test_invalid_transition_names_its_reason(self, q_prime, reason):
+        t = bst_from_sequence([2, 1, 3])
+        with pytest.raises(InvalidExecutionError) as err:
+            validate(Instance((2,), t), Execution((q_prime,)))
+        assert (err.value.step, err.value.reason) == (1, reason)
+
     def test_out_of_order_transition_rejected(self):
         # {2, 3} is a connected root subtree, but (3 . (2 . .)) puts 2 right
         # of 3; substituting it would drop keys 1 and 4 from the tree.

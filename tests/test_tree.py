@@ -25,6 +25,7 @@ from splaylab.tree import (
     insert_leaf,
     left_spine_tree,
     frontier,
+    outer_spine,
     parse_shape,
     path_encoding,
     path_nodes,
@@ -517,6 +518,10 @@ class TestShapes:
         assert len(all_shapes(3)) == 5
         assert len(all_shapes(4)) == 14
 
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            all_shapes(-1)
+
 
 class TestPrintForms:
     def test_roundtrip(self):
@@ -527,6 +532,25 @@ class TestPrintForms:
     def test_spines(self):
         assert shape_print(left_spine_tree([1, 2])) == "(2 (1 . .) .)"
         assert shape_print(right_spine_tree([1, 2])) == "(1 . (2 . .))"
+
+    def test_unbalanced_parentheses_rejected(self):
+        with pytest.raises(ValueError, match="^unbalanced parentheses in shape text$"):
+            parse_shape("(1 (2 . .) . . )")
+
+
+class TestOuterSpine:
+    def test_empty_tree(self):
+        assert outer_spine(None, True) == outer_spine(None, False) == []
+
+    def test_both_directions(self):
+        t = parse_shape("(4 (2 (1 . .) (3 . .)) (6 (5 . .) .))")
+        assert [node.key for node in outer_spine(t, True)] == [4, 2, 1]
+        assert [node.key for node in outer_spine(t, False)] == [4, 6]
+
+    def test_deep_left_spine(self):
+        t = left_spine_tree(range(1, 20_001))
+        assert [node.key for node in outer_spine(t, True)] == list(range(20_000, 0, -1))
+        assert outer_spine(t, False) == [t]
 
 
 class TestCanonicalPreorder:

@@ -25,6 +25,8 @@ from splaylab.tree import (
 from splaylab.wilber import (
     FormulaViolation,
     _reduce_to_path,
+    _same_top_tree,
+    _window_subtree,
     check_level_witness,
     check_window_state,
     crossing_bound,
@@ -345,12 +347,49 @@ def reference_reduce_to_path(j_aug, path_keys, z, x):
     return path[0].key
 
 
+def reference_top_parents(t, u, v):
+    """Parent key of each key of the top tree, the root subtree of the keys
+    outside the window (u, v), from one walk of it."""
+    out = {t.key: None}
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        for child in (node.left, node.right):
+            if child is not None and not u < child.key < v:
+                out[child.key] = node.key
+                stack.append(child)
+    return out
+
+
+def reference_window_subtree(t, u, v):
+    """The subtree holding exactly the window keys, plus its parent key,
+    compared against the window's key set."""
+    window = frozenset(k for k in tree_keys(t) if u < k < v)
+    parent = None
+    node = t
+    while node is not None and not u < node.key < v:
+        parent, node = node, node.right if node.key <= u else node.left
+    if node is None or parent is None:
+        raise InvariantError("the window must hang below the root")
+    if tree_keys(node) != window:
+        raise InvariantError("window keys must hang as one subtree")
+    return node, parent.key
+
+
+def window_subtree_outcome(find, t, u, v):
+    try:
+        return find(t, u, v)
+    except InvariantError as err:
+        return str(err)
+
+
 class TestWindowDecomposition:
     def test_initial_state(self):
         s = bst_from_sequence([2, 1, 3])
         steps, _ = window_decompose(s, 1, ())
         st0 = steps[0]
-        assert st0.top_keys == ()
+        # The top tree holds the keys outside the window: none yet.
+        assert (st0.u, st0.v) == (float("-inf"), float("inf"))
         assert st0.zipped == s
         from splaylab.algorithms import move_to_root
 
@@ -415,12 +454,47 @@ class TestWindowDecomposition:
         s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
         steps, _ = window_decompose(s, 4, (5, 3))
         step = steps[2]
-        assert step.top_keys == (1, 2, 3, 5, 6, 7)
+        # The top tree holds the keys outside the window: 1, 2, 3, 5, 6, 7.
+        assert (step.u, step.v) == (3, 5)
         check_window_state(step, 4)
         # Same root and window; top key 6 hangs from 5 instead of 7.
         bad = dataclasses.replace(step, t_tree=rotate(step.t_tree, 6))
         with pytest.raises(FormulaViolation, match="^top-tree parent mismatch at step 2$"):
             check_window_state(bad, 4)
+
+    def test_window_helpers_match_their_references_exhaustive(self):
+        # Every shape on 1..n with every window a decomposition reaches for
+        # key x with |Z| <= 3.  A window's bounds depend on x and Z alone, so
+        # one shape gives them all.  Each top tree is compared with the
+        # shape's lift and with each one-rotation tampering of the shape,
+        # which shares every subtree off the rotated path: some top trees
+        # differ only below the root, some only inside the window.  Below
+        # five keys it is compared with every shape, which finds top trees
+        # of one shape on different keys.
+        hangs, same_tops = set(), set()
+        for n in range(1, 7):
+            keys = range(1, n + 1)
+            for x in keys:
+                windows = {
+                    (step.u, step.v)
+                    for m in range(4)
+                    for z_seq in itertools.product(keys, repeat=m)
+                    for step in window_decompose(all_shapes(n)[0], x, z_seq)[0]
+                }
+                for t in all_shapes(n):
+                    others = [move_to_root(t, x)[0]] + [rotate(t, k) for k in keys if k != t.key]
+                    if n <= 4:
+                        others += all_shapes(n)
+                    for u, v in windows:
+                        found = window_subtree_outcome(_window_subtree, t, u, v)
+                        assert found == window_subtree_outcome(reference_window_subtree, t, u, v)
+                        hangs.add(not isinstance(found, str))
+                        for other in others:
+                            same = _same_top_tree(t, other, u, v)
+                            ref = reference_top_parents(t, u, v) == reference_top_parents(other, u, v)
+                            assert same == ref, (shape_print(t), shape_print(other), u, v)
+                            same_tops.add(same)
+        assert hangs == same_tops == {True, False}
 
     def test_absent_key_rejected(self):
         with pytest.raises(KeyError):
