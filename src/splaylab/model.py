@@ -31,6 +31,7 @@ from .tree import (
     parse_shape,
     path_nodes,
     preorder,
+    replace_root_subtree,
     root_subtree,
     shape_print,
     size,
@@ -116,10 +117,8 @@ def validate(inst: Instance, e: Execution) -> ExecutionTrace:
             raise InvalidExecutionError(
                 i, f"transition-tree root {q_prime.key} is not the requested key {x}"
             )
-        keys = tree_keys(q_prime)
         try:
-            q = root_subtree(t, keys)
-            after = substitute(t, q_prime)
+            q, after, size_q = replace_root_subtree(t, q_prime)
         except DisconnectedSubtreeError as err:
             raise InvalidExecutionError(i, f"subtree not connected through root: {err}") from err
         except KeyAbsentError as err:
@@ -127,7 +126,7 @@ def validate(inst: Instance, e: Execution) -> ExecutionTrace:
         except SymmetricOrderError as err:
             raise InvalidExecutionError(i, f"transition tree is not a search tree: {err}") from err
         steps.append(AccessStep(x, q, q_prime, after))
-        cost += len(keys)
+        cost += size_q
         t = after
     return ExecutionTrace(inst, tuple(steps), cost)
 

@@ -6,9 +6,12 @@ A request x is served by replacing a connected root subtree Q holding x with
 an arrangement Q' of its keys, x at the root, at cost |Q|; the after-tree
 depends only on Q' and Q's hanging subtrees.  So each layer's (state, Q)
 pairs are grouped by (Q's keys, hanging-subtree preorders): a group keeps its
-least distance and relaxes its moves once.  One pass over a state's preorder
-yields every such pair, the hanging preorders as slices of it, with no tree
-built for the state (see :func:`_groups`).  The arrangements are (x L R)
+least distance and relaxes its moves once.  A state's pairs are found by
+descending x's access path only, each hanging preorder a slice of the
+state's, with no tree built for the state (see :func:`_groups`): what Q can
+take from a subtree off the path depends on that subtree's preorder alone,
+so one table per subtree preorder serves every state and request that
+share it (see :func:`_sides`).  The arrangements are (x L R)
 for every L on Q's keys below x and every R on those above, left-major.  A
 move is an after-state and the print of Q', the tie-break; it builds no
 tree.  The after-state, a preorder, is spliced from the preorders of L, R
@@ -46,6 +49,9 @@ class OptResult:
     # (Kept set, hanging subtrees) groups relaxed before each request; each
     # is at most that layer's count of (state, kept set) pairs.
     groups_per_layer: tuple[int, ...]
+    # Moves relaxed before each request: each group's arrangements of its
+    # kept set with the request at the root.
+    moves_per_layer: tuple[int, ...]
     trace: ExecutionTrace  # the validated trace of ``execution``
 
 
@@ -71,41 +77,53 @@ def _groups(shape: tuple[int, ...], x: int) -> tuple[_Group, ...]:
     ``fill`` holds the preorders of Q's hanging subtrees in symmetric order.
 
     The pair fixes the request's moves through Q (see :func:`_group_moves`),
-    so states sharing a pair share them.
+    so states sharing a pair share them.  Only x's access path is walked:
+    the subtree off each path node comes from its :func:`_sides` entry, and
+    x's own subtree is its entry without the option of hanging it whole.
     """
-    n = len(shape)
-    # mid[p]: where p's right subtree starts, the first later key above
-    # p's; end[p]: where p's subtree ends, which is where the right subtree
-    # of its nearest ancestor above it starts.  Keys on the stack await
-    # their right subtree, so they are the ancestors above the current key.
-    mid = [n] * n
-    up: list[int | None] = []
-    stack: list[int] = []
-    for p, key in enumerate(shape):
-        while stack and shape[stack[-1]] < key:
-            mid[stack.pop()] = p
-        up.append(stack[-1] if stack else None)
-        stack.append(p)
-    end = [n if a is None else mid[a] for a in up]
-    at = shape.index(x)
-    # Children before parents: kept[p] lists the (keys, fill) pairs of the
-    # connected subtrees at p that hold p and, if p is on x's access path,
-    # x.  An absent child leaves one empty slot; a child off the path may
-    # also hang whole.  Left keys and slots precede the node's and right
-    # ones follow, so keys and fill come out in symmetric order.
-    kept: list[list[_Group]] = [[]] * n
-    for p in range(n - 1, -1, -1):
-        sides = []
-        for c, stop in ((p + 1, mid[p]), (mid[p], end[p])):
-            if c == stop:
-                sides.append([((), ((),))])
-            elif c <= at < stop:
-                sides.append(kept[c])
-            else:
-                sides.append([((), (shape[c:stop],))] + kept[c])
-        key = (shape[p],)
-        kept[p] = [(lk + key + rk, lf + rf) for lk, lf in sides[0] for rk, rf in sides[1]]
-    return tuple(sorted(kept[0]))
+    return tuple(sorted(_path_groups(shape, x)))
+
+
+def _path_groups(sub: tuple[int, ...], x: int) -> tuple[_Group, ...]:
+    """The (keys, fill) pairs of the connected subtrees at the root of the
+    subtree with preorder ``sub`` that hold the root and ``x``."""
+    root = sub[0]
+    if root == x:
+        return _sides(sub)[1:]
+    mid = _right_start(sub)
+    if x < root:
+        return _join(_path_groups(sub[1:mid], x), root, _sides(sub[mid:]))
+    return _join(_sides(sub[1:mid]), root, _path_groups(sub[mid:], x))
+
+
+@lru_cache(maxsize=200_000)
+def _sides(sub: tuple[int, ...]) -> tuple[_Group, ...]:
+    """What a kept set can take from the subtree with preorder ``sub``
+    hanging below it: the subtree hanging whole, then each connected
+    subtree at its root with its fill.  The empty subtree leaves one empty
+    slot.  Depends on ``sub`` alone, so states and requests share it."""
+    if not sub:
+        return (((), ((),)),)
+    mid = _right_start(sub)
+    return (((), (sub,)),) + _join(_sides(sub[1:mid]), sub[0], _sides(sub[mid:]))
+
+
+def _right_start(sub: tuple[int, ...]) -> int:
+    """Where the right subtree starts in the preorder ``sub``: at its first
+    key above the root's."""
+    root = sub[0]
+    for mid in range(1, len(sub)):
+        if sub[mid] > root:
+            return mid
+    return len(sub)
+
+
+def _join(lefts: tuple[_Group, ...], root: int, rights: tuple[_Group, ...]) -> tuple[_Group, ...]:
+    """Every left pair with every right one around ``root``: left keys and
+    slots precede the root's and right ones follow, so keys and fill come
+    out in symmetric order."""
+    key = (root,)
+    return tuple((lk + key + rk, lf + rf) for lk, lf in lefts for rk, rf in rights)
 
 
 @lru_cache(maxsize=200_000)
@@ -176,6 +194,7 @@ def opt_cost(inst: Instance, guard_m: int = DEFAULT_GUARD_M) -> OptResult:
     parents: list[dict[tuple[int, ...], tuple[tuple[int, ...], str]]] = []
     per_layer: list[int] = []
     groups_per_layer: list[int] = []
+    moves_per_layer: list[int] = []
     for x in inst.requests:
         per_layer.append(len(layer))
         # Each group keeps its least distance and the first state in layer
@@ -189,9 +208,12 @@ def opt_cost(inst: Instance, guard_m: int = DEFAULT_GUARD_M) -> OptResult:
         groups_per_layer.append(len(groups))
         nxt: dict[tuple[int, ...], int] = {}
         back: dict[tuple[int, ...], tuple[tuple[int, ...], str]] = {}
+        relaxed = 0
         for (q_keys, fill), (dist, shape) in groups.items():
             cand = dist + len(q_keys)
-            for after, q_print in _group_moves(q_keys, fill, x):
+            moves = _group_moves(q_keys, fill, x)
+            relaxed += len(moves)
+            for after, q_print in moves:
                 known = nxt.get(after)
                 # Equal prints mean the same Q' and after-shape, so the same
                 # group, whose kept state is the first in layer order at its
@@ -201,6 +223,7 @@ def opt_cost(inst: Instance, guard_m: int = DEFAULT_GUARD_M) -> OptResult:
                 ):
                     nxt[after] = cand
                     back[after] = (shape, q_print)
+        moves_per_layer.append(relaxed)
         layer = nxt
         parents.append(back)
     best_shape = min(layer, key=lambda s: (layer[s], s))
@@ -220,5 +243,6 @@ def opt_cost(inst: Instance, guard_m: int = DEFAULT_GUARD_M) -> OptResult:
             f"reconstructed execution costs {trace.cost}, not the optimum {total}"
         )
     return OptResult(
-        total, execution, sum(per_layer), tuple(per_layer), tuple(groups_per_layer), trace
+        total, execution, sum(per_layer), tuple(per_layer), tuple(groups_per_layer),
+        tuple(moves_per_layer), trace,
     )

@@ -305,7 +305,12 @@ def root_subtree(t: Tree, keys: Iterable[int]) -> Node:
     """The induced subtree on ``keys``, which must form a connected subtree
     containing the root.  Visits only those nodes and their children."""
     want = frozenset(keys)
-    pre, _ = _root_walk(t, want)
+    return _induced(_root_walk(t, want)[0], want)
+
+
+def _induced(pre: list[Node], want: AbstractSet[int]) -> Node:
+    """A copy of the root subtree on ``want`` whose nodes ``pre`` lists in
+    preorder."""
     # Reversed preorder finishes every subtree before its parent, so the
     # stack holds the left child's copy on top of the right child's.
     built: list[Node] = []
@@ -320,9 +325,25 @@ def substitute(t: Tree, q_prime: Tree) -> Node:
     """Replace the root subtree on ``q_prime``'s keys with ``q_prime``,
     re-attaching hanging subtrees in the slots forced by symmetric order.
     Costs O(|Q|); raises :class:`SymmetricOrderError` when ``q_prime`` is
-    not a search tree."""
+    not a search tree, after any key-set or connectivity error."""
+    return _substitution(t, q_prime)[2]
+
+
+def replace_root_subtree(t: Tree, q_prime: Tree) -> tuple[Node, Node, int]:
+    """Q, the root subtree of ``t`` on ``q_prime``'s keys as arranged in
+    ``t``; the after-tree of :func:`substitute`, with its errors; and |Q|.
+    Walks each tree once."""
+    pre, want, after = _substitution(t, q_prime)
+    return _induced(pre, want), after, len(pre)
+
+
+def _substitution(t: Tree, q_prime: Tree) -> tuple[list[Node], AbstractSet[int], Node]:
+    """Q's nodes in preorder, Q's keys and the after-tree of
+    :func:`substitute`, from one in-order walk of ``q_prime`` and one
+    :func:`_root_walk` of ``t``."""
     pre: list[Node] = []  # Q' in preorder: the push order of its in-order walk
     ordered: list[int] = []
+    fault = None
     stack: list[Node] = []
     node = q_prime
     while stack or node is not None:
@@ -331,12 +352,15 @@ def substitute(t: Tree, q_prime: Tree) -> Node:
             stack.append(node)
             node = node.left
         node = stack.pop()
-        if ordered and node.key <= ordered[-1]:
-            raise SymmetricOrderError(f"key {node.key} follows {ordered[-1]} in symmetric order")
+        if fault is None and ordered and node.key <= ordered[-1]:
+            fault = f"key {node.key} follows {ordered[-1]} in symmetric order"
         ordered.append(node.key)
         node = node.right
     rank = {k: r for r, k in enumerate(ordered)}
-    _, slots = _root_walk(t, rank.keys())
+    q_pre, slots = _root_walk(t, rank.keys())
+    # Raised only now, so key-set and connectivity errors come first.
+    if fault is not None:
+        raise SymmetricOrderError(fault)
     # Q's |Q| + 1 boundary slots fill Q''s empty ones in symmetric order: the
     # left slot of the key of rank r is slot r, its right slot is r + 1.
     built: list[Node] = []
@@ -345,7 +369,7 @@ def substitute(t: Tree, q_prime: Tree) -> Node:
         left = built.pop() if node.left is not None else slots[r]
         right = built.pop() if node.right is not None else slots[r + 1]
         built.append(Node(node.key, left, right))
-    return built[0]
+    return q_pre, rank.keys(), built[0]
 
 
 def _root_walk(t: Tree, want: AbstractSet[int]) -> tuple[list[Node], list[Tree]]:

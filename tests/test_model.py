@@ -133,9 +133,14 @@ class TestValidate:
     @pytest.mark.parametrize("q_prime, reason", [
         (None, "empty transition tree"),
         (Node(2, None, Node(9)), "key-set mismatch: [9]"),
+        (Node(2, Node(3)), "transition tree is not a search tree: key 2 follows 3 in symmetric order"),
+        # Disconnected and out of order: the connectivity reason comes first.
+        (Node(2, Node(4)),
+         "subtree not connected through root: keys [2, 4] are not connected through the root"),
+        (Node(2, None, Node(2)), "transition tree is not a search tree: key 2 follows 2 in symmetric order"),
     ])
     def test_invalid_transition_names_its_reason(self, q_prime, reason):
-        t = bst_from_sequence([2, 1, 3])
+        t = bst_from_sequence([2, 1, 3, 4])
         with pytest.raises(InvalidExecutionError) as err:
             validate(Instance((2,), t), Execution((q_prime,)))
         assert (err.value.step, err.value.reason) == (1, reason)

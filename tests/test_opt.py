@@ -16,6 +16,7 @@ from splaylab.model import (
     subsequence_instance,
     validate,
 )
+from splaylab import opt
 from splaylab.opt import (
     GuardExceededError,
     _arrangements,
@@ -344,8 +345,9 @@ class TestTransitions:
     def test_opt_cost_builds_no_arrangement_trees(self):
         # A cold call fills no tree cache: its only trees are the m
         # transition trees parsed from their prints.
-        for cached in (_groups, _group_moves, _rooted_prints, _arrangements):
-            cached.cache_clear()
+        for cached in vars(opt).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
         shapes_on_keys.cache_clear()
         rooted_shapes.cache_clear()
         inst = make_random_instance(random.Random(6), 6, 6)
@@ -415,14 +417,19 @@ class TestTransitions:
 
     def test_groups_per_layer(self, rng):
         # One group per distinct (kept set, fill) pair of the layer, whose
-        # states are those the reference moves reach.
+        # states are those the reference moves reach; each group relaxes one
+        # move per arrangement of its kept set with x at the root.
         for _ in range(20):
             inst = make_random_instance(rng, rng.randint(1, 5), rng.randint(0, 5))
             result = opt_cost(inst)
-            assert len(result.groups_per_layer) == inst.m
+            assert len(result.groups_per_layer) == len(result.moves_per_layer) == inst.m
             layer = {preorder(inst.initial)}
-            for x, groups in zip(inst.requests, result.groups_per_layer):
-                assert groups == len({g for s in layer for g in reference_groups(s, x)})
+            for x, groups, moves in zip(
+                inst.requests, result.groups_per_layer, result.moves_per_layer
+            ):
+                pairs = {g for s in layer for g in reference_groups(s, x)}
+                assert groups == len(pairs)
+                assert moves == sum(len(rooted_shapes(q_keys, x)) for q_keys, _ in pairs)
                 layer = {k for s in layer for k, _, _ in per_state_transitions(s, x)}
 
 

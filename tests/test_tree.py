@@ -32,6 +32,7 @@ from splaylab.tree import (
     postorder,
     preorder,
     rebuild_path,
+    replace_root_subtree,
     right_spine_tree,
     root_subtree,
     rotate,
@@ -465,6 +466,9 @@ class TestSubstitute:
                     for arrangement in shapes_on_keys(keyset):
                         out = substitute(t, arrangement)
                         assert out == reference_substitute(t, arrangement)
+                        assert replace_root_subtree(t, arrangement) == (
+                            root_subtree(t, keyset), out, len(keyset)
+                        )
                         assert tree_keys(out) == tree_keys(t)
                         assert sorted(preorder(out)) == list(range(1, n + 1))
                         _assert_search_order(out)
@@ -476,6 +480,7 @@ class TestSubstitute:
             expected = _outcome(reference_substitute, t, q_prime)
             assert isinstance(expected, type)
             assert _outcome(substitute, t, q_prime) == expected
+            assert _outcome(replace_root_subtree, t, q_prime) == expected
 
     def test_out_of_order_transition_rejected(self):
         # Keys {2, 3} are a connected root subtree, but 2 sits right of 3.
