@@ -290,7 +290,7 @@ class TestTransitions:
                     assert keysets == reference_keysets(t, x)
 
     def test_groups_match_tree_reference_exhaustive(self):
-        # Key sets and fills from the one preorder pass equal those read off
+        # Key sets and fills from the access-path descent equal those read off
         # a Node tree, for every shape with n <= 7 and every request.
         for n in range(1, 8):
             for t in all_shapes(n):
