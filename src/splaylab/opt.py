@@ -81,31 +81,42 @@ def _groups(shape: tuple[int, ...], x: int) -> tuple[_Group, ...]:
     the subtree off each path node comes from its :func:`_sides` entry, and
     x's own subtree is its entry without the option of hanging it whole.
     """
-    return tuple(sorted(_path_groups(shape, x)))
+    return _path_groups(shape, x, False)
 
 
-def _path_groups(sub: tuple[int, ...], x: int) -> tuple[_Group, ...]:
+def _path_groups(sub: tuple[int, ...], x: int, lead: bool) -> tuple[_Group, ...]:
     """The (keys, fill) pairs of the connected subtrees at the root of the
-    subtree with preorder ``sub`` that hold the root and ``x``."""
+    subtree with preorder ``sub`` that hold the root and ``x``, in sorted
+    order, or in lead order if ``lead`` (see :func:`_sides`)."""
     root = sub[0]
     if root == x:
-        return _sides(sub)[1:]
+        sides = _sides(sub, lead)
+        return sides[:-1] if lead else sides[1:]
     mid = _right_start(sub)
     if x < root:
-        return _join(_path_groups(sub[1:mid], x), root, _sides(sub[mid:]))
-    return _join(_sides(sub[1:mid]), root, _path_groups(sub[mid:], x))
+        return _join(_path_groups(sub[1:mid], x, True), root, _sides(sub[mid:], lead))
+    return _join(_sides(sub[1:mid], True), root, _path_groups(sub[mid:], x, lead))
 
 
 @lru_cache(maxsize=200_000)
-def _sides(sub: tuple[int, ...]) -> tuple[_Group, ...]:
+def _sides(sub: tuple[int, ...], lead: bool) -> tuple[_Group, ...]:
     """What a kept set can take from the subtree with preorder ``sub``
-    hanging below it: the subtree hanging whole, then each connected
+    hanging below it: the subtree hanging whole, and each connected
     subtree at its root with its fill.  The empty subtree leaves one empty
-    slot.  Depends on ``sub`` alone, so states and requests share it."""
+    slot.  Depends on ``sub`` alone, so states and requests share it.
+
+    Each key set appears once, in sorted order, so hanging whole comes
+    first; or in lead order, each key tuple compared as if a key above all
+    keys followed it, so hanging whole comes last.  A left side compares in
+    lead order inside a join, since the root follows its keys: so lead
+    lefts joined with sorted rights come out sorted, and with lead rights
+    in lead order, and no table is ever sorted."""
     if not sub:
         return (((), ((),)),)
     mid = _right_start(sub)
-    return (((), (sub,)),) + _join(_sides(sub[1:mid]), sub[0], _sides(sub[mid:]))
+    kept = _join(_sides(sub[1:mid], True), sub[0], _sides(sub[mid:], lead))
+    whole = (((), (sub,)),)
+    return kept + whole if lead else whole + kept
 
 
 def _right_start(sub: tuple[int, ...]) -> int:

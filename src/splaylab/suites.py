@@ -13,7 +13,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .algorithms import access_cost, access_tree, run_totals
 from .families import generate, random_tree, trial_rng
@@ -237,6 +237,7 @@ def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> str:
     # One oracle call per (shape, sequence), with the trace the oracle
     # validated, serves the strict-monotonicity comparisons and every elision.
     instances = comparisons = elisions = 0
+    deletions = [_deletion_sets(m) for m in range(max_m + 1)]
     for n in range(1, max_n + 1):
         for t in all_shapes(n):
             insts = [
@@ -248,8 +249,7 @@ def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> str:
             for inst in insts:
                 instances += 1
                 full = best[inst.requests]
-                for mask in range(1, 2 ** inst.m):
-                    deleted = {i + 1 for i in range(inst.m) if (mask >> i) & 1}
+                for deleted in deletions[inst.m]:
                     sub_inst = subsequence_instance(inst, deleted)
                     sub = sub_inst.requests
                     if sub:
@@ -273,6 +273,12 @@ def suite_opt_monotone(max_n: int = 4, max_m: int = 3, **_: object) -> str:
         f"{instances} instances, {comparisons} subsequence comparisons,"
         f" {elisions} elisions: zero violations"
     )
+
+
+def _deletion_sets(m: int) -> tuple[set[int], ...]:
+    """The non-empty sets of request indices 1..m, in mask order: bit i of
+    the mask deletes index i + 1.  Built once per m and only read."""
+    return tuple({i + 1 for i in range(m) if (mask >> i) & 1} for mask in range(1, 2**m))
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +384,14 @@ def _lift_tables(n: int, max_m: int):
 def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
     checked = 0
     for n in range(1, 5):
+        # Every shape's table has the same keys, so one pair list serves them all.
+        pairs = _subsequence_pairs(range(1, n + 1), 4)
         for t in all_shapes(n):
             bound = crossing_bounds(t, range(1, n + 1), 4)
-            for x_seq, full in bound.items():
-                for mask in range(1, 2 ** len(x_seq)):
-                    sub = tuple(x for j, x in enumerate(x_seq) if not (mask >> j) & 1)
-                    if not sub:
-                        continue
-                    checked += 1
-                    if bound[sub] > 4 * full:
-                        raise SuiteFailure(f"{shape_print(t)} {x_seq} -> {sub}")
+            for x_seq, sub in pairs:
+                if bound[sub] > 4 * bound[x_seq]:
+                    raise SuiteFailure(f"{shape_print(t)} {x_seq} -> {sub}")
+            checked += len(pairs)
     for trial in range(10_000):
         rng = trial_rng("suite", seed, "wmono", trial)
         n = rng.randint(1, 8)
@@ -401,6 +405,19 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
         if crossing_bound(sub) > 4 * crossing_bound(inst):
             raise SuiteFailure(f"random trial {trial}")
     return f"{checked} subsequences within factor four"
+
+
+def _subsequence_pairs(
+    keys: Sequence[int], max_m: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each request sequence over ``keys`` of length at most ``max_m``, in
+    :func:`crossing_bounds` key order, with each of its non-empty proper
+    subsequences in mask order: bit j of the mask drops request j."""
+    pairs = []
+    for x_seq, _ in walk_sequences(None, keys, max_m, lambda *_: None):
+        for mask in range(1, 2 ** len(x_seq) - 1):
+            pairs.append((x_seq, tuple(x for j, x in enumerate(x_seq) if not (mask >> j) & 1)))
+    return pairs
 
 
 # ---------------------------------------------------------------------------

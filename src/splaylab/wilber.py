@@ -12,8 +12,16 @@ after-trees; it lower-bounds optimal execution cost up to a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import AbstractSet, Callable, Iterator, NoReturn, Optional, Sequence, TypeVar
+from typing import (
+    AbstractSet,
+    Callable,
+    Iterator,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from .algorithms import access, access_tree, move_to_root, run_totals
 from .model import Instance
@@ -255,8 +263,7 @@ def augment_top(t: Node, y: int) -> Node:
     return Node(y, t, None)
 
 
-@dataclass(frozen=True)
-class WindowStep:
+class WindowStep(NamedTuple):
     """Window state after request ``index`` (index 0 is the initial state).
 
     The two runs serve the same requests from ``s`` and from
@@ -279,8 +286,7 @@ class WindowStep:
     k: int  # crossing depth of x in the zipped subtree (0 when it is empty)
 
 
-@dataclass(frozen=True)
-class LevelWitness:
+class LevelWitness(NamedTuple):
     """Quantities of the level-difference case analysis for one request.
 
     Everything but ``k_cur`` and ``delta_z`` is read off the previous step,

@@ -72,5 +72,12 @@ def test_acceptance_criterion(suite, number, summary):
     assert result.detail == PINNED_DETAIL[suite]
 
 
+def test_wilber_monotone_at_seed_7():
+    # Its random part reads the seed, so a second seed pins its draws too.
+    result = run_suite("wilber-monotone", seed=7)[0]
+    assert result.passed
+    assert result.detail == "71986 subsequences within factor four"
+
+
 def test_every_suite_is_a_criterion():
     assert set(SUITES) == {c[0] for c in CRITERIA} == set(PINNED_DETAIL)

@@ -1,5 +1,6 @@
 """Brute-force optimal execution oracle."""
 
+import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -23,10 +24,12 @@ from splaylab.opt import (
     _group_moves,
     _groups,
     _rooted_prints,
+    _sides,
     _splice,
     check_guards,
     opt_cost,
 )
+from splaylab.suites import SuiteFailure, _deletion_sets, suite_opt_monotone
 from splaylab.tree import (
     InvariantError,
     Node,
@@ -298,6 +301,22 @@ class TestTransitions:
                 for x in range(1, n + 1):
                     assert _groups(shape, x) == reference_groups(shape, x)
 
+    def test_groups_and_sides_need_no_sort_exhaustive(self):
+        # The tables are composed in order, never sorted: sorted for the
+        # groups and for a plain side table, and for a lead table each key
+        # tuple compares as if a key above all keys followed it.
+        def lead(group):
+            return group[0] + (float("inf"),), group[1]
+
+        for n in range(1, 8):
+            for t in all_shapes(n):
+                shape = preorder(t)
+                assert _sides(shape, False) == tuple(sorted(_sides(shape, False)))
+                assert _sides(shape, True) == tuple(sorted(_sides(shape, True), key=lead))
+                assert sorted(_sides(shape, True)) == list(_sides(shape, False))
+                for x in range(1, n + 1):
+                    assert _groups(shape, x) == tuple(sorted(_groups(shape, x)))
+
     def test_match_reference_exhaustive(self):
         # The grouped moves, reduced per after-shape, are the reference moves
         # in the same order, with the same chosen transition tree and cost,
@@ -521,6 +540,32 @@ class TestEliedOptimal:
                         for mask in range(1, 2 ** m):
                             deleted = {i + 1 for i in range(m) if (mask >> i) & 1}
                             assert _elide_trace(trace, deleted) == elide(inst, best, deleted)
+
+
+class TestOptMonotoneSweep:
+    def test_deletion_sets_in_mask_order(self):
+        # Each m's sets are built once per sweep, as the per-instance loop
+        # built them for every mask.
+        for m in range(5):
+            assert _deletion_sets(m) == tuple(
+                {i + 1 for i in range(m) if (mask >> i) & 1} for mask in range(1, 2**m)
+            )
+
+    def test_elision_failure_names_the_deletion_set(self, monkeypatch):
+        # A planted defect that makes one elision as dear as the full
+        # execution: the message prints the deletion set as a set.
+        real = validate
+
+        def tampered(inst, execution):
+            trace = real(inst, execution)
+            if inst.requests == (1, 1):
+                return dataclasses.replace(trace, cost=trace.cost + 100)
+            return trace
+
+        monkeypatch.setattr("splaylab.suites.validate", tampered)
+        message = r"^elision not cheaper: \(1 \. \.\) \(1, 1, 1\) \{1\}$"
+        with pytest.raises(SuiteFailure, match=message):
+            suite_opt_monotone(max_n=1, max_m=3)
 
 
 def initial_tree_shift(x_seq, t, t_prime):

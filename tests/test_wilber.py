@@ -1,7 +1,6 @@
 """Crossing-node machinery: levels, the crossing bound and its two
 formulations, the splay cost decomposition, and the window decomposition."""
 
-import dataclasses
 import itertools
 import random
 
@@ -9,7 +8,13 @@ import pytest
 from splaylab.algorithms import move_to_root
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance
-from splaylab.suites import SuiteFailure, _lift_tables, _window_walk
+from splaylab.suites import (
+    SuiteFailure,
+    _lift_tables,
+    _subsequence_pairs,
+    _window_walk,
+    suite_wilber_monotone,
+)
 from splaylab.tree import (
     InvariantError,
     Node,
@@ -17,6 +22,7 @@ from splaylab.tree import (
     bst_from_sequence,
     contains,
     path_nodes,
+    preorder,
     rotate,
     shape_print,
     size,
@@ -275,6 +281,57 @@ class TestCrossingBounds:
         ]
 
 
+def reference_wilber_monotone(bounds=crossing_bounds):
+    """The wilber-monotone sweep's exhaustive loop with each shape building
+    its subsequences from its own table, the loop the per-n pair list
+    replaced.  Returns the (shape preorder, sequence, subsequence) triples
+    it compares, up to the first failing one, and that one's message, or
+    None when none fails."""
+    triples = []
+    for n in range(1, 5):
+        for t in all_shapes(n):
+            bound = bounds(t, range(1, n + 1), 4)
+            for x_seq, full in bound.items():
+                for mask in range(1, 2 ** len(x_seq)):
+                    sub = tuple(x for j, x in enumerate(x_seq) if not (mask >> j) & 1)
+                    if not sub:
+                        continue
+                    triples.append((preorder(t), x_seq, sub))
+                    if bound[sub] > 4 * full:
+                        return triples, f"{shape_print(t)} {x_seq} -> {sub}"
+    return triples, None
+
+
+class TestMonotoneSweep:
+    def test_pair_list_gives_the_per_shape_triples_in_order(self):
+        triples, failure = reference_wilber_monotone()
+        assert failure is None and len(triples) == 63152
+        assert triples == [
+            (preorder(t), x_seq, sub)
+            for n in range(1, 5)
+            for t in all_shapes(n)
+            for x_seq, sub in _subsequence_pairs(range(1, n + 1), 4)
+        ]
+
+    def test_first_failing_triple_matches_the_per_shape_loop(self, monkeypatch):
+        # A planted defect in one table of n = 3 fails many triples: the
+        # sweep must stop at the one the per-shape loop meets first, with
+        # the same message (a sweep by sequence length would stop at
+        # (1, 3, 1) instead).
+        def tampered(t, keys, max_m):
+            bound = crossing_bounds(t, keys, max_m)
+            if len(keys) == 3 and t.key == 2:
+                bound[(3, 1)] += 100
+            return bound
+
+        _, expected = reference_wilber_monotone(tampered)
+        assert expected == "(2 (1 . .) (3 . .)) (1, 1, 3, 1) -> (3, 1)"
+        monkeypatch.setattr("splaylab.suites.crossing_bounds", tampered)
+        with pytest.raises(SuiteFailure) as err:
+            suite_wilber_monotone()
+        assert str(err.value) == expected
+
+
 class TestRemoveOneGap:
     def test_empty_sequence_gap_zero(self):
         s = bst_from_sequence([2, 1, 3])
@@ -443,7 +500,7 @@ class TestWindowDecomposition:
         checked = [w for w in wits if check_level_witness(steps[w.index - 1], steps[w.index], w)]
         assert checked
         wit = checked[0]
-        bad = dataclasses.replace(wit, zipped_level=wit.zipped_level + 1)
+        bad = wit._replace(zipped_level=wit.zipped_level + 1)
         message = f"^step {wit.index}: zipped level {wit.zipped_level + 1} != "
         with pytest.raises(FormulaViolation, match=message):
             check_level_witness(steps[wit.index - 1], steps[wit.index], bad)
@@ -458,7 +515,7 @@ class TestWindowDecomposition:
         assert (step.u, step.v) == (3, 5)
         check_window_state(step, 4)
         # Same root and window; top key 6 hangs from 5 instead of 7.
-        bad = dataclasses.replace(step, t_tree=rotate(step.t_tree, 6))
+        bad = step._replace(t_tree=rotate(step.t_tree, 6))
         with pytest.raises(FormulaViolation, match="^top-tree parent mismatch at step 2$"):
             check_window_state(bad, 4)
 
