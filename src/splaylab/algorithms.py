@@ -1,6 +1,5 @@
 """Self-adjusting algorithms as pure tree-to-tree functions: bottom-up Splay,
-Move-to-Root, Top-Down Splay, insertion splaying, and splay-based deque
-operations.
+Move-to-Root, Top-Down Splay, and splay-based deque operations.
 
 Each access returns the new tree together with an :class:`AccessRecord`
 carrying the path encoding, the cost and the crossing count; the splay-step
@@ -15,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, NamedTuple, Optional
 
-from .tree import KeyAbsentError, Node, Tree, insert_leaf, outer_spine, parse_key, rebuild_path
+from .tree import KeyAbsentError, Node, Tree, outer_spine, rebuild_path
 
 
 class AccessRecord(NamedTuple):
@@ -147,11 +146,6 @@ def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     return access(t, key, "tds")
 
 
-def insertion_splay(t: Tree, key: int) -> Node:
-    """Insert a key at a leaf, then splay the new node to the root."""
-    return access_tree(insert_leaf(t, key), key, "splay")
-
-
 def run_accesses(
     t: Tree, keys: Iterable[int], algo: str = "splay"
 ) -> tuple[Tree, list[AccessRecord]]:
@@ -248,22 +242,3 @@ def _inward_key(spine: list[Node], leftmost: bool) -> Optional[int]:
     if near is None:
         return spine[-2].key if len(spine) > 1 else None
     return outer_spine(near, leftmost)[-1].key
-
-
-def parse_deque_script(text: str) -> list[tuple[str, Optional[int]]]:
-    """One op per line: ``push k`` | ``inject k`` | ``pop`` | ``eject``."""
-    ops: list[tuple[str, Optional[int]]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if parts[0] in ("push", "inject"):
-            if len(parts) != 2:
-                raise ValueError(f"bad deque op line: {line!r}")
-            ops.append((parts[0], parse_key(parts[1])))
-        elif parts[0] in ("pop", "eject") and len(parts) == 1:
-            ops.append((parts[0], None))
-        else:
-            raise ValueError(f"bad deque op line: {line!r}")
-    return ops

@@ -11,6 +11,7 @@ instance, ``gn`` prints transition digraph facts.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from functools import cache, cached_property
 from pathlib import Path
@@ -97,11 +98,11 @@ def _write_report(paths: Sequence[str], columns: Sequence[str], algo: str = "spl
     then ``columns`` from :data:`COLUMNS`.  Every file is read first, so a bad
     one prints nothing."""
     instances = [(path, read_instance(path)) for path in paths]
-    print(",".join(["instance", "m", "n", *columns]))
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["instance", "m", "n", *columns])
     for path, inst in instances:
         cells = _Cells(inst, algo)
-        row = [Path(path).name, inst.m, inst.n, *(COLUMNS[c](cells) for c in columns)]
-        print(",".join(map(str, row)))
+        out.writerow([Path(path).name, inst.m, inst.n, *(COLUMNS[c](cells) for c in columns)])
     return 0
 
 

@@ -28,12 +28,10 @@ from .tree import (
     Tree,
     bst_from_sequence,
     parse_key,
-    parse_shape,
     path_nodes,
     preorder,
     replace_root_subtree,
     root_subtree,
-    shape_print,
     size,
     substitute,
     tree_keys,
@@ -429,7 +427,7 @@ def _closure_both(a: Node, b: Node, keys: Iterable[int]) -> frozenset[int]:
 
 
 # ---------------------------------------------------------------------------
-# Plain-text formats.
+# The instance text format.
 
 
 def format_instance(inst: Instance, subsequence: Optional[tuple[int, ...]] = None) -> str:
@@ -472,16 +470,3 @@ def parse_instance(text: str) -> tuple[Instance, Optional[tuple[int, ...]]]:
         seen.add(k)
     initial = bst_from_sequence(keys)
     return Instance(tuple(map(parse_key, fields["requests"])), initial), subsequence
-
-
-def format_execution(e: Execution) -> str:
-    return "\n".join(shape_print(q) for q in e.transition_trees) + "\n"
-
-
-def parse_execution(text: str) -> Execution:
-    trees = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            trees.append(parse_shape(line))
-    return Execution(tuple(trees))

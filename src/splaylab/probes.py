@@ -19,7 +19,7 @@ from .algorithms import access_cost, deque_run, run_totals
 from .families import FamilyInstance, generate, random_instance, random_tree, trial_rng
 from .model import Instance
 from .tree import bst_from_sequence, preorder
-from .wilber import crossing_bound, splay_crossing_cost
+from .wilber import crossing_bound
 
 
 class UnknownConjectureError(ValueError):
@@ -103,19 +103,19 @@ def _splay_mr_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     # Fixed witness where Splay's crossing cost dips below the lower bound.
     witness = Instance((3, 1, 4, 2), bst_from_sequence([3, 1, 2, 4]))
     lam = crossing_bound(witness)
-    lam_prime = splay_crossing_cost(witness)
+    lam_prime = run_totals(witness.initial, witness.requests, "splay").crossing
     yield ("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n))
     for trial, _, inst in _random_trials(trials, n, m, seed):
         lam = crossing_bound(inst)
-        lam_prime = splay_crossing_cost(inst)
+        lam_prime = run_totals(inst.initial, inst.requests, "splay").crossing
         yield (trial, n, m, lam, lam_prime, lam_prime / (lam + n))
 
 
 def _monotone_crossings_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     for trial, rng, inst in _random_trials(trials, n, m, seed):
         y = _random_subsequence(rng, inst.requests)
-        full = splay_crossing_cost(inst)
-        sub = splay_crossing_cost(Instance(y, inst.initial))
+        full = run_totals(inst.initial, inst.requests, "splay").crossing
+        sub = run_totals(inst.initial, y, "splay").crossing
         yield (trial, n, m, full, sub, sub / (full + n))
 
 

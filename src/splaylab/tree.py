@@ -1,7 +1,6 @@
 """Immutable binary search trees over integer keys, plus the structural
 primitives everything else is built from: construction, traversal, rotation,
-path encodings, root-subtree extraction and substitution, and exhaustive
-shape enumeration.
+root-subtree extraction and substitution, and exhaustive shape enumeration.
 
 Trees are values: every operation returns a new tree and never mutates its
 input.  Two trees are equal when they have the same keys in the same
@@ -133,11 +132,6 @@ def depth(t: Tree, key: int) -> int:
     return len(path_nodes(t, key)) - 1
 
 
-def path_encoding(t: Tree, key: int) -> str:
-    """Binary encoding of the access path: 0 = left, 1 = right, empty = root."""
-    return "".join("0" if key < node.key else "1" for node in path_nodes(t, key)[:-1])
-
-
 def preorder(t: Tree) -> tuple[int, ...]:
     out: list[int] = []
     stack = [t]
@@ -162,18 +156,6 @@ def postorder(t: Tree) -> tuple[int, ...]:
             stack.append(node.right)
     out.reverse()
     return tuple(out)
-
-
-def insert_leaf(t: Tree, key: int) -> Node:
-    """Standard leaf insertion; rebuilds the access path."""
-    path = []
-    node = t
-    while node is not None:
-        if key == node.key:
-            raise DuplicateKeyError(key)
-        path.append(node)
-        node = node.left if key < node.key else node.right
-    return rebuild_path(path, key, Node(key))
 
 
 def rebuild_path(path: Sequence[Node], key: int, new: Tree) -> Tree:
@@ -455,13 +437,6 @@ def left_spine_tree(keys: Iterable[int]) -> Tree:
     t: Tree = None
     for k in sorted(keys):
         t = Node(k, t, None)
-    return t
-
-
-def right_spine_tree(keys: Iterable[int]) -> Tree:
-    t: Tree = None
-    for k in sorted(keys, reverse=True):
-        t = Node(k, None, t)
     return t
 
 

@@ -94,10 +94,6 @@ def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int,
     return {seq: state[1] for seq, state in walk_sequences((t, 0), keys, max_m, advance)}
 
 
-def splay_crossing_cost(inst: Instance) -> int:
-    return run_totals(inst.initial, inst.requests, "splay").crossing
-
-
 def splay_bookkeeping_cost(inst: Instance) -> int:
     return run_totals(inst.initial, inst.requests, "splay").bookkeeping
 

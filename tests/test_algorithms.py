@@ -1,6 +1,6 @@
 """Self-adjusting algorithms: splay steps and costs, rotation-level
 references for all three path algorithms, move-to-root vs the recency treap,
-top-down splay parity, insertion splaying, and deque operations."""
+top-down splay parity, and deque operations."""
 
 import math
 import random
@@ -15,9 +15,7 @@ from splaylab.algorithms import (
     access_cost,
     access_tree,
     deque_run,
-    insertion_splay,
     move_to_root,
-    parse_deque_script,
     run_accesses,
     run_totals,
     splay,
@@ -31,11 +29,8 @@ from splaylab.tree import (
     bst_from_sequence,
     canonical_preorder,
     depth,
-    insert_leaf,
     left_spine_tree,
-    path_encoding,
     path_nodes,
-    right_spine_tree,
     root_subtree,
     rotate,
     shape_print,
@@ -43,7 +38,7 @@ from splaylab.tree import (
 )
 from splaylab.wilber import recency_treap
 
-from conftest import make_random_instance
+from conftest import insert_leaf, make_random_instance, path_encoding
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +251,6 @@ class TestTopDownSplay:
                     elif not same:
                         diverged += 1
         assert diverged > 0
-
-
-class TestInsertionSplay:
-    def test_into_empty(self):
-        assert shape_print(insertion_splay(None, 7)) == "(7 . .)"
-
-    def test_new_leaf_comes_to_root(self):
-        out = insertion_splay(bst_from_sequence([3, 2, 1]), 4)
-        assert out.key == 4
-        assert tree_keys(out) == frozenset({1, 2, 3, 4})
-
-    @given(st.lists(st.integers(1, 30), unique=True, min_size=1, max_size=30))
-    def test_preserves_symmetric_order(self, keys):
-        t = None
-        for k in keys:
-            t = insertion_splay(t, k)
-        def check(node, lo, hi):
-            if node is None:
-                return
-            assert lo < node.key < hi
-            check(node.left, lo, node.key)
-            check(node.right, node.key, hi)
-        check(t, float("-inf"), float("inf"))
-        assert t.key == keys[-1]
 
 
 class TestExecutionTraces:
@@ -556,7 +527,7 @@ class TestDeque:
 
     def test_sequential_pops_on_right_spine_linear(self):
         n = 200
-        t = right_spine_tree(range(1, n + 1))
+        t = bst_from_sequence(range(1, n + 1))
         out, cost = deque_run(t, [("pop", None)] * n)
         assert out is None
         assert cost <= 4 * n
@@ -591,9 +562,3 @@ class TestDeque:
     def test_missing_key_rejected(self, op):
         with pytest.raises(ValueError, match="needs a key"):
             deque_run(bst_from_sequence([2]), [(op, None)])
-
-    def test_script_parse(self):
-        ops = parse_deque_script("push 0\ninject 9\npop\neject\n")
-        assert ops == [("push", 0), ("inject", 9), ("pop", None), ("eject", None)]
-        with pytest.raises(ValueError):
-            parse_deque_script("shove 3")

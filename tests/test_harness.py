@@ -1,6 +1,7 @@
 """Families, probes, and the command-line interface."""
 
 import contextlib
+import csv
 import io
 import re
 import subprocess
@@ -545,6 +546,17 @@ class TestCli:
         assert main([command, *paths]) == 0
         expected = [REPORT_HEADERS[command]] + [REPORT_ROWS[(case, command)] for case in cases]
         assert capsys.readouterr().out.splitlines() == expected
+
+    @pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+    def test_file_name_with_comma_and_quote_stays_one_field(self, tmp_path, capsys, command):
+        name = 'a,"b".txt'
+        path = str(tmp_path / name)
+        assert main(["gen", "--family", "random", "--n", "4", "--m", "3", "--out", path]) == 0
+        capsys.readouterr()
+        assert main(REPORT_COMMANDS[command](path)) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert header == REPORT_HEADERS[command].split(",")
+        assert len(row) == len(header) and row[0] == name
 
     def test_console_script_installed(self):
         proc = subprocess.run(

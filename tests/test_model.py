@@ -1,5 +1,5 @@
 """Execution model: validation, cost accounting, elision, rotation-model
-conversions, and the plain-text formats."""
+conversions, and the instance and shape text formats."""
 
 import hashlib
 import random
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import splaylab.model
 import splaylab.tree
-from splaylab.algorithms import access_tree, parse_deque_script
+from splaylab.algorithms import access_tree
 from splaylab.families import generate
 from splaylab.model import (
     Execution,
@@ -25,10 +25,8 @@ from splaylab.model import (
     _vine_rotations,
     algorithm_trace,
     elide,
-    format_execution,
     format_instance,
     from_rotation_model,
-    parse_execution,
     parse_instance,
     rotation_trace,
     rotations_between,
@@ -48,10 +46,8 @@ from splaylab.tree import (
     left_spine_tree,
     parse_key,
     parse_shape,
-    path_encoding,
     path_nodes,
     preorder,
-    right_spine_tree,
     root_subtree,
     rotate,
     rotate_path,
@@ -60,13 +56,13 @@ from splaylab.tree import (
     substitute,
 )
 
-from conftest import make_random_execution, make_random_instance
+from conftest import make_random_execution, make_random_instance, path_encoding
 
 # Arbitrary text, and text assembled from the formats' own tokens and from
 # near-miss keys, so the parsers get past their first token.
 _TOKENS = [
     "(", ")", ".", " ", "\n", "1", "2", "-3", "0", "17", "x", "+2", "1_0", "\u0663", "\uff11",
-    "tree:", "requests:", "subsequence:", "push", "inject", "pop", "eject", "#",
+    "tree:", "requests:", "subsequence:",
 ]
 TEXTS = st.one_of(st.text(max_size=60), st.lists(st.sampled_from(_TOKENS), max_size=40).map("".join))
 KEY_LISTS = st.lists(st.integers(-50, 50), unique=True, min_size=1, max_size=12)
@@ -281,13 +277,11 @@ class TestDeepSpine:
     def test_shape_and_execution_text_on_20000_key_spines(self):
         # Both spines nest far deeper than the recursion limit: the left one
         # through left children, the right one through right children.
-        for spine in (left_spine_tree(range(1, 20_001)), right_spine_tree(range(1, 20_001))):
+        for spine in (left_spine_tree(range(1, 20_001)), bst_from_sequence(range(1, 20_001))):
             assert parse_shape(shape_print(spine)) == spine
             # Accessing the root with the whole spine as its transition tree.
             e = Execution((spine,))
-            parsed = parse_execution(format_execution(e))
-            assert parsed == e
-            assert validate(Instance((spine.key,), spine), parsed).cost == 20_000
+            assert validate(Instance((spine.key,), spine), e).cost == 20_000
 
 
 # Independent references for the rotation-model conversions: the comb
@@ -644,10 +638,6 @@ class TestTextFormats:
         assert parsed.initial == inst.initial
         assert sub == (1, 6)
 
-    def test_execution_roundtrip(self):
-        _, e = cost8_instance()
-        assert parse_execution(format_execution(e)) == e
-
     def test_missing_lines_rejected(self):
         with pytest.raises(ValueError):
             parse_instance("tree: 1 2 3\n")
@@ -679,8 +669,6 @@ class TestTextFormats:
             parse_key(text)
         with pytest.raises(ValueError):
             parse_instance(f"tree: 2 1 3\nrequests: 1 {text}\n")
-        with pytest.raises(ValueError):
-            parse_deque_script(f"push {text}")
 
     def test_keys_read_back(self):
         assert [parse_key(k) for k in ("0", "-0", "007", "-12")] == [0, 0, 7, -12]
@@ -695,9 +683,7 @@ class TestTextFormats:
         with pytest.raises(ValueError):
             parse_shape(text)
 
-    @pytest.mark.parametrize(
-        "parse", [parse_instance, parse_shape, parse_execution, parse_deque_script]
-    )
+    @pytest.mark.parametrize("parse", [parse_instance, parse_shape])
     @given(text=TEXTS)
     @settings(max_examples=300, deadline=None)
     def test_parsers_return_a_value_or_raise_value_error(self, parse, text):
@@ -722,8 +708,3 @@ class TestTextFormats:
         keys, requests, subsequence = case
         inst = Instance(tuple(requests), bst_from_sequence(keys))
         assert parse_instance(format_instance(inst, subsequence)) == (inst, subsequence)
-
-    @given(st.lists(KEY_LISTS.map(bst_from_sequence), max_size=6))
-    def test_execution_round_trip(self, trees):
-        e = Execution(tuple(trees))
-        assert parse_execution(format_execution(e)) == e

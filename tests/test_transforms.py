@@ -53,7 +53,6 @@ from splaylab.tree import (
     path_nodes,
     preorder,
     rebuild_path,
-    right_spine_tree,
     root_subtree,
     rotate,
     rotate_path,
@@ -149,7 +148,7 @@ class TestRealizeRotation:
             assert len(keys) <= 5
             assert sum(costs) <= 20
 
-    @pytest.mark.parametrize("tree", [left_spine_tree(range(1, 8)), right_spine_tree(range(1, 8))])
+    @pytest.mark.parametrize("tree", [left_spine_tree(range(1, 8)), bst_from_sequence(range(1, 8))])
     def test_unrestricted_rotation_is_rejected(self, tree):
         # Key 3 sits four levels down the left spine and is the right child
         # of the root's right child on the right spine: neither rotation is
@@ -178,7 +177,7 @@ class TestRealizeRotation:
                     assert splaylab.transforms._grow_keys(t, keys) == grow_by_spine(t, keys)
 
     def test_framed_keys_reject_unrestricted_paths(self):
-        path = path_nodes(right_spine_tree(range(1, 8)), 3)
+        path = path_nodes(bst_from_sequence(range(1, 8)), 3)
         with pytest.raises(InvariantError, match="rotation at 3 is not restricted"):
             splaylab.transforms._framed_rotation_keys(path, 1, 7)
 
@@ -460,7 +459,7 @@ class TestTopDownEmbedding:
         n = 20_000
         frame = (1, 2, n)
         assert _strip_frame(left_spine_tree(range(1, n + 1)), frame) == left_spine_tree(range(3, n))
-        assert _strip_frame(right_spine_tree(range(1, n + 1)), frame) == right_spine_tree(
+        assert _strip_frame(bst_from_sequence(range(1, n + 1)), frame) == bst_from_sequence(
             range(3, n)
         )
 

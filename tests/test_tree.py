@@ -1,9 +1,11 @@
-"""Tree primitives: construction, rotation, traversal, encodings,
-subtree extraction and substitution, shape enumeration."""
+"""Tree primitives: construction, rotation, traversal, subtree extraction
+and substitution, shape enumeration; and the path-encoding and leaf-insertion
+references the other tests build on."""
 
 import ast
 import copy
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -22,18 +24,15 @@ from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
     canonical_preorder,
-    insert_leaf,
     left_spine_tree,
     frontier,
     outer_spine,
     parse_shape,
-    path_encoding,
     path_nodes,
     postorder,
     preorder,
     rebuild_path,
     replace_root_subtree,
-    right_spine_tree,
     root_subtree,
     rotate,
     rotate_path,
@@ -44,6 +43,8 @@ from splaylab.tree import (
     tree_keys,
     _root_walk,
 )
+
+from conftest import insert_leaf, path_encoding
 
 
 def decode_path(t, encoding):
@@ -494,7 +495,7 @@ class TestSubstitute:
         # The top half of a 20000-key left spine becomes a right spine; the
         # bottom half hangs left of its new root.
         t = bst_from_sequence(range(20_000, 0, -1))
-        out = substitute(t, right_spine_tree(range(10_001, 20_001)))
+        out = substitute(t, bst_from_sequence(range(10_001, 20_001)))
         assert preorder(out) == (
             (10_001,) + tuple(range(10_000, 0, -1)) + tuple(range(10_002, 20_001))
         )
@@ -536,7 +537,7 @@ class TestPrintForms:
 
     def test_spines(self):
         assert shape_print(left_spine_tree([1, 2])) == "(2 (1 . .) .)"
-        assert shape_print(right_spine_tree([1, 2])) == "(1 . (2 . .))"
+        assert shape_print(bst_from_sequence([1, 2])) == "(1 . (2 . .))"
 
     def test_unbalanced_parentheses_rejected(self):
         with pytest.raises(ValueError, match="^unbalanced parentheses in shape text$"):
@@ -640,14 +641,21 @@ def _private_names(stmt):
     return {n for n in names if n.startswith("_") and not n.startswith("__")}
 
 
-def test_no_unread_private_names():
-    # A private helper that no module reads is left over from a deletion.
-    # Reads are name loads, attribute names and ``from .x import _name``;
-    # a definition reading itself, as a recursive helper does, is not one.
+def _public_defs(stmt):
+    """The public name a module-level ``def`` or ``class`` defines."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {stmt.name} if isinstance(stmt, defs) and not stmt.name.startswith("_") else set()
+
+
+def _unread_names(defines):
+    """Module-level names ``defines`` picks out that no statement in
+    ``src/splaylab`` reads, with where each is defined.  Reads are name
+    loads, attribute names and ``from .x import name``; a definition reading
+    itself, as a recursive helper does, is not one."""
     defined, read = {}, set()
     for path in SOURCES.glob("*.py"):
         for stmt in ast.parse(path.read_text()).body:
-            own = _private_names(stmt)
+            own = defines(stmt)
             defined.update((name, f"{path.name}:{stmt.lineno}") for name in own)
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -659,5 +667,20 @@ def test_no_unread_private_names():
                 else:
                     continue
                 read |= names - own
-    unread = {name: where for name, where in defined.items() if name not in read}
+    return {name: where for name, where in defined.items() if name not in read}
+
+
+def test_no_unread_private_names():
+    # A private helper that no module reads is left over from a deletion.
+    unread = _unread_names(_private_names)
     assert unread == {}, f"private names no module reads: {unread}"
+
+
+def test_every_public_name_has_a_reader():
+    # A public function or class that only its own tests read is a capability
+    # nothing in the lab uses.  The benchmark reads some names that no module
+    # does, so a name that appears as a word in ``perfbench/*.py`` passes.
+    perfbench = SOURCES.parents[1] / "perfbench"
+    words = {w for p in perfbench.glob("*.py") for w in re.findall(r"\w+", p.read_text())}
+    unread = {n: where for n, where in _unread_names(_public_defs).items() if n not in words}
+    assert unread == {}, f"public names neither src/ nor perfbench/ reads: {unread}"

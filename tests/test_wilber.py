@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from splaylab.algorithms import move_to_root
+from splaylab.algorithms import move_to_root, run_totals
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance
 from splaylab.suites import (
@@ -44,7 +44,6 @@ from splaylab.wilber import (
     remove_one_gap,
     sequence_crossing_bound,
     splay_bookkeeping_cost,
-    splay_crossing_cost,
     validate_level_formulas,
     walk_sequences,
     wilber_scores,
@@ -133,18 +132,19 @@ class TestSplayDecomposition:
         for _ in range(60):
             inst = make_random_instance(rng, rng.randint(1, 10), rng.randint(0, 8))
             total = access_cost(inst.initial, inst.requests, "splay")
-            assert splay_crossing_cost(inst) + splay_bookkeeping_cost(inst) == total
+            crossing = run_totals(inst.initial, inst.requests, "splay").crossing
+            assert crossing + splay_bookkeeping_cost(inst) == total
 
     def test_single_root_access(self):
         t = bst_from_sequence([2, 1, 3])
         inst = Instance((2,), t)
-        assert splay_crossing_cost(inst) == 1
+        assert run_totals(inst.initial, inst.requests, "splay").crossing == 1
         assert splay_bookkeeping_cost(inst) == 0
 
     def test_splay_crossings_can_dip_below_bound(self):
         inst = Instance((3, 1, 4, 2), bst_from_sequence([3, 1, 2, 4]))
         assert crossing_bound(inst) == 9
-        assert splay_crossing_cost(inst) == 8
+        assert run_totals(inst.initial, inst.requests, "splay").crossing == 8
 
 
 def wilber_score(x_seq, i):
@@ -448,7 +448,7 @@ class TestWindowDecomposition:
         # The top tree holds the keys outside the window: none yet.
         assert (st0.u, st0.v) == (float("-inf"), float("inf"))
         assert st0.zipped == s
-        from splaylab.algorithms import move_to_root
+        from splaylab.algorithms import move_to_root, run_totals
 
         assert st0.unzipped == move_to_root(s, 1)[0]
 
