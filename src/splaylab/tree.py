@@ -19,7 +19,7 @@ class KeyAbsentError(KeyError):
 
 
 class DuplicateKeyError(ValueError):
-    """Insertion of a key that is already present."""
+    """A key given twice where the keys of one tree must be distinct."""
 
 
 class RotationAtRootError(ValueError):
