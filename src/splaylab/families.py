@@ -4,8 +4,7 @@ the verification suites and probes."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Instance
 from .tree import InvariantError, Node, bst_from_sequence, left_spine_tree, preorder
@@ -15,8 +14,7 @@ class UnknownFamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     name: str
     params: dict
     instance: Instance

@@ -12,7 +12,6 @@ the substitution of Q'_i for Q_i.  Cost is the sum of transition-tree sizes.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
 from .algorithms import access, access_tree
@@ -38,20 +37,25 @@ from .tree import (
 )
 
 
-@dataclass(frozen=True)
-class Instance:
-    """A request sequence plus the initial tree containing its keys."""
-
+class _InstanceFields(NamedTuple):
     requests: tuple[int, ...]
     initial: Node
 
-    def __post_init__(self) -> None:
-        if self.initial is None:
+
+class Instance(_InstanceFields):
+    """A request sequence plus the initial tree containing its keys.
+    ``_make`` and ``_replace`` skip the key check."""
+
+    __slots__ = ()
+
+    def __new__(cls, requests: tuple[int, ...], initial: Node) -> Instance:
+        if initial is None:
             raise ValueError("initial tree must be nonempty")
-        keys = tree_keys(self.initial)
-        missing = [x for x in self.requests if x not in keys]
+        keys = tree_keys(initial)
+        missing = [x for x in requests if x not in keys]
         if missing:
             raise KeyAbsentError(missing)
+        return tuple.__new__(cls, (requests, initial))
 
     @property
     def m(self) -> int:
@@ -62,18 +66,21 @@ class Instance:
         return size(self.initial)
 
 
-@dataclass(frozen=True)
-class Execution:
-    """An execution, determined by its transition trees."""
+class Execution(tuple):
+    """An execution, determined by its transition trees: the tuple of them."""
 
-    transition_trees: tuple[Node, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.transition_trees)
+    @property
+    def transition_trees(self) -> tuple[Node, ...]:
+        return self
 
     @property
     def cost(self) -> int:
-        return sum(size(q) for q in self.transition_trees)
+        return sum(size(q) for q in self)
+
+    def __repr__(self) -> str:
+        return f"Execution({tuple.__repr__(self)})"
 
 
 class InvalidExecutionError(ValueError):
@@ -90,8 +97,7 @@ class AccessStep(NamedTuple):
     after: Node  # T_i
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     instance: Instance
     steps: tuple[AccessStep, ...]
     cost: int
@@ -135,10 +141,7 @@ def subsequence_instance(inst: Instance, deleted: Iterable[int]) -> Instance:
     key walk of :class:`Instance` is skipped."""
     gone = set(deleted)
     kept = tuple(x for i, x in enumerate(inst.requests, start=1) if i not in gone)
-    sub = object.__new__(Instance)
-    object.__setattr__(sub, "requests", kept)
-    object.__setattr__(sub, "initial", inst.initial)
-    return sub
+    return Instance._make((kept, inst.initial))
 
 
 def elide(inst: Instance, e: Execution, deleted: Iterable[int]) -> Execution:
@@ -233,20 +236,17 @@ def algorithm_trace(inst: Instance, algo: str = "splay") -> ExecutionTrace:
 # Rotation-based model.
 
 
-@dataclass(frozen=True)
-class RotationAccess:
+class RotationAccess(NamedTuple):
     """Rotations performed before one search, listed as rotated keys."""
 
     rotations: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RotationExecution:
+class RotationExecution(NamedTuple):
     accesses: tuple[RotationAccess, ...]
 
 
-@dataclass(frozen=True)
-class RotationTrace:
+class RotationTrace(NamedTuple):
     instance: Instance
     cost: int
     search_depths: tuple[int, ...]

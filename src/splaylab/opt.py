@@ -25,8 +25,8 @@ desk scale; SPLAYLAB_GUARD_OVERRIDE=1 lifts them at the caller's risk.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .model import Execution, ExecutionTrace, Instance, validate
 from .tree import InvariantError, Node, parse_shape, preorder
@@ -39,8 +39,7 @@ class GuardExceededError(ValueError):
     """Instance larger than the oracle guards allow."""
 
 
-@dataclass(frozen=True)
-class OptResult:
+class OptResult(NamedTuple):
     cost: int
     execution: Execution
     states_expanded: int

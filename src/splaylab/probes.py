@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
@@ -26,8 +25,7 @@ class UnknownConjectureError(ValueError):
     pass
 
 
-@dataclass
-class ProbeReport:
+class ProbeReport(NamedTuple):
     conjecture: str
     params: dict
     columns: tuple[str, ...]

@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algorithms import access_cost, access_tree, run_totals
 from .families import generate, random_tree, trial_rng
@@ -89,8 +88,7 @@ class SuiteFailure(Exception):
     """A suite check failed; the message names the failing case."""
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -12,9 +12,8 @@ four-node window at the top of the tree, each of cost at most four.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algorithms import access_cost, access_tree, run_accesses, run_totals
 from .model import Execution, Instance, validate
@@ -50,8 +49,7 @@ class TransformUnreachableError(ValueError):
 MAX_DIGRAPH_N = 8
 
 
-@dataclass(frozen=True)
-class TransitionDigraph:
+class TransitionDigraph(NamedTuple):
     n: int
     algo: str
     vertices: tuple[Node, ...]
@@ -268,8 +266,7 @@ def _realize_script(t: Node, script: Iterable[int]) -> tuple[Node, list[int], li
     return t, keys, costs
 
 
-@dataclass(frozen=True)
-class TransformPlan:
+class TransformPlan(NamedTuple):
     source: Node
     target: Node
     keys: tuple[int, ...]

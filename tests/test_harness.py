@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import os
 import re
 import subprocess
 import sys
@@ -565,6 +566,19 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "splaylab" in proc.stdout
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        # Every record is a named tuple or a tuple subclass, so a cold command
+        # generates no methods and imports neither module.
+        code = ("import sys; before = set(sys.modules); import splaylab.cli; "
+                "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSuiteFailures:

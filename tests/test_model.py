@@ -1,7 +1,9 @@
 """Execution model: validation, cost accounting, elision, rotation-model
 conversions, and the instance and shape text formats."""
 
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -35,6 +37,7 @@ from splaylab.model import (
     to_rotation_model,
     validate,
 )
+from splaylab.opt import opt_cost
 from splaylab.tree import (
     InvariantError,
     KeyAbsentError,
@@ -92,6 +95,44 @@ class TestInstance:
             deleted = {i for i in range(1, inst.m + 1) if rng.random() < 0.5}
             kept = tuple(x for i, x in enumerate(inst.requests, 1) if i not in deleted)
             assert subsequence_instance(inst, deleted) == Instance(kept, inst.initial)
+
+
+class TestRecords:
+    """Instances, executions, traces and oracle results are tuples: an
+    instance still checks its keys, and each copies, pickles and compares by
+    value."""
+
+    @pytest.mark.parametrize("by_keyword", [False, True])
+    def test_instance_checks_its_keys(self, by_keyword):
+        def build(requests, initial):
+            if by_keyword:
+                return Instance(requests=requests, initial=initial)
+            return Instance(requests, initial)
+
+        t = bst_from_sequence([2, 1, 3])
+        with pytest.raises(ValueError, match="initial tree must be nonempty"):
+            build((1,), None)
+        with pytest.raises(KeyAbsentError) as err:
+            build((1, 7, 4), t)
+        assert err.value.args == ([7, 4],)
+        inst = build((1, 3), t)
+        assert (inst.requests, inst.initial, inst.m, inst.n) == ((1, 3), t, 2, 3)
+
+    def test_subsequence_instance_is_an_instance(self):
+        inst = Instance((1, 3, 2), bst_from_sequence([2, 1, 3]))
+        sub = subsequence_instance(inst, {2})
+        assert type(sub) is Instance and sub.requests == (1, 2) and sub.initial is inst.initial
+
+    def test_records_round_trip_through_deepcopy_and_pickle(self):
+        inst = Instance((3, 1, 3), bst_from_sequence([2, 1, 3]))
+        result = opt_cost(inst)
+        for record in (inst, result.execution, result.trace, result):
+            for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert type(copied) is type(record) and copied == record
+        assert result.execution.transition_trees is result.execution
+
+    def test_empty_execution_has_length_zero(self):
+        assert len(Execution(())) == 0 and Execution(()).cost == 0
 
 
 class TestValidate:

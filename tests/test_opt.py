@@ -1,6 +1,5 @@
 """Brute-force optimal execution oracle."""
 
-import dataclasses
 import itertools
 import random
 from functools import lru_cache
@@ -559,7 +558,7 @@ class TestOptMonotoneSweep:
         def tampered(inst, execution):
             trace = real(inst, execution)
             if inst.requests == (1, 1):
-                return dataclasses.replace(trace, cost=trace.cost + 100)
+                return trace._replace(cost=trace.cost + 100)
             return trace
 
         monkeypatch.setattr("splaylab.suites.validate", tampered)

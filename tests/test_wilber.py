@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from splaylab.algorithms import move_to_root, run_totals
+from splaylab.algorithms import move_to_root, run_totals, splay
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance
 from splaylab.suites import (
@@ -21,6 +21,7 @@ from splaylab.tree import (
     all_shapes,
     bst_from_sequence,
     contains,
+    depth,
     path_nodes,
     preorder,
     rotate,
@@ -127,12 +128,18 @@ class TestCrossingBound:
 
 class TestSplayDecomposition:
     def test_sum_is_cost(self, rng):
-        from splaylab.algorithms import access_cost
-
+        # Per access, the crossing count is the key's level and the cost its
+        # depth plus one in the tree before the access; both are summed here
+        # walk by walk, apart from the kernel's own counts.
         for _ in range(60):
             inst = make_random_instance(rng, rng.randint(1, 10), rng.randint(0, 8))
-            total = access_cost(inst.initial, inst.requests, "splay")
-            crossing = run_totals(inst.initial, inst.requests, "splay").crossing
+            t, crossing, total = inst.initial, 0, 0
+            for x in inst.requests:
+                crossing += level(t, x)
+                total += depth(t, x) + 1
+                t = splay(t, x)[0]
+            totals = run_totals(inst.initial, inst.requests, "splay")
+            assert (totals.crossing, totals.cost) == (crossing, total)
             assert crossing + splay_bookkeeping_cost(inst) == total
 
     def test_single_root_access(self):
