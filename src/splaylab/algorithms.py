@@ -40,7 +40,9 @@ class AccessRecord(NamedTuple):
         return pairs + ("zig",) if len(e) % 2 else pairs
 
 
-def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Node, str, int]:
+def _rearrange(
+    t: Tree, key: int, pair_start: Callable[[int], int], make: Callable[..., Node] = Node
+) -> tuple[Node, str, int]:
     """The path kernel shared by Splay, Move-to-Root and Top-Down Splay.
 
     Descends the access path p[0] (root) .. p[d] = ``key`` once, one
@@ -52,9 +54,15 @@ def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Nod
     i = s (mod 2) and i+1 < d is folded when both nodes lie on one side:
     p[i+1] takes the pair's place on the spine, p[i] becomes its outer child
     and keeps its hanging subtree outside, and p[i+1]'s hanging subtree goes
-    between them.  Returns the new tree, built from d+1 new nodes, the path
-    encoding, and the crossing count: both ends of the path plus one node
-    per change of direction, so one more than the number of runs.
+    between them.  Returns the new tree, built from d+1 new nodes by
+    ``make``, the path encoding, and the crossing count: both ends of the
+    path plus one node per change of direction, so one more than the number
+    of runs.
+
+    ``make`` is :class:`_Cell` in a batch run, which keeps no intermediate
+    tree and freezes only its final one (:func:`_freeze`).  Every other
+    caller builds ``Node``s over a tree of ``Node``s, so a ``Node`` is never
+    built above a cell.
     """
     path: list[Node] = []
     runs: list[str] = []
@@ -85,17 +93,17 @@ def _rearrange(t: Tree, key: int, pair_start: Callable[[int], int]) -> tuple[Nod
         if i > s and (i - 1 - s) % 2 == 0 and encoding[i - 1] == encoding[i]:
             q = path[i - 1]
             if encoding[i] == "1":
-                left = Node(p.key, Node(q.key, q.left, p.left), left)
+                left = make(p.key, make(q.key, q.left, p.left), left)
             else:
-                right = Node(p.key, right, Node(q.key, p.right, q.right))
+                right = make(p.key, right, make(q.key, p.right, q.right))
             i -= 2
         else:
             if encoding[i] == "1":
-                left = Node(p.key, p.left, left)
+                left = make(p.key, p.left, left)
             else:
-                right = Node(p.key, right, p.right)
+                right = make(p.key, right, p.right)
             i -= 1
-    return Node(key, left, right), encoding, len(runs) + 1
+    return make(key, left, right), encoding, len(runs) + 1
 
 
 # Each path algorithm by name, given as where its folded pairs start on an
@@ -146,16 +154,47 @@ def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     return access(t, key, "tds")
 
 
+class _Cell:
+    """A node of a batch run's intermediate trees: ``Node``'s slots without
+    its assignment guard, so it builds in about half the time.  No caller
+    sees a cell: :func:`_freeze` turns a run's final tree into ``Node``s
+    before it is returned, and the readers of :func:`_fold`'s sums drop its
+    tree."""
+
+    __slots__ = ("key", "left", "right")
+
+    def __init__(self, key: int, left: Tree, right: Tree) -> None:
+        self.key = key
+        self.left = left
+        self.right = right
+
+
+def _freeze(t: Tree) -> Tree:
+    """Make every cell of ``t`` a ``Node`` in place, in one iterative walk
+    from the root.  The walk stops at each ``Node``: none is built above a
+    cell, so everything below one is frozen already."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is _Cell:
+            node.__class__ = Node
+            stack.append(node.left)
+            stack.append(node.right)
+    return t
+
+
 def run_accesses(
     t: Tree, keys: Iterable[int], algo: str = "splay"
 ) -> tuple[Tree, list[AccessRecord]]:
     """Apply one algorithm along a request sequence; returns the final tree
-    and the per-access records."""
+    and the per-access records.  The run builds cells and freezes only its
+    final tree."""
+    pair_start = ALGORITHMS[algo]
     records = []
     for k in keys:
-        t, rec = access(t, k, algo)
-        records.append(rec)
-    return t, records
+        t, encoding, crossing = _rearrange(t, k, pair_start, _Cell)
+        records.append(AccessRecord(k, encoding, len(encoding) + 1, crossing))
+    return _freeze(t), records
 
 
 class RunTotals(NamedTuple):
@@ -170,20 +209,28 @@ class RunTotals(NamedTuple):
         return self.cost - self.crossing
 
 
-def run_totals(t: Tree, keys: Iterable[int], algo: str = "splay") -> RunTotals:
-    """Apply one algorithm along a request sequence, keeping no per-access
-    records; the one place that sums a run's costs."""
+def _fold(t: Tree, keys: Iterable[int], algo: str) -> tuple[Tree, int, int]:
+    """The one place that sums a run's costs: the final tree, which may hold
+    cells, the summed cost and the summed crossing count.  Callers that read
+    only the sums leave the tree unfrozen; :func:`run_totals` freezes it."""
     pair_start = ALGORITHMS[algo]
     cost = crossing = 0
     for k in keys:
-        t, encoding, c = _rearrange(t, k, pair_start)
+        t, encoding, c = _rearrange(t, k, pair_start, _Cell)
         cost += len(encoding) + 1
         crossing += c
-    return RunTotals(t, cost, crossing)
+    return t, cost, crossing
+
+
+def run_totals(t: Tree, keys: Iterable[int], algo: str = "splay") -> RunTotals:
+    """Apply one algorithm along a request sequence, keeping no per-access
+    records.  The run builds cells and freezes only its final tree."""
+    t, cost, crossing = _fold(t, keys, algo)
+    return RunTotals(_freeze(t), cost, crossing)
 
 
 def access_cost(t: Tree, keys: Iterable[int], algo: str = "splay") -> int:
-    return run_totals(t, keys, algo).cost
+    return _fold(t, keys, algo)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import random
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import __version__
-from .algorithms import access_cost, deque_run, run_totals
+from .algorithms import _fold, access_cost, deque_run
 from .families import FamilyInstance, generate, random_instance, random_tree, trial_rng
 from .model import Instance
 from .tree import bst_from_sequence, preorder
@@ -101,26 +101,26 @@ def _splay_mr_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     # Fixed witness where Splay's crossing cost dips below the lower bound.
     witness = Instance((3, 1, 4, 2), bst_from_sequence([3, 1, 2, 4]))
     lam = crossing_bound(witness)
-    lam_prime = run_totals(witness.initial, witness.requests, "splay").crossing
+    lam_prime = _fold(witness.initial, witness.requests, "splay")[2]
     yield ("witness", witness.n, witness.m, lam, lam_prime, lam_prime / (lam + witness.n))
     for trial, _, inst in _random_trials(trials, n, m, seed):
         lam = crossing_bound(inst)
-        lam_prime = run_totals(inst.initial, inst.requests, "splay").crossing
+        lam_prime = _fold(inst.initial, inst.requests, "splay")[2]
         yield (trial, n, m, lam, lam_prime, lam_prime / (lam + n))
 
 
 def _monotone_crossings_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     for trial, rng, inst in _random_trials(trials, n, m, seed):
         y = _random_subsequence(rng, inst.requests)
-        full = run_totals(inst.initial, inst.requests, "splay").crossing
-        sub = run_totals(inst.initial, y, "splay").crossing
+        full = _fold(inst.initial, inst.requests, "splay")[2]
+        sub = _fold(inst.initial, y, "splay")[2]
         yield (trial, n, m, full, sub, sub / (full + n))
 
 
 def _bookkeeping_rows(trials: int, n: int, m: int, seed: int) -> Iterator[tuple]:
     for trial, _, inst in _random_trials(trials, n, m, seed):
-        totals = run_totals(inst.initial, inst.requests, "splay")
-        zeta, lam_prime = totals.bookkeeping, totals.crossing
+        _, cost, lam_prime = _fold(inst.initial, inst.requests, "splay")
+        zeta = cost - lam_prime
         yield (trial, n, m, lam_prime, zeta, zeta / (lam_prime + n))
 
 

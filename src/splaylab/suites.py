@@ -104,9 +104,10 @@ def _requests_then_tree(rng: random.Random, n: int, m: int) -> Instance:
     """m uniform requests over keys 1..n, then a random tree on those keys,
     drawn in that order from ``rng``.  ``families.random_instance`` draws the
     tree first; the pinned details of the suites that call this depend on
-    which comes first, so both orders stay."""
+    which comes first, so both orders stay.  The requests lie in the tree's
+    keys by construction, so the instance skips the key check."""
     requests = tuple(rng.randint(1, n) for _ in range(m))
-    return Instance(requests, random_tree(n, rng))
+    return Instance._make((requests, random_tree(n, rng)))
 
 
 def random_execution(rng: random.Random, inst: Instance) -> Execution:
@@ -395,7 +396,8 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
         n = rng.randint(1, 8)
         t = random_tree(n, rng)
         m = rng.randint(1, 6)
-        inst = Instance(tuple(rng.randint(1, n) for _ in range(m)), t)
+        # Requests from t's keys 1..n: the instance skips the key check.
+        inst = Instance._make((tuple(rng.randint(1, n) for _ in range(m)), t))
         sub = subsequence_instance(inst, [i for i in range(1, m + 1) if rng.random() >= 0.6])
         if not sub.requests:
             continue

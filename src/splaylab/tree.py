@@ -476,9 +476,13 @@ def shape_print(t: Tree) -> str:
     return "".join(parts)
 
 
+# Compiled once: parse_key runs once per key of every instance file read.
+_is_decimal = re.compile("-?[0-9]+").fullmatch
+
+
 def parse_key(text: str) -> int:
     """A key as the text formats write it: a plain decimal integer."""
-    if not re.fullmatch("-?[0-9]+", text):
+    if not _is_decimal(text):
         raise ValueError(f"key {text!r} is not a decimal integer")
     return int(text)
 

@@ -23,7 +23,7 @@ from typing import (
     TypeVar,
 )
 
-from .algorithms import access, access_tree, move_to_root, run_totals
+from .algorithms import _fold, access, access_tree, move_to_root
 from .model import Instance
 from .tree import (
     InvariantError,
@@ -65,7 +65,7 @@ def crossing_keys_on_path(path: Sequence[Node]) -> tuple[int, ...]:
 
 def crossing_bound(inst: Instance) -> int:
     """Total crossing cost of Move-to-Root's execution (the lower bound)."""
-    return run_totals(inst.initial, inst.requests, "mtr").crossing
+    return _fold(inst.initial, inst.requests, "mtr")[2]
 
 
 def walk_sequences(
@@ -95,7 +95,8 @@ def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int,
 
 
 def splay_bookkeeping_cost(inst: Instance) -> int:
-    return run_totals(inst.initial, inst.requests, "splay").bookkeeping
+    _, cost, crossing = _fold(inst.initial, inst.requests, "splay")
+    return cost - crossing
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +239,14 @@ def sequence_crossing_bound(x_seq: Sequence[int]) -> int:
 
 def crossing_bound_from_insertion_tree(x_seq: Sequence[int]) -> int:
     """Crossing bound of a sequence served from its own insertion tree."""
-    return run_totals(bst_from_sequence(x_seq), x_seq, "mtr").crossing
+    return _fold(bst_from_sequence(x_seq), x_seq, "mtr")[2]
 
 
 def remove_one_gap(s: Node, x: int, z_seq: Sequence[int]) -> int:
     """Crossing-bound change from serving the requests out of ``s`` versus
     out of ``move_to_root(s, x)``."""
     lifted = access_tree(s, x, "mtr")
-    return run_totals(s, z_seq, "mtr").crossing - run_totals(lifted, z_seq, "mtr").crossing
+    return _fold(s, z_seq, "mtr")[2] - _fold(lifted, z_seq, "mtr")[2]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from splaylab.algorithms import (
     ALGORITHMS,
     EmptyDequeError,
+    access,
     access_cost,
     access_tree,
     deque_run,
@@ -23,7 +24,9 @@ from splaylab.algorithms import (
 )
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance, algorithm_trace, validate
+from splaylab.transforms import TransformPlan, replay
 from splaylab.tree import (
+    KeyAbsentError,
     Node,
     all_shapes,
     bst_from_sequence,
@@ -36,7 +39,7 @@ from splaylab.tree import (
     shape_print,
     tree_keys,
 )
-from splaylab.wilber import recency_treap
+from splaylab.wilber import crossing_bound, recency_treap, walk_sequences
 
 from conftest import insert_leaf, make_random_instance, path_encoding
 
@@ -401,6 +404,100 @@ class TestRunTotals:
             for algo, m in (("splay", None), ("tds", None), ("mtr", 3))
         }
         assert got == {"splay": (108248, 52815), "tds": (126328, 59997), "mtr": (59999, 8)}
+
+
+def assert_frozen(t):
+    """Every node of ``t`` is a ``Node`` that refuses assignment; iterative,
+    so deep spines pass."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        assert type(node) is Node
+        try:
+            node.left = None
+        except AttributeError:
+            pass
+        else:
+            pytest.fail(f"node {node.key} took an assignment")
+        stack.append(node.left)
+        stack.append(node.right)
+
+
+def reference_fold(t, keys, algo):
+    """The final tree and the records of ``access`` applied one request at a
+    time: the persistent path, which builds only ``Node``s."""
+    records = []
+    for k in keys:
+        t, rec = access(t, k, algo)
+        records.append(rec)
+    return t, records
+
+
+class TestBatchRunsFreeze:
+    """Batch runs build private cells; none may reach a caller."""
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_every_small_run_returns_frozen_trees(self, algo):
+        for n in range(1, 7):
+            keys = range(1, n + 1)
+            for t in all_shapes(n):
+                before = shape_print(t)
+
+                def advance(state, x):
+                    after, rec = access(state[0], x, algo)
+                    return after, state[1] + (rec,)
+
+                for seq, (ref_tree, ref_records) in walk_sequences((t, ()), keys, 3, advance):
+                    cost = sum(r.cost for r in ref_records)
+                    crossing = sum(r.crossing for r in ref_records)
+                    final, records = run_accesses(t, seq, algo)
+                    assert (final, records) == (ref_tree, list(ref_records))
+                    totals = run_totals(t, seq, algo)
+                    assert totals == (ref_tree, cost, crossing)
+                    assert access_cost(t, seq, algo) == cost
+                    assert_frozen(final)
+                    assert_frozen(totals.tree)
+                    if algo == "splay":
+                        replayed = replay(TransformPlan(t, ref_tree, seq, cost, 0))
+                        assert replayed == ref_tree
+                        assert_frozen(replayed)
+                    elif algo == "mtr":
+                        assert crossing_bound(Instance(seq, t)) == crossing
+                assert shape_print(t) == before
+                assert_frozen(t)
+
+    @pytest.mark.parametrize("algo, m", [("splay", None), ("tds", None), ("mtr", 3)])
+    def test_20000_key_spine_freezes_without_recursion(self, algo, m):
+        # Move-to-Root's first access leaves a 19999-deep path of new nodes
+        # below the root, so a recursive freeze would overflow the stack.
+        inst = generate("sequential", n=20_000).instance
+        requests = inst.requests[:m]
+        final, records = run_accesses(inst.initial, requests, algo)
+        ref_tree, ref_records = reference_fold(inst.initial, requests, algo)
+        assert (final, records) == (ref_tree, ref_records)
+        totals = run_totals(inst.initial, requests, algo)
+        assert totals.tree == ref_tree
+        assert_frozen(final)
+        assert_frozen(totals.tree)
+        deep, _ = run_accesses(inst.initial, [1], "mtr")
+        assert depth(deep, 2) == 19_999
+        assert_frozen(deep)
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    def test_absent_key_mid_run_raises_and_leaves_input(self, algo):
+        t = bst_from_sequence([4, 2, 6, 1, 3, 5, 7])
+        before = shape_print(t)
+        keys = [7, 1, 99, 3]
+        with pytest.raises(KeyAbsentError) as expected:
+            reference_fold(t, keys, algo)
+        for run in (run_accesses, run_totals, access_cost):
+            with pytest.raises(KeyAbsentError) as got:
+                run(t, keys, algo)
+            assert got.value.args == expected.value.args
+            assert shape_print(t) == before
+            assert_frozen(t)
 
 
 def reference_deque_run(t0, ops):

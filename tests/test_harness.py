@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from splaylab.cli import COLUMNS, main
 from splaylab.families import UnknownFamilyError, generate
+from splaylab.model import Instance
 from splaylab import probes, suites
 from splaylab.probes import UnknownConjectureError, probe
 from splaylab.tree import KeyAbsentError, all_shapes, left_spine_tree, shape_print, size
@@ -579,6 +581,35 @@ class TestCli:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+class TestUncheckedInstances:
+    """Random instances whose requests are drawn from their tree's own keys
+    skip the key check through ``Instance._make``; the checking constructor
+    must accept each of them."""
+
+    def test_wilber_monotone_trials_pass_the_key_check(self, monkeypatch):
+        made = []
+
+        class Checked(Instance):
+            __slots__ = ()
+
+            @classmethod
+            def _make(cls, fields):
+                made.append(Instance(*fields))
+                return made[-1]
+
+        monkeypatch.setattr(suites, "Instance", Checked)
+        [result] = suites.run_suite("wilber-monotone", seed=7)
+        assert result.detail == "71986 subsequences within factor four"
+        assert len(made) == 10_000
+
+    def test_requests_then_tree_passes_the_key_check(self):
+        for trial in range(500):
+            rng = random.Random(trial)
+            n, m = rng.randint(1, 8), rng.randint(1, 6)
+            inst = suites._requests_then_tree(rng, n, m)
+            assert Instance(*inst) == inst
 
 
 class TestSuiteFailures:
