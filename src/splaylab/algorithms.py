@@ -1,5 +1,6 @@
 """Self-adjusting algorithms as pure tree-to-tree functions: bottom-up Splay,
-Move-to-Root, Top-Down Splay, and splay-based deque operations.
+Move-to-Root, Top-Down Splay, and splay-based deque operations.  Every
+access goes through :func:`access`; Move-to-Root is ``access(t, key, "mtr")``.
 
 Each access returns the new tree together with an :class:`AccessRecord`
 carrying the path encoding, the cost and the crossing count; the splay-step
@@ -110,7 +111,7 @@ def _rearrange(
 # access path of depth d (see ``_rearrange``).
 ALGORITHMS: dict[str, Callable[[int], int]] = {
     "splay": lambda d: d % 2,  # pairs from the accessed node upward
-    "mtr": lambda d: d,  # no pair fits: nothing folds
+    "mtr": lambda d: d,  # no pair fits: the whole path unzips
     "tds": lambda d: 0,  # pairs from the root downward
 }
 
@@ -132,17 +133,6 @@ def splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:
     step is a fold of the path kernel; a zig-zag step leaves both nodes
     unzipped, as Move-to-Root does."""
     return access(t, key, "splay")
-
-
-def move_to_root(t: Tree, key: int) -> tuple[Node, AccessRecord]:
-    """Rotate the searched node all the way to the root.
-
-    Equivalent unzip view: path nodes smaller than the key form the right
-    spine of its new left subtree in increasing order, larger ones the left
-    spine of its new right subtree in decreasing order; every path node keeps
-    its off-path subtree on the outside.
-    """
-    return access(t, key, "mtr")
 
 
 def top_down_splay(t: Tree, key: int) -> tuple[Node, AccessRecord]:

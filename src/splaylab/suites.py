@@ -14,7 +14,7 @@ import random
 import time
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .algorithms import access_cost, access_tree, run_totals
+from .algorithms import access_cost, run_totals
 from .families import generate, random_tree, trial_rng
 from .model import (
     Execution,
@@ -33,6 +33,7 @@ from .opt import _groups, opt_cost
 from .probes import probe, subsequence_costs
 from .transforms import (
     TransformUnreachableError,
+    TransitionDigraph,
     _strip_frame,
     augmented_repeat,
     build_digraph,
@@ -68,7 +69,6 @@ from .wilber import (
     check_window_state,
     crossing_bound,
     crossing_bound_from_insertion_tree,
-    crossing_bounds,
     level,
     remove_one_gap,
     sequence_crossing_bound,
@@ -346,8 +346,11 @@ def suite_remove_one(seed: int = 0, **_: object) -> str:
         raise SuiteFailure(f"control gap {gap} not above level 3")
     checked = 0
     for n in range(1, 6):
-        for t, x, here, lifted in _lift_tables(n, 4):
-            lim = 4 * level(t, x)
+        g = build_digraph(n, "mtr")
+        tables = [_bound_table(g, v, 4) for v in range(len(g.vertices))]
+        for (v, t), x in itertools.product(enumerate(g.vertices), range(1, n + 1)):
+            # The lift of t is the vertex at the end of its arc x.
+            here, lifted, lim = tables[v], tables[g.arcs[v][x - 1]], 4 * level(t, x)
             for z_seq, cost in here.items():
                 checked += 1
                 if cost - lifted[z_seq] > lim:
@@ -364,16 +367,16 @@ def suite_remove_one(seed: int = 0, **_: object) -> str:
     return f"control gap {gap} > 3; {checked} gaps within four times the level"
 
 
-def _lift_tables(n: int, max_m: int):
-    """Each shape on keys 1..n and key x, with the crossing-bound tables of the
-    shape and of its lift ``move_to_root(shape, x)``, another shape on the
-    same keys: their difference at Z is ``remove_one_gap(shape, x, Z)``."""
-    keys = range(1, n + 1)
-    shapes = all_shapes(n)
-    tables = {preorder(t): crossing_bounds(t, keys, max_m) for t in shapes}
-    for t in shapes:
-        for x in keys:
-            yield t, x, tables[preorder(t)], tables[preorder(access_tree(t, x, "mtr"))]
+def _bound_table(g: TransitionDigraph, v: int, max_m: int) -> dict[tuple[int, ...], int]:
+    """Crossing bound from vertex ``v`` of the Move-to-Root digraph ``g`` of
+    every request sequence over 1..n of length at most ``max_m``, the empty
+    one included: the crossing counts of the arcs along its walk, summed."""
+
+    def advance(state: tuple[int, int], z: int) -> tuple[int, int]:
+        return g.arcs[state[0]][z - 1], state[1] + g.crossings[state[0]][z - 1]
+
+    walk = walk_sequences((v, 0), range(1, g.n + 1), max_m, advance)
+    return {seq: total for seq, (_, total) in walk}
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +388,9 @@ def suite_wilber_monotone(seed: int = 0, **_: object) -> str:
     for n in range(1, 5):
         # Every shape's table has the same keys, so one pair list serves them all.
         pairs = _subsequence_pairs(range(1, n + 1), 4)
-        for t in all_shapes(n):
-            bound = crossing_bounds(t, range(1, n + 1), 4)
+        g = build_digraph(n, "mtr")
+        for v, t in enumerate(g.vertices):
+            bound = _bound_table(g, v, 4)
             for x_seq, sub in pairs:
                 if bound[sub] > 4 * bound[x_seq]:
                     raise SuiteFailure(f"{shape_print(t)} {x_seq} -> {sub}")
@@ -411,7 +415,7 @@ def _subsequence_pairs(
     keys: Sequence[int], max_m: int
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Each request sequence over ``keys`` of length at most ``max_m``, in
-    :func:`crossing_bounds` key order, with each of its non-empty proper
+    :func:`_bound_table` key order, with each of its non-empty proper
     subsequences in mask order: bit j of the mask drops request j."""
     pairs = []
     for x_seq, _ in walk_sequences(None, keys, max_m, lambda *_: None):
@@ -443,26 +447,33 @@ def suite_window(seed: int = 0, **_: object) -> str:
 def _window_walk(n: int, max_m: int) -> tuple[int, int]:
     """Check the window decomposition of each shape on keys 1..n, key x and Z
     with |Z| <= max_m as one trie walk: each node's state, witness and
-    summation identity (its gap read off ``_lift_tables``) once.  Returns the
-    decompositions and the formula checks one run per Z would count: a
-    witness at depth d stands for the sum of n**j over j <= max_m - d."""
+    summation identity once.  Both runs walk the Move-to-Root digraph's arcs
+    and take their trees from its vertices.  Each witness measures its
+    ``delta_z`` with levels, and the gap is the difference of the two
+    vertices' crossing-bound tables, which sum the arcs' crossing counts.
+    Returns the decompositions and the formula checks one run per Z would
+    count: a witness at depth d stands for the sum of n**j over j <= max_m - d."""
     keys = range(1, n + 1)
+    g = build_digraph(n, "mtr")
+    tables = [_bound_table(g, v, max_m) for v in range(len(g.vertices))]
     weight = [sum(n**j for j in range(max_m - d + 1)) for d in range(max_m + 1)]
     runs = checks = 0
-    for t, x, here, lifted in _lift_tables(n, max_m):
+    for (v, t), x in itertools.product(enumerate(g.vertices), keys):
 
         def advance(state: tuple, z: int) -> tuple:
-            _, step, _, total = state
-            nxt, wit = window_advance(step, x, z)
-            return step, nxt, wit, total + wit.delta_z
+            _, step, _, total, s, w = state
+            s, w = g.arcs[s][z - 1], g.arcs[w][z - 1]
+            nxt, wit = window_advance(step, x, z, g.vertices[s], g.vertices[w])
+            return step, nxt, wit, total + wit.delta_z, s, w
 
-        start = (None, window_start(t, x), None, 0)
-        for z_seq, (prev, step, wit, total) in walk_sequences(start, keys, max_m, advance):
+        lift = g.arcs[v][x - 1]
+        start = (None, window_start(t, g.vertices[lift], x), None, 0, v, lift)
+        for z_seq, (prev, step, wit, total, _, _) in walk_sequences(start, keys, max_m, advance):
             try:
                 check_window_state(step, x)
                 if wit is not None:
                     checks += weight[wit.index] * check_level_witness(prev, step, wit)
-                check_delta_sum(total, here[z_seq] - lifted[z_seq])
+                check_delta_sum(total, tables[v][z_seq] - tables[lift][z_seq])
             except FormulaViolation as err:
                 raise SuiteFailure(f"{shape_print(t)} x={x} Z={z_seq}: {err}") from None
             runs += 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .algorithms import access_cost, access_tree, run_accesses, run_totals
+from .algorithms import access, access_cost, run_accesses, run_totals
 from .model import Execution, Instance, validate
 from .tree import (
     InvariantError,
@@ -55,18 +55,20 @@ class TransitionDigraph(NamedTuple):
     vertices: tuple[Node, ...]
     index: dict[tuple[int, ...], int]
     arcs: tuple[tuple[int, ...], ...]  # arcs[v][key-1] = target vertex
+    crossings: tuple[tuple[int, ...], ...]  # crossings[v][key-1] = the arc's crossing count
 
 
 def build_digraph(n: int, algo: str = "splay") -> TransitionDigraph:
+    """Every shape on keys 1..n, and each access's target shape and crossing
+    count (the key's level in the source shape), from one access per arc."""
     if not 1 <= n <= MAX_DIGRAPH_N:
         raise ValueError(f"digraph size {n} outside 1..{MAX_DIGRAPH_N}")
     vertices = tuple(all_shapes(n))
     index = {preorder(v): i for i, v in enumerate(vertices)}
-    arcs = tuple(
-        tuple(index[preorder(access_tree(v, key, algo))] for key in range(1, n + 1))
-        for v in vertices
-    )
-    return TransitionDigraph(n, algo, vertices, index, arcs)
+    moves = [[access(v, key, algo) for key in range(1, n + 1)] for v in vertices]
+    arcs = tuple(tuple(index[preorder(t)] for t, _ in row) for row in moves)
+    crossings = tuple(tuple(rec.crossing for _, rec in row) for row in moves)
+    return TransitionDigraph(n, algo, vertices, index, arcs, crossings)
 
 
 def _bfs(

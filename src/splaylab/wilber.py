@@ -23,7 +23,7 @@ from typing import (
     TypeVar,
 )
 
-from .algorithms import _fold, access, access_tree, move_to_root
+from .algorithms import _fold, access_tree
 from .model import Instance
 from .tree import (
     InvariantError,
@@ -80,18 +80,6 @@ def walk_sequences(
         yield seq, state
         if len(seq) < max_m:
             stack.extend((seq + (x,), advance(state, x)) for x in reversed(keys))
-
-
-def crossing_bounds(t: Node, keys: Sequence[int], max_m: int) -> dict[tuple[int, ...], int]:
-    """Crossing bound from ``t`` of every request sequence over ``keys`` of
-    length at most ``max_m``, the empty one included: Move-to-Root's running
-    crossing sum, which is exactly :func:`crossing_bound`."""
-
-    def advance(state: tuple[Node, int], x: int) -> tuple[Node, int]:
-        after, rec = move_to_root(state[0], x)
-        return after, state[1] + rec.crossing
-
-    return {seq: state[1] for seq, state in walk_sequences((t, 0), keys, max_m, advance)}
 
 
 def splay_bookkeeping_cost(inst: Instance) -> int:
@@ -244,7 +232,7 @@ def crossing_bound_from_insertion_tree(x_seq: Sequence[int]) -> int:
 
 def remove_one_gap(s: Node, x: int, z_seq: Sequence[int]) -> int:
     """Crossing-bound change from serving the requests out of ``s`` versus
-    out of ``move_to_root(s, x)``."""
+    out of its lift, Move-to-Root's tree after accessing x in ``s``."""
     lifted = access_tree(s, x, "mtr")
     return _fold(s, z_seq, "mtr")[2] - _fold(lifted, z_seq, "mtr")[2]
 
@@ -263,12 +251,13 @@ def augment_top(t: Node, y: int) -> Node:
 class WindowStep(NamedTuple):
     """Window state after request ``index`` (index 0 is the initial state).
 
-    The two runs serve the same requests from ``s`` and from
-    ``move_to_root(s, x)``.  Keys strictly inside the window (u, v) are
-    arranged as one subtree in each run: zipped in the unlifted run, unzipped
-    in the lifted one; everything else (the top tree) is arranged
-    identically in both.  A step keeps both runs' trees, the window bounds,
-    the four window subtrees and ``k``; other levels are left to the witnesses.
+    Two Move-to-Root runs serve the same requests from ``s`` and from its
+    lift, the tree after accessing x in ``s``.  Keys strictly inside the
+    window (u, v) are arranged as one subtree in each run: zipped in the
+    unlifted run, unzipped in the lifted one; everything else (the top tree)
+    is arranged identically in both.  A step keeps both runs' trees, the
+    window bounds, the four window subtrees and ``k``; other levels are left
+    to the witnesses.
     """
 
     index: int
@@ -288,8 +277,8 @@ class LevelWitness(NamedTuple):
 
     Everything but ``k_cur`` and ``delta_z`` is read off the previous step,
     and each witness computes only the levels its checks read.  ``delta_z``,
-    the one level difference of the request itself, is the difference of
-    the crossing counts of the two runs' Move-to-Root accesses of z.
+    the one level difference of the request itself, is measured with
+    :func:`level` in the two runs' previous trees, not read off the accesses.
     """
 
     index: int
@@ -310,19 +299,19 @@ class LevelWitness(NamedTuple):
     delta_z: int  # level of z in the previous s_tree minus in its t_tree
 
 
-def window_start(s: Node, x: int) -> WindowStep:
-    """The state before any request: J+ = J is ``s``, K+ = K is its lift."""
-    t, rec = access(s, x, "mtr")
-    return WindowStep(0, NEG_INF, POS_INF, s, t, s, t, s, t, rec.crossing)
+def window_start(s: Node, t: Node, x: int) -> WindowStep:
+    """The state before any request: J+ = J is ``s``, K+ = K is its lift
+    ``t``, which the caller gives."""
+    return WindowStep(0, NEG_INF, POS_INF, s, t, s, t, s, t, level(s, x))
 
 
-def window_advance(prev: WindowStep, x: int, z: int) -> tuple[WindowStep, LevelWitness]:
-    """The state after request ``z`` and the witness of its level
-    difference."""
+def window_advance(
+    prev: WindowStep, x: int, z: int, s_tree: Node, t_tree: Node
+) -> tuple[WindowStep, LevelWitness]:
+    """The state after request ``z``, given the two runs' trees after it,
+    and the witness of its level difference, measured in the previous trees."""
     u = z if prev.u <= z <= x else prev.u
     v = z if x <= z <= prev.v else prev.v
-    s_tree, s_rec = access(prev.s_tree, z, "mtr")
-    t_tree, t_rec = access(prev.t_tree, z, "mtr")
     i = prev.index + 1
     # u <= x <= v always, and a request of x sets both bounds to x; until
     # then x itself lies in the window.
@@ -337,17 +326,20 @@ def window_advance(prev: WindowStep, x: int, z: int) -> tuple[WindowStep, LevelW
             i, u, v, s_tree, t_tree, zipped, unzipped,
             augment_top(zipped, s_parent), augment_top(unzipped, t_parent), level(zipped, x),
         )
-    return step, _witness(prev, x, z, step.k, s_rec.crossing - t_rec.crossing)
+    return step, _witness(prev, x, z, step.k, level(prev.s_tree, z) - level(prev.t_tree, z))
 
 
 def window_decompose(
     s: Node, x: int, z_seq: Sequence[int]
 ) -> tuple[list[WindowStep], list[LevelWitness]]:
-    """Fold :func:`window_advance` over ``z_seq``: every state, and every
-    request's witness."""
-    steps, witnesses = [window_start(s, x)], []
+    """Fold :func:`window_advance` over ``z_seq``, with each run's trees
+    from its own Move-to-Root accesses: every state, and every request's
+    witness."""
+    steps, witnesses = [window_start(s, access_tree(s, x, "mtr"), x)], []
     for z in z_seq:
-        step, wit = window_advance(steps[-1], x, z)
+        prev = steps[-1]
+        after = (access_tree(t, z, "mtr") for t in (prev.s_tree, prev.t_tree))
+        step, wit = window_advance(prev, x, z, *after)
         steps.append(step)
         witnesses.append(wit)
     return steps, witnesses

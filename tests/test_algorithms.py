@@ -16,7 +16,6 @@ from splaylab.algorithms import (
     access_cost,
     access_tree,
     deque_run,
-    move_to_root,
     run_accesses,
     run_totals,
     splay,
@@ -177,14 +176,16 @@ class TestSplay:
 class TestMoveToRoot:
     def test_root_access_is_noop(self):
         t = bst_from_sequence([2, 1, 3])
-        assert move_to_root(t, 2)[0] == t
+        assert access(t, 2, "mtr")[0] == t
 
     def test_left_spine(self):
-        out, _ = move_to_root(bst_from_sequence([3, 2, 1]), 1)
+        out, _ = access(bst_from_sequence([3, 2, 1]), 1, "mtr")
         assert shape_print(out) == "(1 . (3 (2 . .) .))"
 
     def test_agrees_with_rotation_reference_exhaustive(self):
-        assert_matches_reference_exhaustive(move_to_root, "mtr", move_to_root_by_rotations)
+        assert_matches_reference_exhaustive(
+            lambda t, key: access(t, key, "mtr"), "mtr", move_to_root_by_rotations
+        )
 
     def test_treap_law_exhaustive(self):
         # After any prefix, the tree is the unique treap whose priorities
@@ -198,7 +199,7 @@ class TestMoveToRoot:
                         inst = Instance(x_seq, t)
                         cur = t
                         for i, x in enumerate(x_seq, start=1):
-                            cur, _ = move_to_root(cur, x)
+                            cur, _ = access(cur, x, "mtr")
                             assert cur == recency_treap(inst, i)
 
     def test_treap_law_bigger_random(self, rng):
@@ -207,7 +208,7 @@ class TestMoveToRoot:
             inst = make_random_instance(rng, n, 4)
             cur = inst.initial
             for i, x in enumerate(inst.requests, start=1):
-                cur, _ = move_to_root(cur, x)
+                cur, _ = access(cur, x, "mtr")
                 assert cur == recency_treap(inst, i)
 
 

@@ -228,7 +228,8 @@ USAGE_ERRORS = {
     "gn-size-0": ["gn", "--n", "0"],
 }
 
-# The gn CSV row for n = 1..7 under each algorithm; n = 8 takes seconds per run.
+# The gn CSV row for n = 1..7 under each algorithm; n = 8 takes about a
+# second per run, so CI checks its rows in a step of its own.
 GN_ROWS = {
     ("splay", 1): '1,splay,1,True,0,"(1 . .)"',
     ("splay", 2): '2,splay,2,True,1,"(1 . (2 . .))"',

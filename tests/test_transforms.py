@@ -8,7 +8,7 @@ import pytest
 
 import splaylab.transforms
 import splaylab.tree
-from splaylab.algorithms import access_cost, move_to_root, splay, top_down_splay
+from splaylab.algorithms import access, access_cost, access_tree, splay, top_down_splay
 from splaylab.families import generate, random_tree
 from splaylab.model import (
     Execution,
@@ -56,11 +56,13 @@ from splaylab.tree import (
     root_subtree,
     rotate,
     rotate_path,
+    shape_print,
     shapes_on_keys,
     size,
     substitute,
     tree_keys,
 )
+from splaylab.wilber import level
 
 from conftest import make_random_execution, make_random_instance
 
@@ -88,6 +90,20 @@ class TestDigraphs:
 
     def test_g4_diameter_pinned(self):
         assert diameter(build_digraph(4, "splay")) == 5
+
+    def test_arcs_and_crossings_match_fresh_accesses_exhaustive(self):
+        # Each arc's crossing count is the accessed key's level in the
+        # source shape, measured by its own walk; each arc still ends at the
+        # shape a fresh access builds.
+        for n in range(1, 6):
+            for algo in ("splay", "mtr", "tds"):
+                g = build_digraph(n, algo)
+                assert len(g.crossings) == len(g.arcs) == len(g.vertices)
+                for v, t in enumerate(g.vertices):
+                    assert len(g.crossings[v]) == n
+                    for k in range(1, n + 1):
+                        assert g.crossings[v][k - 1] == level(t, k), (shape_print(t), k, algo)
+                        assert g.arcs[v][k - 1] == g.index[preorder(access_tree(t, k, algo))]
 
 
 class TestFlatten:
@@ -386,7 +402,7 @@ class TestSimultaneous:
         s = m = left
         for k in seq:
             s, _ = splay(s, k)
-            m, _ = move_to_root(m, k)
+            m, _ = access(m, k, "mtr")
         assert is_right_spine(s) and s == m
 
     def test_single_access_is_not_simultaneous(self):
@@ -394,7 +410,7 @@ class TestSimultaneous:
         # different shapes, so a joint walk cannot take that arc.
         left = left_spine_tree([1, 2, 3, 4])
         s, _ = splay(left, 2)
-        m, _ = move_to_root(left, 2)
+        m, _ = access(left, 2, "mtr")
         assert s != m
 
     def test_all_pairs(self):
@@ -405,7 +421,7 @@ class TestSimultaneous:
                 s = m = s0
                 for k in seq:
                     s, _ = splay(s, k)
-                    m, _ = move_to_root(m, k)
+                    m, _ = access(m, k, "mtr")
                 assert s == t0 and m == t0
 
     def test_walks_are_shortest(self):
@@ -422,7 +438,9 @@ class TestSimultaneous:
                         fewest.setdefault(s, length)
                 if len(fewest) == len(shapes):
                     break
-                level = [(splay(s, k)[0], move_to_root(m, k)[0]) for s, m in level for k in range(1, 5)]
+                level = [
+                    (splay(s, k)[0], access(m, k, "mtr")[0]) for s, m in level for k in range(1, 5)
+                ]
             assert len(fewest) == len(shapes)
             for t0 in shapes:
                 assert len(simultaneous_transform4(s0, t0)) == fewest[t0]

@@ -5,16 +5,18 @@ import itertools
 import random
 
 import pytest
-from splaylab.algorithms import move_to_root, run_totals, splay
+from splaylab.algorithms import _rearrange, access, run_totals, splay
 from splaylab.families import generate, random_tree
 from splaylab.model import Instance
 from splaylab.suites import (
     SuiteFailure,
-    _lift_tables,
+    _bound_table,
     _subsequence_pairs,
     _window_walk,
+    suite_window,
     suite_wilber_monotone,
 )
+from splaylab.transforms import build_digraph
 from splaylab.tree import (
     InvariantError,
     Node,
@@ -38,7 +40,6 @@ from splaylab.wilber import (
     check_window_state,
     crossing_bound,
     crossing_bound_from_insertion_tree,
-    crossing_bounds,
     crossing_keys_on_path,
     generalized_path_keys,
     level,
@@ -268,11 +269,28 @@ class TestBackwardScan:
         assert sequence_crossing_bound(requests) == crossing_bound_from_insertion_tree(requests) - n + 1
 
 
+def crossing_bounds(t, keys, max_m):
+    """Reference: the crossing bound from ``t`` of every request sequence over
+    ``keys`` of length at most ``max_m``, the empty one included, from
+    Move-to-Root's own trees: one access per trie node, its running crossing
+    sum kept along the walk."""
+
+    def advance(state, x):
+        after, rec = access(state[0], x, "mtr")
+        return after, state[1] + rec.crossing
+
+    return {seq: state[1] for seq, state in walk_sequences((t, 0), keys, max_m, advance)}
+
+
 class TestCrossingBounds:
     def test_equals_crossing_bound_exhaustive(self):
+        # The suites' digraph tables against Move-to-Root's own trees and
+        # against crossing_bound on each instance.
         for n in range(1, 5):
-            for t in all_shapes(n):
-                table = crossing_bounds(t, range(1, n + 1), 4)
+            g = build_digraph(n, "mtr")
+            for v, t in enumerate(g.vertices):
+                table = _bound_table(g, v, 4)
+                assert list(table.items()) == list(crossing_bounds(t, range(1, n + 1), 4).items())
                 seqs = [s for m in range(5) for s in itertools.product(range(1, n + 1), repeat=m)]
                 assert sorted(table) == sorted(seqs)
                 for seq in seqs:
@@ -280,6 +298,9 @@ class TestCrossingBounds:
 
     def test_zero_length(self):
         assert crossing_bounds(bst_from_sequence([2, 1, 3]), (1, 2, 3), 0) == {(): 0}
+        g = build_digraph(3, "mtr")
+        for v in range(len(g.vertices)):
+            assert _bound_table(g, v, 0) == {(): 0}
 
     def test_walk_visits_each_sequence_once_in_lexicographic_order(self):
         walk = list(walk_sequences(0, (1, 2), 2, lambda state, x: 10 * state + x))
@@ -325,15 +346,17 @@ class TestMonotoneSweep:
         # sweep must stop at the one the per-shape loop meets first, with
         # the same message (a sweep by sequence length would stop at
         # (1, 3, 1) instead).
-        def tampered(t, keys, max_m):
-            bound = crossing_bounds(t, keys, max_m)
-            if len(keys) == 3 and t.key == 2:
+        def plant(t, bound):
+            if size(t) == 3 and t.key == 2:
                 bound[(3, 1)] += 100
             return bound
 
-        _, expected = reference_wilber_monotone(tampered)
+        _, expected = reference_wilber_monotone(lambda t, *rest: plant(t, crossing_bounds(t, *rest)))
         assert expected == "(2 (1 . .) (3 . .)) (1, 1, 3, 1) -> (3, 1)"
-        monkeypatch.setattr("splaylab.suites.crossing_bounds", tampered)
+        monkeypatch.setattr(
+            "splaylab.suites._bound_table",
+            lambda g, v, max_m: plant(g.vertices[v], _bound_table(g, v, max_m)),
+        )
         with pytest.raises(SuiteFailure) as err:
             suite_wilber_monotone()
         assert str(err.value) == expected
@@ -352,14 +375,19 @@ class TestRemoveOneGap:
         assert gap <= 4 * level(s, 4)
 
     def test_lift_tables_give_the_gap_exhaustive(self):
-        # The remove-one suite reads each gap off two crossing-bound tables.
+        # The remove-one and window suites read each gap off two digraph
+        # tables: the shape's and that of its lift, the end of its arc x.
         for n in range(1, 5):
             pairs = 0
-            for t, x, here, lifted in _lift_tables(n, 4):
-                assert lifted == crossing_bounds(move_to_root(t, x)[0], range(1, n + 1), 4)
-                for z_seq in here:
-                    assert here[z_seq] - lifted[z_seq] == remove_one_gap(t, x, z_seq)
-                pairs += 1
+            g = build_digraph(n, "mtr")
+            for v, t in enumerate(g.vertices):
+                here = _bound_table(g, v, 4)
+                for x in range(1, n + 1):
+                    lifted = _bound_table(g, g.arcs[v][x - 1], 4)
+                    assert lifted == crossing_bounds(access(t, x, "mtr")[0], range(1, n + 1), 4)
+                    for z_seq in here:
+                        assert here[z_seq] - lifted[z_seq] == remove_one_gap(t, x, z_seq)
+                    pairs += 1
             assert pairs == n * len(all_shapes(n))
 
     def test_factor_four_random(self, rng):
@@ -455,9 +483,7 @@ class TestWindowDecomposition:
         # The top tree holds the keys outside the window: none yet.
         assert (st0.u, st0.v) == (float("-inf"), float("inf"))
         assert st0.zipped == s
-        from splaylab.algorithms import move_to_root, run_totals
-
-        assert st0.unzipped == move_to_root(s, 1)[0]
+        assert st0.unzipped == access(s, 1, "mtr")[0]
 
     def test_after_accessing_x_everything_collapses(self):
         s = bst_from_sequence([4, 2, 1, 3, 5])
@@ -514,6 +540,23 @@ class TestWindowDecomposition:
         with pytest.raises(FormulaViolation, match=message):
             validate_level_formulas(steps, [bad if w is wit else w for w in wits], 4)
 
+    def test_kernel_crossing_defect_fails_the_delta_sum(self, monkeypatch):
+        # The gap sums the kernel's crossing counts, while each delta_z is
+        # measured with levels: a kernel that counts one crossing too many
+        # on paths of depth 3 or more breaks the summation identity.
+        def planted(*args):
+            out, encoding, crossing = _rearrange(*args)
+            return out, encoding, crossing + (len(encoding) >= 3)
+
+        monkeypatch.setattr("splaylab.algorithms._rearrange", planted)
+        with pytest.raises(SuiteFailure, match=r"delta sum 0 != measured gap -1$"):
+            _window_walk(4, 4)
+        with pytest.raises(SuiteFailure, match="delta sum"):
+            suite_window()
+        spine = bst_from_sequence([1, 2, 3, 4])
+        with pytest.raises(FormulaViolation, match="^delta sum 0 != measured gap 1$"):
+            validate_level_formulas(*window_decompose(spine, 2, (4,)), 2)
+
     def test_top_tree_parent_mismatch_fails_the_state_check(self):
         s = bst_from_sequence([1, 7, 4, 2, 3, 6, 5])
         steps, _ = window_decompose(s, 4, (5, 3))
@@ -546,7 +589,7 @@ class TestWindowDecomposition:
                     for step in window_decompose(all_shapes(n)[0], x, z_seq)[0]
                 }
                 for t in all_shapes(n):
-                    others = [move_to_root(t, x)[0]] + [rotate(t, k) for k in keys if k != t.key]
+                    others = [access(t, x, "mtr")[0]] + [rotate(t, k) for k in keys if k != t.key]
                     if n <= 4:
                         others += all_shapes(n)
                     for u, v in windows:
